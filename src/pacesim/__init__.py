@@ -25,10 +25,7 @@ from .auctions import (
 )
 from .pacing import (
     AgentConfig,
-    ConstantBid,
-    PacingPolicy,
     PacingState,
-    ScheduleBid,
     check_generalized_pacing,
     compute_bid,
     init_state,

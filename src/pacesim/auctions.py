@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError, PreconditionError
 
 #: Tolerance for every deterministic predicate check in money units.
@@ -163,6 +165,48 @@ def allocate(mechanism: Mechanism, bids: Sequence[float]) -> AuctionOutcome:
         else:
             p[k] = rate * bs[k]
     return AuctionOutcome(tuple(x), tuple(p))
+
+
+def outcomes(mechanism: Mechanism, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized `allocate`: allocations and payments, each (rows, n), for
+    a (rows, n) bid matrix, one auction per row.
+
+    Same rule, tie-breaking and bits as `allocate`, which stays as the
+    scalar oracle this kernel is tested against.
+    """
+    rows, n = bids.shape
+    x = np.zeros_like(bids)
+    z = np.zeros_like(bids)
+    if isinstance(mechanism.feasible, SingleSlot):
+        winners = np.argmax(bids, axis=1)  # first max: lowest index wins ties
+        r = np.arange(rows)
+        wb = bids[r, winners]
+        won = wb > 0.0
+        x[r, winners] = won.astype(np.float64)
+        if mechanism.kind == FIRST_PRICE:
+            pay = wb
+        else:
+            if n >= 2:
+                pay = np.partition(bids, n - 2, axis=1)[:, n - 2]
+            else:
+                pay = np.zeros(rows)
+        z[r, winners] = np.where(won, pay, 0.0)
+        return x, z
+
+    rates = np.zeros(n)
+    m = len(mechanism.feasible.click_rates)
+    rates[: min(m, n)] = mechanism.feasible.click_rates[: min(m, n)]
+    order = np.argsort(-bids, axis=1, kind="stable")
+    sorted_bids = np.take_along_axis(bids, order, axis=1)
+    xs = rates[None, :] * (sorted_bids > 0.0)
+    if mechanism.kind == GSP:
+        nxt = np.concatenate([sorted_bids[:, 1:], np.zeros((rows, 1))], axis=1)
+        zs = xs * nxt
+    else:
+        zs = xs * sorted_bids
+    np.put_along_axis(x, order, xs, axis=1)
+    np.put_along_axis(z, order, zs, axis=1)
+    return x, z
 
 
 def check_ir(outcome: AuctionOutcome, bids: Sequence[float], tol: float = PREDICATE_TOL) -> bool:

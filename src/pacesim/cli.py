@@ -5,7 +5,7 @@ the exact ex-ante optimum), regret (single-agent dynamic regret), verify
 (inequality checkers and simulation invariants), counterexample (the
 no-regret-but-bad-welfare scenario).  Every command prints a human-readable
 summary and can write machine-readable JSON; outputs are byte-identical
-for identical config and seed regardless of worker count.
+for identical config and seed.
 
 Exit codes: 0 success, 1 a verified bound or checker failed, 2 schema or
 usage error, 3 I/O failure, 4 exact-solver capacity exceeded, 5 the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .errors import (
     BoundInapplicableError,
@@ -148,104 +148,6 @@ def stopping_time_bound(config: AgentConfig) -> int:
     return math.ceil(
         config.mu_cap / (config.learning_rate * rho) + config.value_cap / rho
     )
-
-
-class BiddingPolicy(Protocol):
-    """Minimal agent interface: observe a value, emit a bid; observe spend.
-
-    Implementations must expose the internal pacing multiplier so recorded
-    traces can be conformance-checked.
-    """
-
-    @property
-    def multiplier(self) -> float: ...
-
-    def bid(self, value: float) -> float: ...
-
-    def observe(self, spend: float) -> None: ...
-
-
-class PacingPolicy:
-    """Reference implementation of the agent interface using PacingState."""
-
-    def __init__(self, config: AgentConfig):
-        self.state = init_state(config)
-
-    @property
-    def multiplier(self) -> float:
-        return self.state.multiplier
-
-    @property
-    def stopped(self) -> bool:
-        return self.state.stopped
-
-    def bid(self, value: float) -> float:
-        if self.state.stopped:
-            return 0.0
-        return compute_bid(self.state, value)
-
-    def observe(self, spend: float) -> None:
-        if not self.state.stopped:
-            self.state = update(self.state, spend)
-
-
-class ConstantBid:
-    """Scripted opponent bidding a fixed amount, clamped to its budget."""
-
-    def __init__(self, bid: float, budget: float = math.inf):
-        if bid < 0:
-            raise ConfigurationError("scripted bid must be non-negative")
-        self.constant = float(bid)
-        self.remaining = float(budget)
-
-    @property
-    def multiplier(self) -> float:
-        return math.nan
-
-    def bid(self, value: float) -> float:
-        return min(self.constant, self.remaining)
-
-    def observe(self, spend: float) -> None:
-        self.remaining -= spend
-
-
-class ScheduleBid:
-    """Scripted opponent following a piecewise-constant bid schedule.
-
-    segments is a sequence of (last_round, bid) pairs with strictly
-    increasing round boundaries; the final segment must reach the horizon.
-    """
-
-    def __init__(self, segments: Sequence[tuple[int, float]], budget: float = math.inf):
-        if not segments:
-            raise ConfigurationError("empty bid schedule")
-        last = 0
-        for until, bid in segments:
-            if until <= last:
-                raise ConfigurationError("schedule boundaries must increase")
-            if bid < 0:
-                raise ConfigurationError("scripted bid must be non-negative")
-            last = until
-        self.segments = [(int(u), float(b)) for u, b in segments]
-        self.remaining = float(budget)
-        self.round = 1
-
-    @property
-    def multiplier(self) -> float:
-        return math.nan
-
-    def bid_at(self, round_index: int) -> float:
-        for until, bid in self.segments:
-            if round_index <= until:
-                return bid
-        return self.segments[-1][1]
-
-    def bid(self, value: float) -> float:
-        return min(self.bid_at(self.round), self.remaining)
-
-    def observe(self, spend: float) -> None:
-        self.remaining -= spend
-        self.round += 1
 
 
 @dataclass(frozen=True)

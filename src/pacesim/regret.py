@@ -24,17 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .auctions import (
-    FIRST_PRICE,
-    GSP,
-    SECOND_PRICE,
-    Mechanism,
-    SingleSlot,
-    allocate,
-)
+from .auctions import FIRST_PRICE, SECOND_PRICE, Mechanism, SingleSlot, outcomes
 from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
 from .pacing import EXHAUSTION_FRACTION
+from .simulation import atom_indices
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
@@ -213,17 +207,13 @@ class EnvironmentStep:
         return z, v
 
     def _curves_exact(self, mu_arr: np.ndarray):
+        bids = self.values[:, None] / (1.0 + mu_arr[None, :])  # (S, M)
+        x, pay = _focal_outcome(self, bids, self.competing_bids[:, None, :])
         z = np.zeros_like(mu_arr)
         v = np.zeros_like(mu_arr)
-        for s in range(self.n_atoms):
-            comp = list(self.competing_bids[s])
-            for i, m in enumerate(mu_arr):
-                bid = self.values[s] / (1.0 + m)
-                profile = comp.copy()
-                profile.insert(self.agent_index, bid)
-                out = allocate(self.mechanism, profile)
-                z[i] += self.probs[s] * out.payments[self.agent_index]
-                v[i] += self.probs[s] * self.values[s] * out.allocations[self.agent_index]
+        for s in range(self.n_atoms):  # atom by atom, as the scalar sums run
+            z += self.probs[s] * pay[s]
+            v += self.probs[s] * self.values[s] * x[s]
         return z, v
 
     def curve_breakpoints(self, mu_max: float) -> np.ndarray:
@@ -243,10 +233,7 @@ class EnvironmentStep:
     def draw(self, rng: np.random.Generator, rounds: int, replications: int):
         """Sample (values, noised competing bids) arrays of shape
         (replications, rounds[, opponents])."""
-        cum = np.cumsum(self.probs)
-        u = rng.random((replications, rounds))
-        idx = np.minimum(np.searchsorted(cum, u.ravel(), side="right"), self.n_atoms - 1)
-        idx = idx.reshape(replications, rounds)
+        idx = atom_indices(self.probs, rng.random((replications, rounds)))
         vals = self.values[idx]
         comp = self.competing_bids[idx]
         if self.eta > 0 and self.n_opponents > 0:
@@ -531,45 +518,18 @@ def _as_env_list(envs, horizon: int | None) -> list[EnvironmentStep]:
     return envs
 
 
-def _env_outcome(env: EnvironmentStep, bids: np.ndarray, comp: np.ndarray):
-    """Vectorized one-round outcome for the focal agent: allocation and
-    payment given her bid and the realized competing bids."""
-    mech = env.mechanism
-    if isinstance(mech.feasible, SingleSlot):
-        if env.n_opponents == 0:
-            win = bids > 0
-            top = np.zeros_like(bids)
-        else:
-            top = comp.max(axis=-1)
-            first = np.argmax(comp, axis=-1)
-            comp_profile_idx = first + (first >= env.agent_index)
-            win = (bids > top) | (
-                (bids == top) & (bids > 0) & (env.agent_index < comp_profile_idx)
-            )
-            win &= bids > 0
-        x = win.astype(np.float64)
-        pay = bids * x if mech.kind == FIRST_PRICE else top * x
-        return x, pay
-    # Polymatroid: agent's rank among all bids, ties by profile index.
-    opp_idx = np.arange(env.n_opponents)
-    opp_profile = opp_idx + (opp_idx >= env.agent_index)
-    above = (comp > bids[..., None]) | (
-        (comp == bids[..., None]) & (opp_profile < env.agent_index)
-    )
-    rank = above.sum(axis=-1)
-    rates = np.zeros(env.n_opponents + 1)
-    m = len(mech.feasible.click_rates)
-    take = min(m, len(rates))
-    rates[:take] = mech.feasible.click_rates[:take]
-    x = rates[rank] * (bids > 0)
-    if mech.kind == GSP:
-        below = np.sort(comp, axis=-1)[..., ::-1]  # descending
-        padded = np.concatenate([below, np.zeros_like(bids[..., None])], axis=-1)
-        nxt = np.take_along_axis(padded, rank[..., None], axis=-1)[..., 0]
-        pay = x * nxt
-    else:
-        pay = x * bids
-    return x, pay
+def _focal_outcome(env: EnvironmentStep, bids: np.ndarray, comp: np.ndarray):
+    """The focal agent's allocation and payment.  The focal bids (any
+    shape) join the competing bids (that shape, or one broadcasting to it,
+    plus an opponent axis) at agent_index, and each profile goes through
+    the core auction kernel."""
+    k = env.agent_index
+    profile = np.empty(bids.shape + (comp.shape[-1] + 1,))
+    profile[..., :k] = comp[..., :k]
+    profile[..., k] = bids
+    profile[..., k + 1 :] = comp[..., k:]
+    x, z = outcomes(env.mechanism, profile.reshape(-1, profile.shape[-1]))
+    return x[:, k].reshape(bids.shape), z[:, k].reshape(bids.shape)
 
 
 def simulate_pacing(
@@ -617,17 +577,14 @@ def simulate_pacing(
     rec_z = np.empty((R, T))
 
     for t, env in enumerate(env_list):
-        cum = np.cumsum(env.probs)
-        idx = np.minimum(np.searchsorted(cum, atom_u[:, t], side="right"), env.n_atoms - 1)
+        idx = atom_indices(env.probs, atom_u[:, t])
         v = env.values[idx]
         comp = env.competing_bids[idx]
         if env.eta > 0 and env.n_opponents > 0:
             comp = comp + env.eta * noise_u[:, t, : env.n_opponents]
         live = ~stopped
         bids = np.where(live, np.minimum(v / (1.0 + mu), remaining), 0.0)
-        x, z = _env_outcome(env, bids, comp)
-        x = np.where(live, x, 0.0)
-        z = np.where(live, z, 0.0)
+        x, z = _focal_outcome(env, bids, comp)  # stopped rows bid 0 and win nothing
 
         rec_mu[:, t] = np.where(live, mu, np.nan)
         rec_v[:, t] = v
@@ -844,7 +801,7 @@ def stochastic_value(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     vals, comp = env.draw(rng, horizon, replications)
     bids = vals / (1.0 + mu)
-    x, z = _env_outcome(env, bids, comp)
+    x, z = _focal_outcome(env, bids, comp)
     gained = x * vals
     spend_cum = np.cumsum(z, axis=1)
     alive = np.concatenate(

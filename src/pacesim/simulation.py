@@ -7,9 +7,8 @@ record (values, multipliers, bids, allocations, payments, remaining
 budgets) is kept as a Trace.
 
 Replications run in lockstep as rows of vectorized state arrays, one
-counter-based RNG substream per replication, so a batch of runs is
-bit-identical to running each replication alone and is deterministic under
-any worker count.
+counter-based RNG substream per replication, so a batch of runs of any
+chunk size is bit-identical to running each replication alone.
 """
 
 from __future__ import annotations
@@ -17,18 +16,22 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .auctions import FIRST_PRICE, GSP, Mechanism, SingleSlot
+from .auctions import Mechanism, outcomes
 from .errors import ConfigurationError
 from .pacing import EXHAUSTION_FRACTION, AgentConfig
 
 EPOCH_TOL = 1e-9
+
+
+def atom_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF lookup: the support point each uniform in u selects
+    under the finite distribution probs (any shape of u)."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,7 @@ class ValueModel:
         return max(1.0, float(self.profiles.max()))
 
     def sample_indices(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        u = rng.random(horizon)
-        return np.minimum(
-            np.searchsorted(cum, u, side="right"), self.support_size - 1
-        ).astype(np.int64)
+        return atom_indices(self.probs, rng.random(horizon)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -237,43 +236,6 @@ def _resolve_params(config: SimulationConfig):
     return paced, budgets, eps, mu_cap, rho, v_cap
 
 
-def _mechanism_step(mechanism: Mechanism, bids: np.ndarray):
-    """Vectorized one-round outcome for a (rows, n_agents) bid matrix."""
-    rows, n = bids.shape
-    x = np.zeros_like(bids)
-    z = np.zeros_like(bids)
-    if isinstance(mechanism.feasible, SingleSlot):
-        winners = np.argmax(bids, axis=1)  # first max: lowest index wins ties
-        r = np.arange(rows)
-        wb = bids[r, winners]
-        won = wb > 0.0
-        x[r, winners] = won.astype(np.float64)
-        if mechanism.kind == FIRST_PRICE:
-            pay = wb
-        else:
-            if n >= 2:
-                pay = np.partition(bids, n - 2, axis=1)[:, n - 2]
-            else:
-                pay = np.zeros(rows)
-        z[r, winners] = np.where(won, pay, 0.0)
-        return x, z
-
-    rates = np.zeros(n)
-    m = len(mechanism.feasible.click_rates)
-    rates[: min(m, n)] = mechanism.feasible.click_rates[: min(m, n)]
-    order = np.argsort(-bids, axis=1, kind="stable")
-    sorted_bids = np.take_along_axis(bids, order, axis=1)
-    xs = rates[None, :] * (sorted_bids > 0.0)
-    if mechanism.kind == GSP:
-        nxt = np.concatenate([sorted_bids[:, 1:], np.zeros((rows, 1))], axis=1)
-        zs = xs * nxt
-    else:
-        zs = xs * sorted_bids
-    np.put_along_axis(x, order, xs, axis=1)
-    np.put_along_axis(z, order, zs, axis=1)
-    return x, z
-
-
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:
     T = config.horizon
     n = config.n_agents
@@ -313,7 +275,7 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
             np.where(live, np.minimum(v / (1.0 + mu), remaining), 0.0),
             np.minimum(script_bids[t][None, :], remaining),
         )
-        x, z = _mechanism_step(config.mechanism, bids)
+        x, z = outcomes(config.mechanism, bids)
 
         rec_v[:, t] = v
         rec_mu[:, t] = np.where(paced_row & live, mu, np.nan)
@@ -359,53 +321,30 @@ def run_simulation(config: SimulationConfig) -> Trace:
     return _simulate_chunk(config, [np.random.SeedSequence(config.seed)])[0]
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("PACESIM_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def replicate(
     config: SimulationConfig,
     replications: int,
     reducer: Callable[[Trace, int], object] | None = None,
     chunk_size: int = 32,
-    workers: int | None = None,
 ) -> list:
     """Run independent replications on spawned RNG substreams.
 
     Replication r always uses substream r of the config seed, so results
-    are deterministic for any chunk size or worker count.  reducer(trace,
-    rep_index) is applied per replication (traces are dropped afterwards,
-    keeping memory flat); by default the traces themselves are returned.
+    are deterministic for any chunk size.  reducer(trace, rep_index) is
+    applied per replication (traces are dropped afterwards, keeping memory
+    flat); by default the traces themselves are returned.
     """
     if replications < 0:
         raise ConfigurationError("replications must be non-negative")
     children = np.random.SeedSequence(config.seed).spawn(max(replications, 1))
-    chunks = [
-        (i, children[i : i + chunk_size])
-        for i in range(0, replications, chunk_size)
-    ]
-    results: list = [None] * replications
-
-    def handle(chunk):
-        start, seeds = chunk
-        traces = _simulate_chunk(config, seeds)
-        return start, [
+    results: list = []
+    for start in range(0, replications, chunk_size):
+        traces = _simulate_chunk(config, children[start : start + chunk_size])
+        results.extend(
             trace if reducer is None else reducer(trace, start + j)
             for j, trace in enumerate(traces)
-        ]
-
-    nworkers = _worker_count(workers)
-    if nworkers == 1 or len(chunks) <= 1:
-        done = map(handle, chunks)
-        for start, items in done:
-            results[start : start + len(items)] = items
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            for start, items in pool.map(handle, chunks):
-                results[start : start + len(items)] = items
+        )
+        del traces  # free this chunk before the next one is simulated
     return results
 
 
@@ -433,19 +372,8 @@ def _live_rounds(trace: Trace, agent: int) -> int:
 
 def extract_epochs(trace: Trace, agent: int) -> list[Epoch]:
     """Partition the agent's live rounds [1, stop) into maximal epochs."""
-    if trace.agent_kinds[agent] != "paced":
-        raise ConfigurationError(f"agent {agent} is scripted and has no multipliers")
-    live = _live_rounds(trace, agent)
-    if live == 0:
-        return []
-    mus = trace.multipliers[:live, agent]
-    zeros = np.flatnonzero(mus == 0.0) + 1  # 1-based rounds with multiplier 0
-    if len(zeros) == 0 or zeros[0] != 1:
-        raise ConfigurationError("pacing multipliers must start at 0")
-    bounds = np.append(zeros, live + 1)
-    return [
-        Epoch(int(bounds[i]), int(bounds[i + 1]), agent) for i in range(len(zeros))
-    ]
+    starts, ends, _checked, _slacks = _epoch_bound_arrays(trace, agent)
+    return [Epoch(int(a), int(b), agent) for a, b in zip(starts, ends)]
 
 
 @dataclass(frozen=True)

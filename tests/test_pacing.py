@@ -1,8 +1,6 @@
 """Pacing state machine: bid rule, projected update, stopping bound, and
 the generalized-pacing conformance checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +8,14 @@ from hypothesis import strategies as st
 
 from pacesim import (
     AgentConfig,
-    ConstantBid,
-    PacingPolicy,
-    ScheduleBid,
+    ScriptedAgent,
+    SimulationConfig,
+    ValueModel,
     check_generalized_pacing,
     compute_bid,
+    first_price,
     init_state,
+    run_simulation,
     stopping_time_bound,
     update,
 )
@@ -165,37 +165,34 @@ def test_recurrence_replay_is_bit_exact(budget, horizon, eps, spend_fracs):
 
 class TestPolicies:
     def test_constant_and_schedule_scripts(self):
-        fixed = ConstantBid(2.0, budget=3.0)
-        assert fixed.bid(1.0) == 2.0
-        fixed.observe(2.5)
-        assert fixed.bid(1.0) == 0.5
-        assert math.isnan(fixed.multiplier)
+        fixed = ScriptedAgent(budget=3.0, bid=2.0)
+        assert list(fixed.bids_over(3)) == [2.0, 2.0, 2.0]
+        # The engine clamps scripted bids to the remaining budget.
+        alone = SimulationConfig(first_price(), (fixed,), ValueModel([1.0], [[0.0]]), 3)
+        assert list(run_simulation(alone).bids[:, 0]) == [2.0, 1.0, 0.0]
 
-        sched = ScheduleBid([(2, 1.0), (4, 0.25)])
-        bids = []
-        for _ in range(5):
-            bids.append(sched.bid(0.0))
-            sched.observe(0.0)
-        assert bids == [1.0, 1.0, 0.25, 0.25, 0.25]
+        sched = ScriptedAgent(budget=1.0, schedule=((2, 1.0), (4, 0.25)))
+        assert list(sched.bids_over(5)) == [1.0, 1.0, 0.25, 0.25, 0.25]
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigurationError):
-            ScheduleBid([(3, 1.0), (2, 0.5)])
+            ScriptedAgent(budget=1.0, schedule=((3, 1.0), (2, 0.5)))
 
     def test_pacing_policy_records_conformant_trace(self):
         cfg = AgentConfig(budget=5, horizon=20, learning_rate=0.1, value_cap=1.0)
-        policy = PacingPolicy(cfg)
+        state = init_state(cfg)
         rng = np.random.default_rng(0)
-        values, bids, spends, mus = [], [], [], [policy.multiplier]
+        values, bids, spends, mus = [], [], [], [state.multiplier]
         for _ in range(20):
             v = float(rng.uniform(0, 1))
-            b = policy.bid(v)
+            b = 0.0 if state.stopped else compute_bid(state, v)
             z = b * float(rng.random() < 0.5)
-            policy.observe(z)
+            if not state.stopped:
+                state = update(state, z)
             values.append(v)
             bids.append(b)
             spends.append(z)
-            mus.append(policy.multiplier)
+            mus.append(state.multiplier)
         report = check_generalized_pacing(values, bids, spends, mus, cfg)
         assert report.conformant
 

@@ -8,6 +8,9 @@ import pytest
 
 from pacesim import (
     EnvironmentStep,
+    Mechanism,
+    Polymatroid,
+    allocate,
     surrogate_objective,
     dynamic_regret,
     dynamic_regret_batch,
@@ -337,8 +340,7 @@ class TestStochasticValue:
 def test_env_outcome_matches_core_mechanism():
     # The single-agent simulator must price and allocate exactly like the
     # mechanism module, including tie-breaks at every agent position.
-    from pacesim import allocate
-    from pacesim.regret import _env_outcome
+    from pacesim.regret import _focal_outcome
 
     rng = np.random.default_rng(88)
     mechs = [first_price(), second_price(), gsp([1.0, 0.5]), gsp([0.8, 0.6, 0.1])]
@@ -353,12 +355,56 @@ def test_env_outcome_matches_core_mechanism():
             rng.uniform(0, 2)
         )
         env = EnvironmentStep(mech, [1.0], [2.0], [comp], agent_index=agent_index)
-        x, p = _env_outcome(env, np.array([bid]), comp[None, :])
+        x, p = _focal_outcome(env, np.array([bid]), comp[None, :])
         profile = list(comp)
         profile.insert(agent_index, bid)
         out = allocate(mech, profile)
-        assert x[0] == pytest.approx(out.allocations[agent_index], abs=1e-12)
-        assert p[0] == pytest.approx(out.payments[agent_index], abs=1e-12)
+        assert x[0] == out.allocations[agent_index]
+        assert p[0] == out.payments[agent_index]
+
+
+def _exact_curves_reference(env, mus):
+    # Scalar reference: one allocate call per atom and multiplier, summed
+    # atom by atom.
+    z = np.zeros_like(mus)
+    v = np.zeros_like(mus)
+    for s in range(env.n_atoms):
+        comp = list(env.competing_bids[s])
+        for i, m in enumerate(mus):
+            profile = comp.copy()
+            profile.insert(env.agent_index, env.values[s] / (1.0 + m))
+            out = allocate(env.mechanism, profile)
+            z[i] += env.probs[s] * out.payments[env.agent_index]
+            v[i] += env.probs[s] * env.values[s] * out.allocations[env.agent_index]
+    return z, v
+
+
+def test_exact_curves_match_scalar_allocate_loop():
+    rng = np.random.default_rng(19)
+    mechs = [
+        first_price(),
+        second_price(),
+        gsp([1.0, 0.5]),
+        gsp([0.8, 0.6, 0.1]),
+        Mechanism("first_price", Polymatroid((0.9, 0.4))),
+    ]
+    for _ in range(100):
+        mech = mechs[rng.integers(len(mechs))]
+        n_opp = int(rng.integers(0, 4))
+        atoms = int(rng.integers(1, 5))
+        env = EnvironmentStep(
+            mech,
+            rng.dirichlet(np.ones(atoms)),
+            np.round(rng.uniform(0, 2, atoms), 1),
+            np.round(rng.uniform(0, 2, (atoms, n_opp)), 1),
+            agent_index=int(rng.integers(0, n_opp + 1)),
+        )
+        # Multipliers on a half grid make bids land on competing bids (ties).
+        mus = np.concatenate([[0.0], np.round(rng.uniform(0, 3, 30) * 2) / 2])
+        z, v = env.spend_value(mus)
+        z_ref, v_ref = _exact_curves_reference(env, mus)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(v, v_ref)
 
 
 def test_fit_growth_exponent():
