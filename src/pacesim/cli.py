@@ -122,6 +122,17 @@ def _write_json(path: str | None, payload) -> None:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}")
 
 
+def _replications(args, scenario: Scenario, default: int) -> int:
+    """-R if given (at least 1), else the scenario's count, else default."""
+    if args.replications is None:
+        return scenario.replications if scenario.replications is not None else default
+    if args.replications < 1:
+        raise CliError(
+            EXIT_SCHEMA, f"-R/--replications must be at least 1, got {args.replications}"
+        )
+    return args.replications
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -129,7 +140,7 @@ def _write_json(path: str | None, payload) -> None:
 def cmd_run(args) -> int:
     scenario = _load_scenario(args.config, args.set)
     config = scenario.config
-    reps = args.replications or scenario.replications or 1
+    reps = _replications(args, scenario, 1)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -181,7 +192,7 @@ def cmd_run(args) -> int:
 def cmd_welfare(args) -> int:
     scenario = _load_scenario(args.config, args.set)
     config = scenario.config
-    reps = args.replications or scenario.replications or 200
+    reps = _replications(args, scenario, 200)
     if reps < 2:
         raise CliError(EXIT_SCHEMA, "welfare needs at least 2 replications")
 
@@ -251,7 +262,7 @@ def cmd_regret(args) -> int:
     base_doc = scenario.doc
     base_horizon = scenario.config.horizon
     horizons = _parse_horizons(args.horizons, base_horizon)
-    reps = args.replications or scenario.replications or 20
+    reps = _replications(args, scenario, 20)
 
     per_horizon = []
     last = None

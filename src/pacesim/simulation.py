@@ -13,7 +13,7 @@ chunk size is bit-identical to running each replication alone.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -520,35 +520,38 @@ TRACE_COLUMNS = (
     "payment",
     "remaining_budget",
 )
+#: The Trace arrays behind the CSV's value columns, in column order.
+_TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+#: One CSV row: round, agent, then the six per-round cells at 17
+#: significant digits ('%.17g' % x == format(x, ".17g"), nan and -0 included),
+#: with the CRLF line end of the csv module's default dialect.
+_ROW_FORMAT = "%d,%d," + ",".join(["%.17g"] * 6) + "\r\n"
+#: Rows formatted per write and parsed per read.  Small blocks keep every
+#: temporary small; larger ones leave a fragmented heap and raise peak memory.
+_BLOCK_ROWS = 1024
 
 
 def save_trace(trace: Trace, csv_path, envelope_path=None, config_doc=None) -> None:
     """Write the per-round CSV and (optionally) the JSON envelope.
 
-    Floats are serialized with 17 significant digits so a round-trip
-    through load_trace is bit-exact.
+    Rows run round by round, agents in order within a round.  Floats are
+    serialized with 17 significant digits so a round-trip through
+    load_trace is bit-exact.
     """
+    T, n = trace.horizon, trace.n_agents
+    table = np.empty((T, n, len(TRACE_COLUMNS)))
+    table[:, :, 0] = np.arange(1, T + 1)[:, None]
+    table[:, :, 1] = np.arange(n)
+    for j, name in enumerate(_TRACE_FIELDS, start=2):
+        table[:, :, j] = getattr(trace, name)
+    table = table.reshape(T * n, len(TRACE_COLUMNS))
     with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        for t in range(trace.horizon):
-            for k in range(trace.n_agents):
-                w.writerow(
-                    [
-                        t + 1,
-                        k,
-                        _fmt(trace.values[t, k]),
-                        _fmt(trace.multipliers[t, k]),
-                        _fmt(trace.bids[t, k]),
-                        _fmt(trace.allocations[t, k]),
-                        _fmt(trace.payments[t, k]),
-                        _fmt(trace.remaining_budgets[t, k]),
-                    ]
-                )
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write((_ROW_FORMAT * len(block)) % tuple(block.ravel().tolist()))
     if envelope_path is not None:
         with open(envelope_path, "w") as fh:
             json.dump(trace_envelope(trace, config_doc), fh, indent=2, sort_keys=True)
@@ -593,22 +596,21 @@ def _nan_none(x: float):
 
 def load_trace(csv_path, envelope_path) -> Trace:
     """Rebuild a Trace from its CSV and envelope (scenario indices are not
-    persisted)."""
+    persisted).
+
+    Rows may come in any order, but there must be exactly one per (round,
+    agent) pair of the envelope's horizon and agent count; anything else
+    raises ConfigurationError, as does a cell that does not parse.
+    """
     with open(envelope_path) as fh:
         env = json.load(fh)
     T = env["horizon"]
     n = len(env["agents"])
-    arrays = {name: np.empty((T, n)) for name in TRACE_COLUMNS[2:]}
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = fh.readline().rstrip("\r\n").split(",")
         if tuple(header) != TRACE_COLUMNS:
             raise ConfigurationError(f"unexpected trace columns {header}")
-        for row in reader:
-            t = int(row[0]) - 1
-            k = int(row[1])
-            for name, cell in zip(TRACE_COLUMNS[2:], row[2:]):
-                arrays[name][t, k] = float(cell)
+        arrays = _read_body(fh, T, n, csv_path)
 
     def meta(field, default=np.nan):
         return np.array(
@@ -617,12 +619,7 @@ def load_trace(csv_path, envelope_path) -> Trace:
         )
 
     return Trace(
-        values=arrays["value"],
-        multipliers=arrays["multiplier"],
-        bids=arrays["bid"],
-        allocations=arrays["allocation"],
-        payments=arrays["payment"],
-        remaining_budgets=arrays["remaining_budget"],
+        **dict(zip(_TRACE_FIELDS, arrays)),
         budgets=meta("budget"),
         agent_kinds=tuple(a["kind"] for a in env["agents"]),
         target_rates=meta("target_rate"),
@@ -631,3 +628,59 @@ def load_trace(csv_path, envelope_path) -> Trace:
         value_cap=env["value_cap"],
         stop_rounds=np.array([a["stop_round"] for a in env["agents"]], dtype=np.int64),
     )
+
+
+def _read_body(fh, T: int, n: int, csv_path) -> list[np.ndarray]:
+    """Parse the rows after the header, a block of lines at a time, into
+    the six (T, n) arrays, each (round, agent) cell written exactly once."""
+    arrays = [np.empty((T, n)) for _ in _TRACE_FIELDS]
+    flat_arrays = [a.reshape(-1) for a in arrays]
+    counts = np.zeros(T * n, dtype=np.int64)
+    done = 0
+    while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+        where = f"{csv_path}: data rows {done + 1}-{done + len(lines)}"
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from exc
+        if len(rows) != len(lines):
+            raise ConfigurationError(f"{where}: blank line")
+        if rows.shape[1] != len(TRACE_COLUMNS):
+            raise ConfigurationError(
+                f"{where}: {rows.shape[1]} cells per row, expected {len(TRACE_COLUMNS)}"
+            )
+        flat = _cell_index(rows[:, :2], T, n, done, csv_path)
+        np.add.at(counts, flat, 1)
+        for target, column in zip(flat_arrays, rows[:, 2:].T):
+            target[flat] = column
+        done += len(rows)
+    if done != T * n:
+        raise ConfigurationError(
+            f"{csv_path}: {done} rows, expected {T * n} ({T} rounds x {n} agents)"
+        )
+    if np.any(counts != 1):
+        dup = int(np.flatnonzero(counts > 1)[0])
+        raise ConfigurationError(
+            f"{csv_path}: (round, agent) = ({dup // n + 1}, {dup % n}) appears "
+            f"{counts[dup]} times; {int(np.sum(counts == 0))} pair(s) missing"
+        )
+    return arrays
+
+
+def _cell_index(keys: np.ndarray, T: int, n: int, done: int, csv_path) -> np.ndarray:
+    """Row-major (round, agent) cell of each row, from its round and agent cells."""
+    bad = np.flatnonzero(np.any(keys != np.trunc(keys), axis=1))
+    if len(bad):
+        raise ConfigurationError(
+            f"{csv_path}: data row {done + bad[0] + 1}: round and agent must be integers"
+        )
+    t = keys[:, 0] - 1
+    k = keys[:, 1]
+    bad = np.flatnonzero((t < 0) | (t >= T) | (k < 0) | (k >= n))
+    if len(bad):
+        round_, agent = keys[bad[0]]
+        raise ConfigurationError(
+            f"{csv_path}: data row {done + bad[0] + 1}: (round, agent) = "
+            f"({round_:g}, {agent:g}) outside {T} rounds x {n} agents"
+        )
+    return t.astype(np.int64) * n + k.astype(np.int64)

@@ -323,6 +323,8 @@ class WelfareBoundReport:
 
 
 def welfare_bound_slack(n_agents: int, value_cap: float, horizon: int) -> float:
+    if horizon < 1:
+        raise ConfigurationError(f"the welfare bound needs a horizon of at least 1, got {horizon}")
     return WELFARE_BOUND_CONSTANT * n_agents * value_cap * math.sqrt(
         horizon * math.log(value_cap * n_agents * horizon)
     )

@@ -115,6 +115,28 @@ class TestCliExitCodes:
         assert summary["welfare_mean"] == 0.0
         assert summary["per_agent"][0]["spend_mean"] == 0.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "welfare_contested_paced_pair", "--summary-only"],
+            ["welfare", "welfare_contested_paced_pair"],
+            ["regret", "regret_first_price_uniform"],
+        ],
+        ids=["run", "welfare", "regret"],
+    )
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_replications_below_one_exit_2(self, tmp_path, capsys, argv, reps):
+        # Small horizon, so a run that wrongly falls back to the default is quick.
+        code = main(argv + ["-R", reps, "--set", "horizon=50", "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert f"-R/--replications must be at least 1, got {reps}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_welfare_zero_horizon_exits_2(self, capsys):
+        code = main(["welfare", "welfare_symmetric_second_price", "-R", "2", "--set", "horizon=0"])
+        assert code == 2
+        assert "horizon of at least 1, got 0" in capsys.readouterr().err
+
     def test_schema_violation_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(GOOD.replace('"prob": 0.5, "values": [0.5, 0.5]',

@@ -1,5 +1,11 @@
 """Market simulation: determinism, trace invariants, epochs, persistence."""
 
+import copy
+import csv
+import dataclasses
+import io
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,8 +27,12 @@ from pacesim import (
     second_price,
     verify_epoch_value_bound,
 )
+from pacesim.config import validate_scenario
 from pacesim.errors import ConfigurationError
-from pacesim.simulation import check_stopping_bound
+from pacesim.scenarios import BUNDLED, load_scenario
+from pacesim.simulation import TRACE_COLUMNS, check_stopping_bound
+
+TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
 
 
 def _contested_config(horizon=400, seed=5, mechanism=None):
@@ -317,3 +327,216 @@ class TestPersistence:
         csv_path.write_text(mangled)
         with pytest.raises(ConfigurationError):
             load_trace(csv_path, env_path)
+
+    def test_rows_in_any_order_load(self, tmp_path):
+        trace, csv_path, env_path = _saved(tmp_path)
+        header, *rows = _lines(csv_path)
+        rows.reverse()
+        _write_lines(csv_path, [header, rows[3], *rows[:3], *rows[4:]])
+        _assert_same_trace(trace, load_trace(csv_path, env_path))
+
+    @pytest.mark.parametrize("keep", [0, 4, 7])
+    def test_wrong_row_count_rejected(self, tmp_path, keep):
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        _write_lines(csv_path, lines[: 1 + keep])
+        with pytest.raises(ConfigurationError, match=f"{keep} rows, expected 8"):
+            load_trace(csv_path, env_path)
+
+    def test_extra_row_rejected(self, tmp_path):
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        _write_lines(csv_path, lines + [lines[1]])
+        with pytest.raises(ConfigurationError, match="9 rows, expected 8"):
+            load_trace(csv_path, env_path)
+
+    def test_duplicated_pair_rejected(self, tmp_path):
+        # Row count is right, but (1, 0) replaces (4, 1): one pair twice, one missing.
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        _write_lines(csv_path, lines[:-1] + [lines[1]])
+        message = r"\(1, 0\) appears 2 times; 1 pair\(s\) missing"
+        with pytest.raises(ConfigurationError, match=message):
+            load_trace(csv_path, env_path)
+
+    @pytest.mark.parametrize("key", ["0,0", "5,0", "1,2", "1,-1", "inf,0"])
+    def test_pair_out_of_range_rejected(self, tmp_path, key):
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        lines[3] = key + lines[3][len("2,0") :]
+        _write_lines(csv_path, lines)
+        with pytest.raises(ConfigurationError, match="data row 3: .* outside 4 rounds x 2 agents"):
+            load_trace(csv_path, env_path)
+
+    @pytest.mark.parametrize("key", ["1.5,0", "2,0.5", "nan,0", "2,nan"])
+    def test_non_integer_round_or_agent_rejected(self, tmp_path, key):
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        lines[3] = key + lines[3][len("2,0") :]
+        _write_lines(csv_path, lines)
+        with pytest.raises(ConfigurationError, match="data row 3: round and agent must be"):
+            load_trace(csv_path, env_path)
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda row: row.replace(",", ",x", 3), "could not convert string 'x1' .* at row"),
+            (lambda row: row.rsplit(",", 1)[0] + ",", "could not convert string '' .* at row"),
+            (lambda row: row.rsplit(",", 1)[0], "number of columns changed from 8 to 7 at row 2"),
+        ],
+        ids=["letters", "empty-cell", "short-row"],
+    )
+    def test_unparseable_cell_rejected(self, tmp_path, mangle, message):
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        lines[2] = mangle(lines[2])
+        _write_lines(csv_path, lines)
+        with pytest.raises(ConfigurationError, match=message) as err:
+            load_trace(csv_path, env_path)
+        assert str(csv_path) in str(err.value)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def test_rows_past_the_first_read_block_are_numbered_from_the_file_start(self, tmp_path):
+        # 1200 data rows span two read blocks.
+        _, csv_path, env_path = _saved(tmp_path, horizon=600)
+        lines = _lines(csv_path)
+        bad_key = lines.copy()
+        bad_key[1100] = "1.5" + bad_key[1100][bad_key[1100].index(",") :]
+        _write_lines(csv_path, bad_key)
+        with pytest.raises(ConfigurationError, match="data row 1100: round and agent must"):
+            load_trace(csv_path, env_path)
+        bad_cell = lines.copy()
+        bad_cell[1100] = bad_cell[1100] + "x"
+        _write_lines(csv_path, bad_cell)
+        with pytest.raises(ConfigurationError, match="data rows 1025-1200: could not convert"):
+            load_trace(csv_path, env_path)
+
+    def test_blank_line_rejected(self, tmp_path):
+        _, csv_path, env_path = _saved(tmp_path)
+        lines = _lines(csv_path)
+        _write_lines(csv_path, lines[:3] + [""] + lines[3:])
+        with pytest.raises(ConfigurationError, match="data rows 1-9: blank line"):
+            load_trace(csv_path, env_path)
+
+    def test_wrong_cells_per_row_rejected(self, tmp_path):
+        _, csv_path, env_path = _saved(tmp_path)
+        header, *rows = _lines(csv_path)
+        _write_lines(csv_path, [header] + [row + ",0" for row in rows])
+        with pytest.raises(ConfigurationError, match="9 cells per row, expected 8"):
+            load_trace(csv_path, env_path)
+
+
+def _saved(tmp_path, horizon=4):
+    trace = run_simulation(_contested_config(horizon=horizon))
+    csv_path = tmp_path / "t.csv"
+    env_path = tmp_path / "t.json"
+    save_trace(trace, csv_path, env_path)
+    return trace, csv_path, env_path
+
+
+def _lines(csv_path) -> list[str]:
+    return csv_path.read_bytes().decode().split("\r\n")[:-1]
+
+
+def _write_lines(csv_path, lines) -> None:
+    csv_path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+
+
+def _assert_same_trace(a, b):
+    for field in TRACE_FIELDS:
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.int64), y.view(np.int64)), field
+
+
+def _reference_csv(trace) -> bytes:
+    """The row-at-a-time writer save_trace replaced: csv.writer rows of
+    format(x, ".17g") cells.  save_trace must produce the same bytes."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for t in range(trace.horizon):
+        for k in range(trace.n_agents):
+            writer.writerow(
+                [t + 1, k] + [format(float(getattr(trace, f)[t, k]), ".17g") for f in TRACE_FIELDS]
+            )
+    return buf.getvalue().encode()
+
+
+def _short_bundled_trace(name, horizon, seed):
+    """A bundled scenario cut to `horizon` rounds, budgets scaled with it."""
+    doc = copy.deepcopy(load_scenario(name).doc)
+    for agent in doc["agents"]:
+        agent["budget"] *= horizon / doc["horizon"]
+    doc.update(horizon=horizon, seed=seed)
+    return run_simulation(validate_scenario(doc).config)
+
+
+def _special_values_trace():
+    trace = run_simulation(_contested_config(horizon=6))
+    # Columns the envelope does not sum, so inf - inf raises no warning there.
+    planted = {
+        "bids": [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308],
+        "remaining_budgets": [0.1, 1 / 3, 2.0**-1074 * 3, -2.5e-310, 1e16 + 2, 123456789.0],
+    }
+    arrays = {}
+    for field, cells in planted.items():
+        array = getattr(trace, field).copy()
+        array[:, 1] = cells
+        arrays[field] = array
+    return dataclasses.replace(trace, **arrays)
+
+
+_GOLDEN_CASES = [
+    *(
+        pytest.param(
+            lambda n=name, s=seed: _short_bundled_trace(n, 300, s), id=f"{name}-seed{seed}"
+        )
+        for name in BUNDLED
+        for seed in (11, 12)
+    ),
+    pytest.param(
+        lambda: run_simulation(
+            SimulationConfig(
+                gsp((1.0, 0.5)),
+                (
+                    PacedAgent(budget=40.0),
+                    ScriptedAgent(budget=30.0, schedule=((50, 0.9), (120, 0.3))),
+                    ScriptedAgent(budget=5.0, bid=0.7),
+                ),
+                ValueModel([0.3, 0.7], [[1.0, 0.8, 0.2], [0.4, 0.9, 0.6]]),
+                horizon=150,
+                seed=3,
+            )
+        ),
+        id="scripted-opponents",
+    ),
+    pytest.param(_special_values_trace, id="special-values"),
+]
+
+
+@pytest.mark.parametrize("make_trace", _GOLDEN_CASES)
+def test_save_trace_bytes_match_reference_writer(tmp_path, make_trace):
+    trace = make_trace()
+    csv_path = tmp_path / "t.csv"
+    env_path = tmp_path / "t.json"
+    save_trace(trace, csv_path, env_path)
+    assert csv_path.read_bytes() == _reference_csv(trace)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_trace(csv_path, env_path)
+    _assert_same_trace(trace, loaded)
+
+
+def test_horizon_zero_round_trips_to_empty_arrays(tmp_path):
+    trace = run_simulation(dataclasses.replace(_contested_config(horizon=4), horizon=0))
+    csv_path = tmp_path / "t.csv"
+    env_path = tmp_path / "t.json"
+    save_trace(trace, csv_path, env_path)
+    assert csv_path.read_bytes() == _reference_csv(trace)
+    assert csv_path.read_bytes().count(b"\r\n") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_trace(csv_path, env_path)
+    for field in TRACE_FIELDS:
+        assert getattr(loaded, field).shape == (0, 2)
