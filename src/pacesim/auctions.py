@@ -16,6 +16,7 @@ of extra allocation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -60,6 +61,8 @@ class Polymatroid:
         object.__setattr__(self, "click_rates", rates)
         if not rates:
             raise ConfigurationError("polymatroid needs at least one click rate")
+        if not all(math.isfinite(a) for a in rates):
+            raise ConfigurationError("click rates must be finite")
         if rates[0] > 1 + 1e-12 or min(rates) < -1e-12:
             raise ConfigurationError("click rates must lie in [0, 1]")
         if any(b > a + 1e-12 for a, b in zip(rates, rates[1:])):

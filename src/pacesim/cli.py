@@ -67,6 +67,7 @@ from .welfare import (
     rule_to_csv,
     solve_ex_ante_optimum,
     verify_welfare_bound,
+    welfare_bound_slack,
 )
 
 EXIT_OK = 0
@@ -195,6 +196,8 @@ def cmd_welfare(args) -> int:
     reps = _replications(args, scenario, 200)
     if reps < 2:
         raise CliError(EXIT_SCHEMA, "welfare needs at least 2 replications")
+    # The bound needs horizon >= 1; check it before the solve and the runs.
+    welfare_bound_slack(config.n_agents, config.value_model.value_cap, config.horizon)
 
     try:
         rule = solve_ex_ante_optimum(

@@ -10,6 +10,7 @@ every error carries the best line anchor available from the raw text.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .auctions import FIRST_PRICE, GSP, SECOND_PRICE, Mechanism, Polymatroid, SingleSlot
@@ -64,6 +65,8 @@ def _number(obj, key, where, text, minimum=None, integer=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(text, key, f"{where}.{key} must be a number")
+    if not math.isfinite(val):
+        _fail(text, key, f"{where}.{key} must be finite, got {val}")
     if integer and int(val) != val:
         _fail(text, key, f"{where}.{key} must be an integer")
     if minimum is not None and val < minimum:
@@ -116,7 +119,7 @@ def _agents(doc: dict, text: str) -> tuple:
                     specs.append(ScriptedAgent(budget=budget, schedule=schedule))
                 else:
                     specs.append(ScriptedAgent(budget=budget, bid=float(script["bid"])))
-            except (ConfigurationError, TypeError, ValueError, KeyError) as exc:
+            except (ConfigurationError, TypeError, ValueError, KeyError, OverflowError) as exc:
                 _fail(text, "script", f"bad {where}.script: {exc}")
         else:
             _check_keys(obj, {"budget", "learning_rate", "mu_cap"}, where, text)

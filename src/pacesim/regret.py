@@ -327,16 +327,17 @@ def perfect_sequence(
     mu_cap: float,
     tol: float = BISECTION_TOL,
 ) -> PerfectPacingSequence:
-    """Perfect multiplier per round; repeated env objects are solved once."""
-    cache: dict[int, float] = {}
+    """Perfect multiplier per round; repeated env objects are solved (and
+    their residual evaluated) once."""
+    cache: dict[int, tuple[float, float]] = {}
     mus = np.empty(len(envs))
     res = np.empty(len(envs))
     for t, env in enumerate(envs):
         key = id(env)
         if key not in cache:
-            cache[key] = perfect_multiplier(env, rho, mu_cap, tol)
-        mus[t] = cache[key]
-        res[t] = abs(float(env.spend(np.array([mus[t]]))[0]) - rho)
+            mu = perfect_multiplier(env, rho, mu_cap, tol)
+            cache[key] = mu, abs(float(env.spend(np.array([mu]))[0]) - rho)
+        mus[t], res[t] = cache[key]
     return PerfectPacingSequence(mus, res)
 
 

@@ -8,7 +8,10 @@ budgets) is kept as a Trace.
 
 Replications run in lockstep as rows of vectorized state arrays, one
 counter-based RNG substream per replication, so a batch of runs of any
-chunk size is bit-identical to running each replication alone.
+chunk size is bit-identical to running each replication alone.  Each
+replication's trace arrays are allocated up front and filled from a small
+time-major block every _RECORD_ROUNDS rounds, so a chunk holds its record
+once; replicate sizes its chunks from the _CHUNK_BYTES memory budget.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class ValueModel:
             raise ConfigurationError("need one probability per value profile")
         if len(probs) == 0:
             raise ConfigurationError("empty support")
+        if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(profiles))):
+            raise ConfigurationError("probabilities and values must be finite")
         if np.any(probs < 0):
             raise ConfigurationError("negative probability")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
@@ -84,6 +89,14 @@ class ValueModel:
         return atom_indices(self.probs, rng.random(horizon)).astype(np.int64)
 
 
+def _check_finite(spec, *fields: str) -> None:
+    """Reject NaN and infinite values in the given optional number fields."""
+    for name in fields:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PacedAgent:
     """An agent running the gradient pacing algorithm.
@@ -97,6 +110,7 @@ class PacedAgent:
     mu_cap: float | None = None
 
     def __post_init__(self):
+        _check_finite(self, "budget", "learning_rate", "mu_cap")
         if not self.budget > 0:
             raise ConfigurationError("budget must be positive")
 
@@ -115,6 +129,7 @@ class ScriptedAgent:
     schedule: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self):
+        _check_finite(self, "budget", "bid")
         if not self.budget > 0:
             raise ConfigurationError("budget must be positive")
         if (self.bid is None) == (self.schedule is None):
@@ -124,6 +139,8 @@ class ScriptedAgent:
         if self.schedule is not None:
             last = 0
             for until, bid in self.schedule:
+                if not math.isfinite(bid):
+                    raise ConfigurationError(f"schedule bids must be finite, got {bid}")
                 if until <= last or bid < 0:
                     raise ConfigurationError("bad schedule segment")
                 last = until
@@ -219,6 +236,10 @@ class Trace:
         return float(self.payments[:, agent].sum())
 
 
+#: The Trace's per-round (T, n) arrays, in the order of the CSV's value columns.
+_TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
+
+
 def _resolve_params(config: SimulationConfig):
     n = config.n_agents
     paced = np.array([isinstance(a, PacedAgent) for a in config.agents])
@@ -236,16 +257,29 @@ def _resolve_params(config: SimulationConfig):
     return paced, budgets, eps, mu_cap, rho, v_cap
 
 
+#: Rounds recorded into the shared time-major block before it is copied
+#: out to each replication's own trace arrays.
+_RECORD_ROUNDS = 256
+#: Trace memory one replicate chunk may hold: six float64 (T, n) arrays a row.
+_CHUNK_BYTES = 160 * 2**20
+
+
+def _chunk_rows(config: SimulationConfig) -> int:
+    """Replications per engine chunk whose traces fit in _CHUNK_BYTES."""
+    row_bytes = 8 * len(_TRACE_FIELDS) * max(config.horizon, 1) * max(config.n_agents, 1)
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:
     T = config.horizon
     n = config.n_agents
     rc = len(seed_children)
     paced, budgets, eps, mu_cap, rho, v_cap = _resolve_params(config)
 
-    idx = np.empty((rc, T), dtype=np.int64)
-    for r, child in enumerate(seed_children):
-        rng = np.random.Generator(np.random.Philox(child))
-        idx[r] = config.value_model.sample_indices(rng, T)
+    idx = [
+        config.value_model.sample_indices(np.random.Generator(np.random.Philox(child)), T)
+        for child in seed_children
+    ]
 
     script_bids = np.zeros((T, n))
     for k, spec in enumerate(config.agents):
@@ -258,61 +292,59 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
     stop_round = np.full((rc, n), T + 1, dtype=np.int64)
     thresh = EXHAUSTION_FRACTION * budgets
 
-    rec_v = np.empty((rc, T, n))
-    rec_mu = np.empty((rc, T, n))
-    rec_b = np.empty((rc, T, n))
-    rec_x = np.empty((rc, T, n))
-    rec_z = np.empty((rc, T, n))
-    rec_rem = np.empty((rc, T, n))
+    # Each replication owns its six (T, n) arrays; rounds are recorded into
+    # one small time-major block and copied out block by block, so the
+    # chunk never holds a second copy of its record.
+    records = [[np.empty((T, n)) for _ in _TRACE_FIELDS] for _ in range(rc)]
+    block = np.empty((len(_TRACE_FIELDS), min(_RECORD_ROUNDS, T), rc, n))
+    rec_v, rec_mu, rec_b, rec_x, rec_z, rec_rem = block
 
     profiles = config.value_model.profiles
     paced_row = paced[None, :]
-    for t in range(T):
-        v = profiles[idx[:, t]]
-        live = ~stopped
-        bids = np.where(
-            paced_row,
-            np.where(live, np.minimum(v / (1.0 + mu), remaining), 0.0),
-            np.minimum(script_bids[t][None, :], remaining),
-        )
-        x, z = outcomes(config.mechanism, bids)
+    for t0 in range(0, T, _RECORD_ROUNDS):
+        t1 = min(t0 + _RECORD_ROUNDS, T)
+        np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=rec_v[: t1 - t0])
+        for j, t in enumerate(range(t0, t1)):
+            live = ~stopped
+            pacing = paced_row & live
+            bids = np.where(
+                paced_row,
+                np.where(live, np.minimum(rec_v[j] / (1.0 + mu), remaining), 0.0),
+                np.minimum(script_bids[t][None, :], remaining),
+            )
+            x, z = outcomes(config.mechanism, bids)
 
-        rec_v[:, t] = v
-        rec_mu[:, t] = np.where(paced_row & live, mu, np.nan)
-        rec_b[:, t] = bids
-        rec_x[:, t] = x
-        rec_z[:, t] = z
-        rec_rem[:, t] = remaining
+            rec_mu[j] = np.where(pacing, mu, np.nan)
+            rec_b[j] = bids
+            rec_x[j] = x
+            rec_z[j] = z
+            rec_rem[j] = remaining
 
-        new_mu = np.clip(mu - eps * (rho - z), 0.0, mu_cap)
-        mu = np.where(paced_row & live, new_mu, mu)
-        remaining = remaining - z
-        newly = paced_row & live & (remaining < thresh)
-        stop_round[newly] = t + 2
-        stopped |= newly
+            new_mu = np.clip(mu - eps * (rho - z), 0.0, mu_cap)
+            mu = np.where(pacing, new_mu, mu)
+            remaining = remaining - z
+            newly = pacing & (remaining < thresh)
+            stop_round[newly] = t + 2
+            stopped |= newly
+        for r, arrays in enumerate(records):
+            for f, array in enumerate(arrays):
+                array[t0:t1] = block[f, : t1 - t0, r]
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
-    traces = []
-    for r in range(rc):
-        traces.append(
-            Trace(
-                values=rec_v[r].copy(),
-                multipliers=rec_mu[r].copy(),
-                bids=rec_b[r].copy(),
-                allocations=rec_x[r].copy(),
-                payments=rec_z[r].copy(),
-                remaining_budgets=rec_rem[r].copy(),
-                budgets=budgets.copy(),
-                agent_kinds=kinds,
-                target_rates=rho.copy(),
-                learning_rates=eps.copy(),
-                mu_caps=mu_cap.copy(),
-                value_cap=v_cap,
-                stop_rounds=stop_round[r].copy(),
-                scenario_indices=idx[r].copy(),
-            )
+    return [
+        Trace(
+            **dict(zip(_TRACE_FIELDS, arrays)),
+            budgets=budgets.copy(),
+            agent_kinds=kinds,
+            target_rates=rho.copy(),
+            learning_rates=eps.copy(),
+            mu_caps=mu_cap.copy(),
+            value_cap=v_cap,
+            stop_rounds=stop_round[r].copy(),
+            scenario_indices=idx[r],
         )
-    return traces
+        for r, arrays in enumerate(records)
+    ]
 
 
 def run_simulation(config: SimulationConfig) -> Trace:
@@ -325,17 +357,22 @@ def replicate(
     config: SimulationConfig,
     replications: int,
     reducer: Callable[[Trace, int], object] | None = None,
-    chunk_size: int = 32,
+    chunk_size: int | None = None,
 ) -> list:
     """Run independent replications on spawned RNG substreams.
 
     Replication r always uses substream r of the config seed, so results
-    are deterministic for any chunk size.  reducer(trace, rep_index) is
-    applied per replication (traces are dropped afterwards, keeping memory
-    flat); by default the traces themselves are returned.
+    are bit-identical for any chunk size.  Replications run in lockstep
+    chunks of chunk_size rows; by default as many as keep one chunk's
+    traces within _CHUNK_BYTES (at least one).  reducer(trace, rep_index)
+    is applied per replication and each chunk's traces are dropped before
+    the next chunk runs, keeping memory flat; by default the traces
+    themselves are returned.
     """
     if replications < 0:
         raise ConfigurationError("replications must be non-negative")
+    if chunk_size is None:
+        chunk_size = _chunk_rows(config)
     children = np.random.SeedSequence(config.seed).spawn(max(replications, 1))
     results: list = []
     for start in range(0, replications, chunk_size):
@@ -520,8 +557,6 @@ TRACE_COLUMNS = (
     "payment",
     "remaining_budget",
 )
-#: The Trace arrays behind the CSV's value columns, in column order.
-_TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
 
 
 #: One CSV row: round, agent, then the six per-round cells at 17
@@ -602,8 +637,7 @@ def load_trace(csv_path, envelope_path) -> Trace:
     agent) pair of the envelope's horizon and agent count; anything else
     raises ConfigurationError, as does a cell that does not parse.
     """
-    with open(envelope_path) as fh:
-        env = json.load(fh)
+    env = _read_envelope(envelope_path)
     T = env["horizon"]
     n = len(env["agents"])
     with open(csv_path, newline="") as fh:
@@ -628,6 +662,34 @@ def load_trace(csv_path, envelope_path) -> Trace:
         value_cap=env["value_cap"],
         stop_rounds=np.array([a["stop_round"] for a in env["agents"]], dtype=np.int64),
     )
+
+
+#: Keys every agent entry of an envelope carries (see trace_envelope).
+_AGENT_KEYS = ("kind", "budget", "target_rate", "learning_rate", "mu_cap", "stop_round")
+
+
+def _read_envelope(envelope_path) -> dict:
+    """The envelope's JSON, with the fields load_trace reads checked."""
+    with open(envelope_path) as fh:
+        try:
+            env = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{envelope_path}: invalid JSON: {exc}") from exc
+    if not isinstance(env, dict) or "value_cap" not in env:
+        raise ConfigurationError(f"{envelope_path}: not a trace envelope (no value_cap)")
+    horizon = env.get("horizon")
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
+        raise ConfigurationError(
+            f"{envelope_path}: horizon must be a non-negative integer, got {horizon!r}"
+        )
+    agents = env.get("agents")
+    if not isinstance(agents, list):
+        raise ConfigurationError(f"{envelope_path}: agents must be a list")
+    for k, agent in enumerate(agents):
+        missing = [key for key in _AGENT_KEYS if not isinstance(agent, dict) or key not in agent]
+        if missing:
+            raise ConfigurationError(f"{envelope_path}: agent {k} has no {', '.join(missing)}")
+    return env
 
 
 def _read_body(fh, T: int, n: int, csv_path) -> list[np.ndarray]:

@@ -75,6 +75,11 @@ class TestAllocate:
         with pytest.raises(ConfigurationError):
             Polymatroid((0.5, 1.0))  # increasing click rates
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_click_rate_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Polymatroid((1.0, bad))
+
 
 class TestPredicates:
     def test_core_example_second_price(self):

@@ -137,6 +137,53 @@ class TestCliExitCodes:
         assert code == 2
         assert "horizon of at least 1, got 0" in capsys.readouterr().err
 
+    def test_welfare_zero_horizon_exits_2_before_any_work(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran work for a horizon the bound cannot use")
+
+        monkeypatch.setattr("pacesim.cli.replicate", refuse)
+        monkeypatch.setattr("pacesim.cli.solve_ex_ante_optimum", refuse)
+        code = main(["welfare", "welfare_symmetric_second_price", "-R", "2", "--set", "horizon=0"])
+        assert code == 2
+        assert "horizon of at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "value_model.support.0.values.0=NaN",
+            "value_model.support.1.prob=NaN",
+            "agents.0.budget=Infinity",
+            "agents.1.budget=-Infinity",
+            "horizon=Infinity",
+            "horizon=NaN",
+            "seed=NaN",
+        ],
+    )
+    def test_non_finite_override_exits_2(self, capsys, override):
+        code = main(["welfare", "welfare_symmetric_second_price", "-R", "2",
+                     "--set", "horizon=200", "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: welfare_symmetric_second_price:")
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('{"budget": 25.0}', '{"budget": 25.0, "learning_rate": NaN}'),
+            ('{"budget": 25.0}', '{"budget": 25.0, "mu_cap": Infinity}'),
+            ('{"bid": 0.5}', '{"bid": NaN}'),
+            ('{"bid": 0.5}', '{"schedule": [[50, 0.5], [100, Infinity]]}'),
+            ('{"bid": 0.5}', '{"schedule": [[Infinity, 0.5]]}'),
+        ],
+        ids=["learning-rate", "mu-cap", "scripted-bid", "schedule-bid", "schedule-round"],
+    )
+    def test_non_finite_agent_field_exits_2(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(GOOD.replace(old, new))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        assert f"error: {cfg}:" in capsys.readouterr().err
+
     def test_schema_violation_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(GOOD.replace('"prob": 0.5, "values": [0.5, 0.5]',

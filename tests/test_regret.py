@@ -146,6 +146,25 @@ class TestPerfectMultiplier:
         assert seq.path_length == 0.0
         assert np.all(np.abs(seq.residuals) <= 1e-9)
 
+    def test_each_distinct_env_is_evaluated_once(self, monkeypatch):
+        quiet = uniform_opponent_env(low=0.0, width=0.5)
+        loud = uniform_opponent_env(low=0.5, width=0.5)
+        envs = [quiet] * 40 + [loud] * 40 + [quiet] * 40
+        rho, mu_cap = 0.3, 1.0 / 0.3
+        calls = []
+        spend = EnvironmentStep.spend
+        monkeypatch.setattr(
+            EnvironmentStep, "spend", lambda env, mu: calls.append(env) or spend(env, mu)
+        )
+        seq = perfect_sequence(envs, rho, mu_cap)
+        once = len(calls)
+        calls.clear()
+        perfect_sequence([quiet, loud], rho, mu_cap)
+        assert once == len(calls)
+        for t, env in enumerate(envs):
+            expected = abs(float(spend(env, np.array([seq.multipliers[t]]))[0]) - rho)
+            assert seq.residuals[t] == expected
+
 
 class TestArtificialObjective:
     def test_constant_spend_curve(self):

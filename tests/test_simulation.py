@@ -4,6 +4,8 @@ import copy
 import csv
 import dataclasses
 import io
+import itertools
+import json
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from pacesim import (
     second_price,
     verify_epoch_value_bound,
 )
+from pacesim import simulation
 from pacesim.config import validate_scenario
 from pacesim.errors import ConfigurationError
 from pacesim.scenarios import BUNDLED, load_scenario
@@ -66,6 +69,86 @@ class TestDeterminism:
         one = replicate(config, 7, welfare, chunk_size=1)
         big = replicate(config, 7, welfare, chunk_size=7)
         assert one == big
+
+
+def _block_edge_config(horizon):
+    """Two paced agents (one exhausts its budget partway through) and a
+    scheduled scripted opponent."""
+    model = ValueModel(
+        probs=[0.5, 0.3, 0.2],
+        profiles=[[1.0, 0.8, 0.3], [0.6, 0.9, 0.7], [0.2, 0.1, 1.0]],
+    )
+    return SimulationConfig(
+        first_price(),
+        (
+            PacedAgent(budget=max(horizon, 1) / 4),
+            PacedAgent(budget=60.0, learning_rate=0.05, mu_cap=3.0),
+            ScriptedAgent(budget=50.0, schedule=((200, 0.5), (400, 0.8))),
+        ),
+        model,
+        horizon=horizon,
+        seed=31,
+    )
+
+
+def _array_fields(trace):
+    return {
+        f.name: getattr(trace, f.name)
+        for f in dataclasses.fields(trace)
+        if isinstance(getattr(trace, f.name), np.ndarray)
+    }
+
+
+class TestChunking:
+    @pytest.mark.parametrize("horizon", [0, 1, 255, 256, 257, 513])
+    def test_default_chunk_matches_one_row_chunks(self, horizon):
+        config = _block_edge_config(horizon)
+        chunked = replicate(config, 5)
+        single = replicate(config, 5, chunk_size=1)
+        for a, b in zip(chunked, single):
+            _assert_same_trace(a, b)
+            assert np.array_equal(a.stop_rounds, b.stop_rounds)
+            assert np.array_equal(a.scenario_indices, b.scenario_indices)
+        if horizon == 513:
+            # Stops land inside the second record block, off its edges.
+            stops = np.concatenate([t.stop_rounds[:2] for t in chunked])
+            assert np.all((stops > 257) & (stops < 513))
+
+    def test_traces_of_one_chunk_share_no_memory(self):
+        traces = replicate(_block_edge_config(300), 4)
+        arrays = [
+            (r, name, array) for r, trace in enumerate(traces)
+            for name, array in _array_fields(trace).items()
+        ]
+        assert len(arrays) == 4 * 12
+        for r, name, array in arrays:
+            assert array.flags.c_contiguous and array.flags.writeable, (r, name)
+            # Not a view: a kept trace must not keep its whole chunk alive.
+            assert array.flags.owndata, (r, name)
+        for (r, name, a), (s, other, b) in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b), ((r, name), (s, other))
+
+    def test_memory_budget_sets_the_chunk_rows(self, monkeypatch):
+        config = _block_edge_config(100)
+        row_bytes = 8 * 6 * 100 * 3
+        monkeypatch.setattr(simulation, "_CHUNK_BYTES", 2 * row_bytes + row_bytes // 2)
+        sizes = []
+        inner = simulation._simulate_chunk
+
+        def spy(cfg, children):
+            sizes.append(len(children))
+            return inner(cfg, children)
+
+        monkeypatch.setattr(simulation, "_simulate_chunk", spy)
+        traces = replicate(config, 5)
+        assert sizes == [2, 2, 1]
+        for a, b in zip(traces, replicate(config, 5, chunk_size=5)):
+            _assert_same_trace(a, b)
+
+    def test_bundled_gsp_five_runs_at_least_64_rows_a_chunk(self):
+        config = load_scenario("welfare_gsp_five").config
+        assert (config.horizon, config.n_agents) == (10**4, 5)
+        assert simulation._chunk_rows(config) >= 64
 
 
 class TestTraceInvariants:
@@ -126,6 +209,22 @@ class TestTraceInvariants:
                 assert trace.multipliers[t, k] == mu
                 z = trace.payments[t, k]
                 mu = min(max(mu - cfg.learning_rate * (cfg.target_rate - z), 0.0), cfg.mu_cap)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        cases = [
+            lambda: ValueModel([bad, 1.0], [[1.0], [0.5]]),
+            lambda: ValueModel([0.5, 0.5], [[1.0, bad], [0.5, 0.5]]),
+            lambda: PacedAgent(budget=bad),
+            lambda: PacedAgent(budget=5.0, learning_rate=bad),
+            lambda: PacedAgent(budget=5.0, mu_cap=bad),
+            lambda: ScriptedAgent(budget=bad, bid=0.5),
+            lambda: ScriptedAgent(budget=5.0, bid=bad),
+            lambda: ScriptedAgent(budget=5.0, schedule=((10, 0.5), (20, bad))),
+        ]
+        for make in cases:
+            with pytest.raises(ConfigurationError, match="finite|positive"):
+                make()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -417,6 +516,37 @@ class TestPersistence:
         _write_lines(csv_path, lines[:3] + [""] + lines[3:])
         with pytest.raises(ConfigurationError, match="data rows 1-9: blank line"):
             load_trace(csv_path, env_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda env: env.update(horizon=-1), "non-negative integer, got -1"),
+            (lambda env: env.update(horizon=2.5), "non-negative integer, got 2.5"),
+            (lambda env: env.update(horizon="4"), "non-negative integer, got '4'"),
+            (lambda env: env["agents"][1].pop("stop_round"), "agent 1 has no stop_round"),
+            (lambda env: env["agents"][0].pop("kind"), "agent 0 has no kind"),
+            (lambda env: env["agents"][1].pop("budget"), "agent 1 has no budget"),
+            (lambda env: env.update(agents={}), "agents must be a list"),
+            (lambda env: env.pop("value_cap"), "not a trace envelope"),
+        ],
+        ids=["negative-horizon", "fractional-horizon", "string-horizon",
+             "no-stop-round", "no-kind", "no-budget", "agents-not-a-list", "no-value-cap"],
+    )
+    def test_bad_envelope_rejected(self, tmp_path, edit, message):
+        _, csv_path, env_path = _saved(tmp_path)
+        env = json.loads(env_path.read_text())
+        edit(env)
+        env_path.write_text(json.dumps(env))
+        with pytest.raises(ConfigurationError, match=message) as err:
+            load_trace(csv_path, env_path)
+        assert str(err.value).startswith(f"{env_path}: ")
+
+    def test_envelope_that_is_not_json_rejected(self, tmp_path):
+        _, csv_path, env_path = _saved(tmp_path)
+        env_path.write_text('{"horizon": 4,')
+        with pytest.raises(ConfigurationError, match="invalid JSON") as err:
+            load_trace(csv_path, env_path)
+        assert str(err.value).startswith(f"{env_path}: ")
 
     def test_wrong_cells_per_row_rejected(self, tmp_path):
         _, csv_path, env_path = _saved(tmp_path)
