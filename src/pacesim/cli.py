@@ -35,6 +35,7 @@ from .errors import (
     StatisticsError,
 )
 from .regret import (
+    _distinct,
     dynamic_regret_batch,
     fit_growth_exponent,
     objective_values,
@@ -248,6 +249,18 @@ def cmd_welfare(args) -> int:
 # regret
 
 
+def _at_horizon(scenario: Scenario, T: int, **fields) -> Scenario:
+    """The scenario at horizon T, each budget scaled by T over its own
+    horizon (keeping the per-round target), with the given top-level
+    fields replaced."""
+    doc = copy.deepcopy(scenario.doc)
+    doc["horizon"] = T
+    for agent_doc in doc["agents"]:
+        agent_doc["budget"] = agent_doc["budget"] * T / scenario.config.horizon
+    doc.update(fields)
+    return validate_scenario(doc)
+
+
 def _parse_horizons(raw: str | None, default: int) -> list[int]:
     if not raw:
         return [default]
@@ -262,19 +275,13 @@ def _parse_horizons(raw: str | None, default: int) -> list[int]:
 
 def cmd_regret(args) -> int:
     scenario = _load_scenario(args.config, args.set)
-    base_doc = scenario.doc
-    base_horizon = scenario.config.horizon
-    horizons = _parse_horizons(args.horizons, base_horizon)
+    horizons = _parse_horizons(args.horizons, scenario.config.horizon)
     reps = _replications(args, scenario, 20)
 
     per_horizon = []
     last = None
     for T in horizons:
-        doc = copy.deepcopy(base_doc)
-        doc["horizon"] = T
-        for agent_doc in doc["agents"]:
-            agent_doc["budget"] = agent_doc["budget"] * T / base_horizon
-        scen = validate_scenario(doc)
+        scen = _at_horizon(scenario, T)
         try:
             agent, envs, params = scenarios.regret_environment(scen)
         except EnvironmentError_ as exc:
@@ -353,31 +360,18 @@ def cmd_regret(args) -> int:
 def _dump_curves(path: str, envs, params) -> None:
     import csv as _csv
 
-    unique = []
-    for env in envs:
-        if all(env is not seen for seen in unique):
-            unique.append(env)
     mu_cap = params["mu_cap"]
     grid = np.linspace(0.0, mu_cap, 201)
     try:
         with open(path, "w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["segment", "mu", "Z", "V", "H", "W"])
-            for i, env in enumerate(unique):
+            for i, (env, _rounds) in enumerate(_distinct(envs)):
                 z, v = env.spend_value(grid)
                 h = objective_values(env, params["target_rate"], grid)
                 w = throttled_value_curve(env, params["target_rate"], grid)
-                for j in range(len(grid)):
-                    writer.writerow(
-                        [
-                            i,
-                            format(grid[j], ".17g"),
-                            format(z[j], ".17g"),
-                            format(v[j], ".17g"),
-                            format(h[j], ".17g"),
-                            format(w[j], ".17g"),
-                        ]
-                    )
+                for row in zip(grid, z, v, h, w):
+                    writer.writerow([i, *(format(c, ".17g") for c in row)])
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}")
 
@@ -470,13 +464,7 @@ def _suite_mbb_core(trials, seed, negative):
 
 def _verification_traces(seed):
     for name in scenarios.WELFARE_SUITE:
-        scen = scenarios.load_scenario(name)
-        doc = copy.deepcopy(scen.doc)
-        doc["horizon"] = 2000
-        for agent_doc in doc["agents"]:
-            agent_doc["budget"] = agent_doc["budget"] * 2000 / scen.config.horizon
-        doc["seed"] = seed
-        small = validate_scenario(doc)
+        small = _at_horizon(scenarios.load_scenario(name), 2000, seed=seed)
         for trace in replicate(small.config, 3):
             yield name, trace
 

@@ -27,8 +27,7 @@ import numpy as np
 from .auctions import FIRST_PRICE, SECOND_PRICE, Mechanism, SingleSlot, outcomes
 from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
-from .pacing import EXHAUSTION_FRACTION
-from .simulation import atom_indices
+from .simulation import _Lockstep, atom_indices
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
@@ -57,18 +56,12 @@ class _NoisedMax:
         self._gl = (nodes, weights)
         self.cum = np.zeros(len(self.pts))
         for i in range(len(self.pts) - 1):
-            piece = self._gl_piece(self.pts[i], np.array([self.pts[i + 1]]))
+            piece = self._gl_piece(self.pts[i : i + 1], self.pts[i + 1 : i + 2])
             self.cum[i + 1] = self.cum[i] + piece[0]
 
     def cdf(self, u: np.ndarray) -> np.ndarray:
         g = np.clip((u[..., None] - self.comp) / self.eta, 0.0, 1.0)
         return g.prod(axis=-1)
-
-    def _gl_piece(self, lo: float, b: np.ndarray) -> np.ndarray:
-        nodes, weights = self._gl
-        half = (b - lo) / 2.0
-        pts = lo + half[:, None] * (nodes[None, :] + 1.0)
-        return half * (self.cdf(pts) * weights[None, :]).sum(axis=1)
 
     def integral_cdf(self, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(b)
@@ -81,12 +74,13 @@ class _NoisedMax:
         partial = np.where(
             seg == len(self.pts) - 1,
             bi - lo,  # CDF is 1 beyond the last edge
-            self._gl_piece_varlo(lo, bi),
+            self._gl_piece(lo, bi),
         )
         out[inside] = self.cum[seg] + partial
         return out
 
-    def _gl_piece_varlo(self, lo: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _gl_piece(self, lo: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integral of the CDF over each [lo_i, b_i] inside one piece."""
         nodes, weights = self._gl
         half = (b - lo) / 2.0
         pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
@@ -268,6 +262,15 @@ def uniform_opponent_env(
     )
 
 
+def _distinct(envs: Sequence[EnvironmentStep]) -> list[tuple[EnvironmentStep, np.ndarray]]:
+    """Each distinct environment object of the sequence, in order of first
+    appearance, with the (ascending) rounds it covers."""
+    groups: dict[int, tuple[EnvironmentStep, list[int]]] = {}
+    for t, env in enumerate(envs):
+        groups.setdefault(id(env), (env, []))[1].append(t)
+    return [(env, np.asarray(rounds, dtype=np.int64)) for env, rounds in groups.values()]
+
+
 # ---------------------------------------------------------------------------
 # Perfect pacing multipliers
 
@@ -329,15 +332,12 @@ def perfect_sequence(
 ) -> PerfectPacingSequence:
     """Perfect multiplier per round; repeated env objects are solved (and
     their residual evaluated) once."""
-    cache: dict[int, tuple[float, float]] = {}
     mus = np.empty(len(envs))
     res = np.empty(len(envs))
-    for t, env in enumerate(envs):
-        key = id(env)
-        if key not in cache:
-            mu = perfect_multiplier(env, rho, mu_cap, tol)
-            cache[key] = mu, abs(float(env.spend(np.array([mu]))[0]) - rho)
-        mus[t], res[t] = cache[key]
+    for env, rounds in _distinct(envs):
+        mu = perfect_multiplier(env, rho, mu_cap, tol)
+        mus[rounds] = mu
+        res[rounds] = abs(float(env.spend(np.array([mu]))[0]) - rho)
     return PerfectPacingSequence(mus, res)
 
 
@@ -450,23 +450,18 @@ def measure_smoothing(
     env_or_envs, mu_cap: float, grid_points: int = 2001
 ) -> SmoothingSpec:
     envs = [env_or_envs] if isinstance(env_or_envs, EnvironmentStep) else list(env_or_envs)
-    seen: dict[int, tuple[float, float, float]] = {}
     lam = 0.0
     floor_abs = math.inf
     floor_rel = math.inf
     eta = 0.0
-    for env in envs:
-        key = id(env)
-        if key not in seen:
-            mus = np.linspace(0.0, mu_cap, grid_points)
-            z, v = env.spend_value(mus)
-            slopes = np.abs(np.diff(z)) / np.diff(mus)
-            rel = z[0] * env.value_cap / v[0] if v[0] > 0 else math.inf
-            seen[key] = (float(slopes.max()), float(z[0]), float(rel))
-        s, f, r = seen[key]
-        lam = max(lam, s)
-        floor_abs = min(floor_abs, f)
-        floor_rel = min(floor_rel, r)
+    mus = np.linspace(0.0, mu_cap, grid_points)
+    for env, _rounds in _distinct(envs):
+        z, v = env.spend_value(mus)
+        slopes = np.abs(np.diff(z)) / np.diff(mus)
+        rel = z[0] * env.value_cap / v[0] if v[0] > 0 else math.inf
+        lam = max(lam, float(slopes.max()))
+        floor_abs = min(floor_abs, float(z[0]))
+        floor_rel = min(floor_rel, float(rel))
         eta = max(eta, env.eta)
     return SmoothingSpec(eta, lam, floor_abs, floor_rel)
 
@@ -542,75 +537,56 @@ def simulate_pacing(
     seed: int = 0,
     replications: int = 1,
 ) -> list[PacingRun]:
-    """Run the pacing agent against the environment sequence.
+    """Run the pacing agent against the environment sequence, whose
+    environments must share one mechanism, agent_index and opponent count.
 
-    Replications advance in lockstep on spawned substreams; each run's
+    Replications advance in lockstep on spawned substreams through the
+    market engine's round (simulation._Lockstep), the agent a paced column
+    and each opponent an unpaced one with an infinite budget; each run's
     update arithmetic matches the scalar pacing state transition bit for
     bit.
     """
     env_list = _as_env_list(envs, horizon)
-    T = len(env_list)
-    R = replications
-    rho = budget / T
+    groups = _distinct(env_list)
+    first = env_list[0]
+    k, n_opp = first.agent_index, first.n_opponents
+    shape = (first.mechanism, k, n_opp)
+    if any((e.mechanism, e.agent_index, e.n_opponents) != shape for e, _rounds in groups):
+        raise ConfigurationError("environments must share mechanism, agent_index and n_opponents")
+    T, R = len(env_list), replications
 
-    children = np.random.SeedSequence(seed).spawn(R)
-    # One uniform per (rep, round) selects the atom; one per competing bid
-    # realizes the noise.  Draws are per-replication substreams.
-    max_opp = max(e.n_opponents for e in env_list)
-    atom_u = np.empty((R, T))
-    noise_u = np.empty((R, T, max_opp)) if max_opp else np.zeros((R, T, 0))
-    for r, child in enumerate(children):
+    # Rows in PacingRun's field order: multipliers, values, bids, allocations
+    # and payments.  Per replication's substream one uniform per round picks
+    # the atom, then one per round and competing bid realizes the noise;
+    # each is overwritten by the value or bid it draws.
+    record = np.empty((5, R, T))
+    values = record[1]
+    comp = np.empty((R, T, n_opp))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
         rng = np.random.Generator(np.random.Philox(child))
-        atom_u[r] = rng.random(T)
-        if max_opp:
-            noise_u[r] = rng.random((T, max_opp))
+        values[r] = rng.random(T)
+        comp[r] = rng.random((T, n_opp))
+    for env, rounds in groups:
+        idx = atom_indices(env.probs, values[:, rounds])
+        values[:, rounds] = env.values[idx]
+        drawn = env.competing_bids[idx]
+        if env.eta > 0:
+            drawn += env.eta * comp[:, rounds]
+        comp[:, rounds] = drawn
 
-    mu = np.zeros(R)
-    remaining = np.full(R, float(budget))
-    stopped = np.zeros(R, dtype=bool)
-    stop_round = np.full(R, T + 1, dtype=np.int64)
-    thresh = EXHAUSTION_FRACTION * budget
-
-    rec_mu = np.empty((R, T))
-    rec_v = np.empty((R, T))
-    rec_b = np.empty((R, T))
-    rec_x = np.empty((R, T))
-    rec_z = np.empty((R, T))
-
-    for t, env in enumerate(env_list):
-        idx = atom_indices(env.probs, atom_u[:, t])
-        v = env.values[idx]
-        comp = env.competing_bids[idx]
-        if env.eta > 0 and env.n_opponents > 0:
-            comp = comp + env.eta * noise_u[:, t, : env.n_opponents]
-        live = ~stopped
-        bids = np.where(live, np.minimum(v / (1.0 + mu), remaining), 0.0)
-        x, z = _focal_outcome(env, bids, comp)  # stopped rows bid 0 and win nothing
-
-        rec_mu[:, t] = np.where(live, mu, np.nan)
-        rec_v[:, t] = v
-        rec_b[:, t] = bids
-        rec_x[:, t] = x
-        rec_z[:, t] = z
-
-        mu = np.where(live, np.clip(mu - learning_rate * (rho - z), 0.0, mu_cap), mu)
-        remaining = remaining - z
-        newly = live & (remaining < thresh)
-        stop_round[newly] = t + 2
-        stopped |= newly
-
+    # Per column: paced, budget, learning rate, target rate, mu_cap.
+    params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
+    params[:, k] = 1.0, budget, learning_rate, budget / T, mu_cap
+    game = _Lockstep(R, T, params[0] == 1.0, *params[1:])
+    others = np.zeros((R, n_opp + 1))  # opponents' bids around the focal column
+    for t in range(T):
+        others[:, :k] = comp[:, t, :k]
+        others[:, k + 1 :] = comp[:, t, k:]
+        played = game.play(t, first.mechanism, values[:, t, None], others)
+        for f, out in zip((0, 2, 3, 4), played):  # multipliers, bids, x, z
+            record[f, :, t] = out[:, k]
     return [
-        PacingRun(
-            multipliers=rec_mu[r].copy(),
-            values=rec_v[r].copy(),
-            bids=rec_b[r].copy(),
-            allocations=rec_x[r].copy(),
-            payments=rec_z[r].copy(),
-            stop_round=int(stop_round[r]),
-            budget=float(budget),
-            learning_rate=learning_rate,
-            mu_cap=mu_cap,
-        )
+        PacingRun(*record[:, r], int(game.stop_round[r, k]), float(budget), learning_rate, mu_cap)
         for r in range(R)
     ]
 
@@ -705,25 +681,17 @@ def dynamic_regret_batch(
     rho = runs[0].target_rate if rho is None else rho
     mu_cap = runs[0].mu_cap if mu_cap is None else mu_cap
 
-    smoothing = measure_smoothing(env_list, mu_cap)
+    groups = _distinct(env_list)
+    distinct = [env for env, _rounds in groups]
+    smoothing = measure_smoothing(distinct, mu_cap)
     perfect = perfect_sequence(env_list, rho, mu_cap)
-
-    groups: dict[int, list[int]] = {}
-    env_by_key: dict[int, EnvironmentStep] = {}
-    for t, env in enumerate(env_list):
-        groups.setdefault(id(env), []).append(t)
-        env_by_key[id(env)] = env
 
     v_star = np.empty(T)
     h_star = np.empty(T)
     v_run = [np.zeros(T) for _ in runs]
     h_run = [np.zeros(T) for _ in runs]
-    live_mask = [
-        ~np.isnan(run.multipliers) for run in runs
-    ]
-    for key, rounds in groups.items():
-        env = env_by_key[key]
-        rounds_arr = np.asarray(rounds)
+    live_mask = [~np.isnan(run.multipliers) for run in runs]
+    for env, rounds_arr in groups:
         mu_star = perfect.multipliers[rounds_arr[0]]
         zs, vs = env.spend_value(np.array([mu_star]))
         hs = surrogate_objective(env, rho, float(mu_star), tol)
@@ -740,7 +708,7 @@ def dynamic_regret_batch(
             h_run[i][rounds_arr[mask]] = hh
 
     sgd_bound, value_bound = regret_bounds(
-        perfect.path_length, mu_cap, rho, smoothing_value_cap(env_list), T, smoothing
+        perfect.path_length, mu_cap, rho, smoothing_value_cap(distinct), T, smoothing
     )
     reports = []
     for i, run in enumerate(runs):

@@ -8,10 +8,13 @@ budgets) is kept as a Trace.
 
 Replications run in lockstep as rows of vectorized state arrays, one
 counter-based RNG substream per replication, so a batch of runs of any
-chunk size is bit-identical to running each replication alone.  Each
-replication's trace arrays are allocated up front and filled from a small
-time-major block every _RECORD_ROUNDS rounds, so a chunk holds its record
-once; replicate sizes its chunks from the _CHUNK_BYTES memory budget.
+chunk size is bit-identical to running each replication alone.  One round
+of that lockstep (bids, the auction, the projected multiplier update and
+budget exhaustion) is _Lockstep.play, which regret.simulate_pacing plays
+too, its agent the one paced column.  Each replication's trace arrays are
+allocated up front and filled from a small time-major block every
+_RECORD_ROUNDS rounds, so a chunk holds its record once; replicate sizes
+its chunks from the _CHUNK_BYTES memory budget.
 """
 
 from __future__ import annotations
@@ -270,6 +273,43 @@ def _chunk_rows(config: SimulationConfig) -> int:
     return max(1, _CHUNK_BYTES // row_bytes)
 
 
+class _Lockstep:
+    """Pacing state of `rows` runs of n agents in lockstep; per-agent
+    parameters are (n,) arrays, NaN where unused.  One play is one round:
+    paced agents bid value/(1 + mu) (0 once stopped) and unpaced ones their
+    given bid, clamped to the remaining budget; the mechanism runs; live
+    paced agents take the projected multiplier step and stop once their
+    budget falls below EXHAUSTION_FRACTION of the start."""
+
+    def __init__(self, rows, horizon, paced, budgets, eps, rho, mu_cap):
+        self.paced, self.eps, self.rho, self.mu_cap = paced[None, :], eps, rho, mu_cap
+        self.thresh = EXHAUSTION_FRACTION * budgets
+        self.mu = np.zeros((rows, len(budgets)))
+        self.remaining = np.tile(budgets, (rows, 1))
+        self.stopped = np.zeros(self.mu.shape, dtype=bool)
+        self.stop_round = np.full(self.mu.shape, horizon + 1, dtype=np.int64)
+
+    def play(self, t: int, mechanism: Mechanism, values, bids):
+        """Round t (from 0) for values (paced) and bids (unpaced) that
+        broadcast to (rows, n).  Returns its multipliers (NaN unless
+        pacing), bids, allocations, payments and opening budgets."""
+        mu, remaining = self.mu, self.remaining
+        live = ~self.stopped
+        pacing = self.paced & live
+        bids = np.where(
+            self.paced,
+            np.where(live, np.minimum(values / (1.0 + mu), remaining), 0.0),
+            np.minimum(bids, remaining),
+        )
+        x, z = outcomes(mechanism, bids)
+        self.mu = np.where(pacing, np.clip(mu - self.eps * (self.rho - z), 0.0, self.mu_cap), mu)
+        self.remaining = remaining - z
+        newly = pacing & (self.remaining < self.thresh)
+        self.stop_round[newly] = t + 2
+        self.stopped |= newly
+        return np.where(pacing, mu, np.nan), bids, x, z, remaining
+
+
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:
     T = config.horizon
     n = config.n_agents
@@ -286,11 +326,7 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
         if isinstance(spec, ScriptedAgent):
             script_bids[:, k] = spec.bids_over(T)
 
-    mu = np.zeros((rc, n))
-    remaining = np.tile(budgets, (rc, 1))
-    stopped = np.zeros((rc, n), dtype=bool)
-    stop_round = np.full((rc, n), T + 1, dtype=np.int64)
-    thresh = EXHAUSTION_FRACTION * budgets
+    game = _Lockstep(rc, T, paced, budgets, eps, rho, mu_cap)
 
     # Each replication owns its six (T, n) arrays; rounds are recorded into
     # one small time-major block and copied out block by block, so the
@@ -300,32 +336,13 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
     rec_v, rec_mu, rec_b, rec_x, rec_z, rec_rem = block
 
     profiles = config.value_model.profiles
-    paced_row = paced[None, :]
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + _RECORD_ROUNDS, T)
         np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=rec_v[: t1 - t0])
         for j, t in enumerate(range(t0, t1)):
-            live = ~stopped
-            pacing = paced_row & live
-            bids = np.where(
-                paced_row,
-                np.where(live, np.minimum(rec_v[j] / (1.0 + mu), remaining), 0.0),
-                np.minimum(script_bids[t][None, :], remaining),
+            rec_mu[j], rec_b[j], rec_x[j], rec_z[j], rec_rem[j] = game.play(
+                t, config.mechanism, rec_v[j], script_bids[t]
             )
-            x, z = outcomes(config.mechanism, bids)
-
-            rec_mu[j] = np.where(pacing, mu, np.nan)
-            rec_b[j] = bids
-            rec_x[j] = x
-            rec_z[j] = z
-            rec_rem[j] = remaining
-
-            new_mu = np.clip(mu - eps * (rho - z), 0.0, mu_cap)
-            mu = np.where(pacing, new_mu, mu)
-            remaining = remaining - z
-            newly = pacing & (remaining < thresh)
-            stop_round[newly] = t + 2
-            stopped |= newly
         for r, arrays in enumerate(records):
             for f, array in enumerate(arrays):
                 array[t0:t1] = block[f, : t1 - t0, r]
@@ -340,7 +357,7 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
             learning_rates=eps.copy(),
             mu_caps=mu_cap.copy(),
             value_cap=v_cap,
-            stop_rounds=stop_round[r].copy(),
+            stop_rounds=game.stop_round[r].copy(),
             scenario_indices=idx[r],
         )
         for r, arrays in enumerate(records)
@@ -373,6 +390,8 @@ def replicate(
         raise ConfigurationError("replications must be non-negative")
     if chunk_size is None:
         chunk_size = _chunk_rows(config)
+    if chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be at least 1, got {chunk_size}")
     children = np.random.SeedSequence(config.seed).spawn(max(replications, 1))
     results: list = []
     for start in range(0, replications, chunk_size):
@@ -704,7 +723,8 @@ def _read_body(fh, T: int, n: int, csv_path) -> list[np.ndarray]:
         try:
             rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from exc
+            row = done + _first_bad_line(lines) + 1
+            raise ConfigurationError(f"{where}: {exc} (first bad line: data row {row})") from exc
         if len(rows) != len(lines):
             raise ConfigurationError(f"{where}: blank line")
         if rows.shape[1] != len(TRACE_COLUMNS):
@@ -727,6 +747,19 @@ def _read_body(fh, T: int, n: int, csv_path) -> list[np.ndarray]:
             f"{counts[dup]} times; {int(np.sum(counts == 0))} pair(s) missing"
         )
     return arrays
+
+
+def _first_bad_line(lines: list[str]) -> int:
+    """Index of the first non-blank line that is not one full row by itself
+    (numpy counts a block's rows from 0 or from 1, by the defect)."""
+    for i, line in enumerate(lines):
+        if line.strip("\r\n"):
+            try:
+                if np.loadtxt([line], delimiter=",", comments=None).size != len(TRACE_COLUMNS):
+                    return i
+            except ValueError:
+                return i
+    return 0
 
 
 def _cell_index(keys: np.ndarray, T: int, n: int, done: int, csv_path) -> np.ndarray:

@@ -4,6 +4,7 @@ overrides, exit codes, and byte-identical outputs across worker counts."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pacesim.cli import main
@@ -293,3 +294,19 @@ def test_regret_without_smoothing_on_atomic_environment_exits_2(tmp_path, capsys
     cfg.write_text(doc)
     assert main(["regret", str(cfg), "-R", "2"]) == 2
     assert "noise" in capsys.readouterr().err
+
+
+def test_dump_curves_writes_segments_in_first_appearance_order(tmp_path):
+    from pacesim.cli import _dump_curves
+    from pacesim.regret import uniform_opponent_env
+
+    loud = uniform_opponent_env(low=0.5, width=0.5)
+    quiet = uniform_opponent_env(low=0.0, width=0.5)
+    path = tmp_path / "curves.csv"
+    _dump_curves(str(path), [loud] * 3 + [quiet] * 2 + [loud], {"mu_cap": 4.0, "target_rate": 0.3})
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0"] * 201 + ["1"] * 201
+    for segment, env in enumerate((loud, quiet)):
+        block = rows[201 * segment : 201 * (segment + 1)]
+        mus = np.array([float(row[1]) for row in block])
+        assert [float(row[2]) for row in block] == env.spend(mus).tolist()

@@ -32,6 +32,8 @@ from pacesim.errors import (
     PreconditionError,
     SmoothingRequiredError,
 )
+from pacesim.pacing import AgentConfig, compute_bid, init_state
+from pacesim.pacing import update as pacing_update
 from pacesim.regret import objective_values
 
 
@@ -432,3 +434,95 @@ def test_fit_growth_exponent():
     assert fit_growth_exponent(horizons, regrets) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(PreconditionError):
         fit_growth_exponent([10, 100], [1.0, -2.0])
+
+
+def _pacing_reference(envs, budget, learning_rate, mu_cap, seed, replications):
+    # Scalar reference: each replication redraws its atoms and noise from
+    # its own Philox child (atom uniforms for all rounds, then noise for
+    # every round and opponent) and plays each round through the scalar
+    # allocate and pacing compute_bid/update.
+    T = len(envs)
+    cfg = AgentConfig(budget=budget, horizon=T, learning_rate=learning_rate, mu_cap=mu_cap,
+                      value_cap=max(env.value_cap for env in envs))
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(replications):
+        rng = np.random.Generator(np.random.Philox(child))
+        atom_u = rng.random(T)
+        noise = rng.random((T, envs[0].n_opponents))
+        rows = {name: np.zeros(T) for name in ("mu", "v", "bid", "x", "z")}
+        state = init_state(cfg)
+        stop_round = T + 1
+        for t, env in enumerate(envs):
+            atom, cum = env.n_atoms - 1, 0.0
+            for s, p in enumerate(env.probs):
+                cum += p
+                if atom_u[t] < cum:
+                    atom = s
+                    break
+            comp = [float(c) + (env.eta * float(u) if env.eta > 0 else 0.0)
+                    for c, u in zip(env.competing_bids[atom], noise[t])]
+            value = float(env.values[atom])
+            if state.stopped:
+                rows["mu"][t], bid = np.nan, 0.0
+            else:
+                rows["mu"][t], bid = state.multiplier, compute_bid(state, value)
+            comp.insert(env.agent_index, bid)
+            outcome = allocate(env.mechanism, comp)
+            rows["v"][t], rows["bid"][t] = value, bid
+            rows["x"][t] = outcome.allocations[env.agent_index]
+            rows["z"][t] = outcome.payments[env.agent_index]
+            if not state.stopped:
+                state = pacing_update(state, rows["z"][t])
+                if state.stopped:
+                    stop_round = t + 2
+        out.append((rows, stop_round))
+    return out
+
+
+_GSP_TWO_OPPONENTS = EnvironmentStep(
+    gsp([1.0, 0.6]), [0.3, 0.45, 0.25], [1.0, 1.6, 0.4],
+    [[0.5, 0.9], [1.2, 0.2], [0.4, 0.4]], agent_index=1,
+)
+
+
+@pytest.mark.parametrize(
+    "envs, budget, learning_rate, mu_cap, runs_out",
+    [
+        (
+            [uniform_opponent_env(low=0.0, width=0.5)] * 100
+            + [uniform_opponent_env(low=0.5, width=0.5)] * 100,
+            50.0, 0.1, 4.0, False,
+        ),
+        ([_GSP_TWO_OPPONENTS] * 300, 90.0, 0.06, 8.0, False),
+        # mu_cap 0.1 cannot shade bids enough: every run exhausts its budget.
+        ([uniform_opponent_env()] * 300, 120.0, 0.05, 0.1, True),
+    ],
+    ids=["first-price-eta", "gsp-two-opponents-index-1", "budget-runs-out"],
+)
+def test_simulate_pacing_matches_scalar_reference(envs, budget, learning_rate, mu_cap, runs_out):
+    runs = simulate_pacing(envs, budget, learning_rate, mu_cap, seed=31, replications=4)
+    reference = _pacing_reference(envs, budget, learning_rate, mu_cap, 31, 4)
+    for run, (rows, stop_round) in zip(runs, reference):
+        assert np.array_equal(run.multipliers, rows["mu"], equal_nan=True)
+        assert np.array_equal(run.values, rows["v"])
+        assert np.array_equal(run.bids, rows["bid"])
+        assert np.array_equal(run.allocations, rows["x"])
+        assert np.array_equal(run.payments, rows["z"])
+        assert run.stop_round == stop_round
+    if runs_out:
+        assert all(run.stop_round <= len(envs) for run in runs)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        uniform_opponent_env(mechanism_kind="second_price"),
+        uniform_opponent_env(agent_index=1),
+        EnvironmentStep(first_price(), [1.0], [1.0], [[0.2, 0.4]], eta=0.5),
+    ],
+    ids=["mechanism", "agent-index", "opponent-count"],
+)
+def test_simulate_pacing_rejects_mixed_environments(other):
+    envs = [uniform_opponent_env()] * 5 + [other] * 5
+    with pytest.raises(ConfigurationError, match="must share"):
+        simulate_pacing(envs, budget=2.5, learning_rate=0.1, mu_cap=4.0)

@@ -114,6 +114,11 @@ class TestChunking:
             stops = np.concatenate([t.stop_rounds[:2] for t in chunked])
             assert np.all((stops > 257) & (stops < 513))
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        with pytest.raises(ConfigurationError, match="chunk_size must be at least 1"):
+            replicate(_block_edge_config(10), 3, chunk_size=chunk_size)
+
     def test_traces_of_one_chunk_share_no_memory(self):
         traces = replicate(_block_edge_config(300), 4)
         arrays = [
@@ -508,6 +513,21 @@ class TestPersistence:
         bad_cell[1100] = bad_cell[1100] + "x"
         _write_lines(csv_path, bad_cell)
         with pytest.raises(ConfigurationError, match="data rows 1025-1200: could not convert"):
+            load_trace(csv_path, env_path)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda row: row.replace(",", ",x", 3), lambda row: row.rsplit(",", 1)[0]],
+        ids=["letters", "short-row"],
+    )
+    def test_bad_line_is_named_by_its_data_row(self, tmp_path, mangle):
+        # Data row 1100 is the 76th line of the second 1,024-line read block;
+        # numpy numbers it 75 (bad cell) or 76 (short row) inside the block.
+        _, csv_path, env_path = _saved(tmp_path, horizon=600)
+        lines = _lines(csv_path)
+        lines[1100] = mangle(lines[1100])
+        _write_lines(csv_path, lines)
+        with pytest.raises(ConfigurationError, match=r"first bad line: data row 1100\)$"):
             load_trace(csv_path, env_path)
 
     def test_blank_line_rejected(self, tmp_path):
