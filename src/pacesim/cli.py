@@ -7,9 +7,11 @@ no-regret-but-bad-welfare scenario).  Every command prints a human-readable
 summary and can write machine-readable JSON; outputs are byte-identical
 for identical config and seed.
 
-Exit codes: 0 success, 1 a verified bound or checker failed, 2 schema or
-usage error, 3 I/O failure, 4 exact-solver capacity exceeded, 5 the
-environment is not reconstructible for regret analysis.
+Exit codes: 0 success, 1 a verified bound or checker failed (and nothing
+else), 2 schema or usage error, 3 I/O failure, 4 exact-solver capacity
+exceeded, 5 the environment is not reconstructible for regret analysis,
+6 internal failure: an unbounded LP, the simplex pivot limit, a broken
+invariant, or any other uncaught exception (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -30,9 +33,12 @@ from .errors import (
     CapacityError,
     ConfigurationError,
     EnvironmentError_,
+    InvariantViolationError,
+    IterationLimitError,
     PreconditionError,
     SmoothingRequiredError,
     StatisticsError,
+    UnboundedError,
 )
 from .regret import (
     _distinct,
@@ -77,6 +83,7 @@ EXIT_SCHEMA = 2
 EXIT_IO = 3
 EXIT_CAPACITY = 4
 EXIT_ENV = 5
+EXIT_INTERNAL = 6
 
 
 class CliError(Exception):
@@ -275,6 +282,11 @@ def _parse_horizons(raw: str | None, default: int) -> list[int]:
 
 def cmd_regret(args) -> int:
     scenario = _load_scenario(args.config, args.set)
+    # Budgets are rescaled per round of the scenario's own horizon.
+    if scenario.config.horizon < 1:
+        raise CliError(
+            EXIT_SCHEMA, f"regret needs a horizon of at least 1, got {scenario.config.horizon}"
+        )
     horizons = _parse_horizons(args.horizons, scenario.config.horizon)
     reps = _replications(args, scenario, 20)
 
@@ -380,7 +392,7 @@ def _dump_curves(path: str, envs, params) -> None:
 # verify
 
 
-def _suite_concentration(trials, seed, negative):
+def _suite_concentration(trials, seed, negative, traces):
     horizon = 200
     rho = 0.5
     theta = math.sqrt(horizon) * rho
@@ -400,7 +412,7 @@ def _suite_concentration(trials, seed, negative):
     ]
 
 
-def _suite_sgd(trials, seed, negative):
+def _suite_sgd(trials, seed, negative, traces):
     horizon = 2000
     if negative:
         problem = SGDTestProblem((0.0, 1.0), np.full(horizon, 1.0), 0.0, trials=20)
@@ -418,7 +430,7 @@ def _suite_sgd(trials, seed, negative):
     ]
 
 
-def _suite_lipschitz_integral(trials, seed, negative):
+def _suite_lipschitz_integral(trials, seed, negative, traces):
     if negative:
         jump = PiecewiseLinear([0.0, 1e-9, 1.0], [0.0, 1.0, 1.0])
         return [lipschitz_integral_check(jump, 1e-9, 1.0, validate=False)]
@@ -441,7 +453,7 @@ def _suite_lipschitz_integral(trials, seed, negative):
     return reports
 
 
-def _suite_gsp_core(trials, seed, negative):
+def _suite_gsp_core(trials, seed, negative, traces):
     from .verify import CheckReport
 
     if negative:
@@ -456,20 +468,23 @@ def _suite_gsp_core(trials, seed, negative):
     ]
 
 
-def _suite_mbb_core(trials, seed, negative):
+def _suite_mbb_core(trials, seed, negative, traces):
     if negative:
         raise CliError(EXIT_SCHEMA, "mbb-core has no negative control")
-    return fuzz_mechanisms(min(trials, 10_000), seed)
+    return fuzz_mechanisms(min(trials, 100_000), seed)
 
 
-def _verification_traces(seed):
+def _verification_traces(seed) -> list:
+    """Three replications of every WELFARE_SUITE scenario at horizon 2000,
+    the input of the epoch and stopping suites."""
+    traces = []
     for name in scenarios.WELFARE_SUITE:
         small = _at_horizon(scenarios.load_scenario(name), 2000, seed=seed)
-        for trace in replicate(small.config, 3):
-            yield name, trace
+        traces.extend(replicate(small.config, 3))
+    return traces
 
 
-def _suite_epoch(trials, seed, negative):
+def _suite_epoch(trials, seed, negative, traces):
     from .verify import CheckReport
 
     if negative:
@@ -477,7 +492,7 @@ def _suite_epoch(trials, seed, negative):
     checked = 0
     violations = 0
     worst = math.inf
-    for _name, trace in _verification_traces(seed):
+    for trace in traces():
         for k in range(trace.n_agents):
             if trace.agent_kinds[k] != "paced":
                 continue
@@ -493,14 +508,14 @@ def _suite_epoch(trials, seed, negative):
     ]
 
 
-def _suite_stopping(trials, seed, negative):
+def _suite_stopping(trials, seed, negative, traces):
     from .verify import CheckReport
 
     if negative:
         raise CliError(EXIT_SCHEMA, "stopping has no negative control")
     checked = 0
     violations = 0
-    for _name, trace in _verification_traces(seed):
+    for trace in traces():
         for report in check_stopping_bound(trace):
             if report.applicable:
                 checked += 1
@@ -526,9 +541,21 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in _SUITES:
             raise CliError(EXIT_SCHEMA, f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+    if args.trials < 1:
+        raise CliError(EXIT_SCHEMA, f"--trials must be at least 1, got {args.trials}")
+    # Every suite takes `traces`, which simulates the verification traces
+    # on its first call and hands the same list to later suites of this
+    # invocation.
+    shared: list = []
+
+    def traces() -> list:
+        if not shared:
+            shared.extend(_verification_traces(args.seed))
+        return shared
+
     reports = []
     for name in names:
-        reports.extend(_SUITES[name](args.trials, args.seed, args.negative))
+        reports.extend(_SUITES[name](args.trials, args.seed, args.negative, traces))
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -611,6 +638,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (UnboundedError, IterationLimitError, InvariantViolationError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -629,6 +659,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,15 @@ class StoppedAgentError(RuntimeError):
 
 
 class InvariantViolationError(RuntimeError):
-    """An internal invariant failed; signals a bug on the auction side."""
+    """An internal invariant failed; signals a bug in the package, not bad input."""
+
+
+class UnboundedError(RuntimeError):
+    """The LP objective is unbounded over the feasible region."""
+
+
+class IterationLimitError(RuntimeError):
+    """The simplex solver hit its pivot limit without reaching an optimum."""
 
 
 class BoundInapplicableError(ValueError):

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IterationLimitError, UnboundedError
 
 _TOL = 1e-9
-
-
-class UnboundedError(RuntimeError):
-    """The objective is unbounded over the feasible region."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def solve_lp_max(c, A, b, tol: float = _TOL, max_iterations: int = 50_000) -> LP
                 tab[r] -= tab[r, enter] * tab[leave]
         basis[leave] = enter
     else:
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise IterationLimitError(f"simplex iteration limit of {max_iterations} pivots exceeded")
 
     x = np.zeros(n + m)
     for r, j in enumerate(basis):

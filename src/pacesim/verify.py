@@ -11,13 +11,15 @@ ones with SURE_TOL.  Every checker has a falsifiable negative control
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import auctions
 from .constants import MC_SIGMA, SGD_BOUND_CONSTANT, SURE_TOL
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, InvariantViolationError, PreconditionError
 from .simulation import Trace
 
 # ---------------------------------------------------------------------------
@@ -417,93 +419,219 @@ def benchmark_value_ceiling(rho: float, horizon: int, value_cap: float, n_agents
 # Mechanism fuzzing: IR, MBB, monotonicity, sampled core deviations
 
 
-def _random_bids(rng: np.random.Generator, n: int) -> list[float]:
-    bids = (rng.uniform(0.0, 3.0, n) * (rng.random(n) > 0.15)).tolist()
-    if n >= 2 and rng.random() < 0.3:
-        i, j = rng.choice(n, size=2, replace=False)
-        bids[j] = bids[i]  # force ties to exercise deterministic resolution
-    return [float(b) for b in bids]
+#: Most rows in one fuzz block.  A block holds a few (rows, n) float
+#: matrices, so this caps the sweep's memory whatever the instance count.
+_BLOCK_ROWS = 4_096
 
+#: Fewest blocks each mechanism kind's instances are spread over (when
+#: there are that many instances); every block draws its own mechanism and
+#: agent count, so this keeps the sweep diverse at small instance counts.
+_MIN_BLOCKS = 128
 
-def _random_feasible(rng: np.random.Generator, feasible, n: int) -> list[float]:
-    from .auctions import SingleSlot
-
-    scale = rng.random()
-    if isinstance(feasible, SingleSlot):
-        weights = rng.exponential(size=n)
-        return list(scale * weights / weights.sum())
-    rates = feasible.click_rates
-    y = np.zeros(n)
-    perm = rng.permutation(n)
-    for j, k in enumerate(perm):
-        rate = rates[j] if j < len(rates) else 0.0
-        y[k] = rate * rng.random() * scale
-    return list(y)
+#: Instances per mechanism kind replayed through the scalar oracle.
+ORACLE_SAMPLE = 500
 
 
 def _random_mechanism(rng: np.random.Generator, kind: str):
-    from .auctions import Mechanism, Polymatroid, SingleSlot
-
-    if kind == "second_price":
-        return Mechanism(kind, SingleSlot())
-    if kind == "first_price" and rng.random() < 0.5:
-        return Mechanism(kind, SingleSlot())
+    if kind == auctions.SECOND_PRICE:
+        return auctions.Mechanism(kind, auctions.SingleSlot())
+    if kind == auctions.FIRST_PRICE and rng.random() < 0.5:
+        return auctions.Mechanism(kind, auctions.SingleSlot())
     m = int(rng.integers(1, 5))
     rates = np.sort(rng.random(m))[::-1]
     if rng.random() < 0.3:
         rates[0] = 1.0
-    return Mechanism(kind, Polymatroid(tuple(rates)))
+    return auctions.Mechanism(kind, auctions.Polymatroid(tuple(rates)))
+
+
+def _slot_rates(feasible, n: int) -> np.ndarray:
+    """Click rates zero-padded to n slots; the single slot is rates (1, 0, ...)."""
+    rates = np.zeros(n)
+    if isinstance(feasible, auctions.SingleSlot):
+        rates[0] = 1.0
+    else:
+        m = min(len(feasible.click_rates), n)
+        rates[:m] = feasible.click_rates[:m]
+    return rates
+
+
+def _feasible_rows(feasible, profiles: np.ndarray, tol: float) -> np.ndarray:
+    """Vectorized `feasible.contains`, one verdict per row: no entry below
+    -tol, and each prefix sum of the descending-sorted row at most the sum
+    of as many largest slot rates, plus tol."""
+    caps = np.cumsum(_slot_rates(feasible, profiles.shape[1]))
+    prefix = np.cumsum(-np.sort(-profiles, axis=1), axis=1)
+    return (profiles.min(axis=1) >= -tol) & np.all(prefix <= caps + tol, axis=1)
+
+
+def _feasible_deviations(rng: np.random.Generator, feasible, rows: int, n: int) -> np.ndarray:
+    """One random point of the feasible set per row: a scaled split of the
+    single slot, or each agent a random fraction of a randomly assigned
+    slot's rate."""
+    scale = rng.random((rows, 1))
+    if isinstance(feasible, auctions.SingleSlot):
+        weights = rng.exponential(size=(rows, n))
+        return scale * weights / weights.sum(axis=1, keepdims=True)
+    slots = np.argsort(rng.random((rows, n)), axis=1)
+    return _slot_rates(feasible, n)[slots] * rng.random((rows, n)) * scale
+
+
+def _with_column(bids: np.ndarray, agent: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Copy of `bids` with entry (r, agent[r]) set to column[r]."""
+    out = bids.copy()
+    out[np.arange(len(bids)), agent] = column
+    return out
+
+
+@dataclass(frozen=True)
+class _FuzzBlock:
+    """Fuzz instances sharing one mechanism and agent count, one per row,
+    with the batched verdict of each property per row."""
+
+    mechanism: auctions.Mechanism
+    bids: np.ndarray  # (rows, n), about 15 % zeros and 30 % of rows with a forced tie
+    x: np.ndarray  # kernel outcome on `bids`
+    z: np.ndarray
+    agent: np.ndarray  # (rows,) the agent whose bid moves
+    low: np.ndarray  # (rows,) the MBB bid pair, low <= high
+    high: np.ndarray
+    raised: np.ndarray  # `bids` with the agent's bid raised
+    x_raised: np.ndarray  # kernel outcome on `raised`
+    z_raised: np.ndarray
+    coalition: np.ndarray  # (rows, n) bool
+    deviation: np.ndarray  # (rows, n), inside the feasible set
+    verdicts: dict  # property -> (rows,) bool, True where it holds
+
+
+def _fuzz_block(
+    rng: np.random.Generator, kind: str, rows: int, max_agents: int
+) -> _FuzzBlock:
+    """Draw one block of instances and evaluate every property through
+    `auctions.outcomes`, with the scalar checkers' inequalities and
+    PREDICATE_TOL."""
+    tol = auctions.PREDICATE_TOL
+    n = int(rng.integers(2, max_agents + 1))
+    mech = _random_mechanism(rng, kind)
+    r = np.arange(rows)
+
+    bids = rng.uniform(0.0, 3.0, (rows, n)) * (rng.random((rows, n)) > 0.15)
+    tied = r[rng.random(rows) < 0.3]
+    src = rng.integers(0, n, len(tied))
+    dst = (src + rng.integers(1, n, len(tied))) % n
+    bids[tied, dst] = bids[tied, src]  # force ties to exercise deterministic resolution
+    x, z = auctions.outcomes(mech, bids)
+    ir = np.all(z <= bids * x + tol, axis=1)
+
+    agent = rng.integers(0, n, rows)
+    low, high = np.sort(rng.uniform(0.0, 3.0, (rows, 2)), axis=1).T
+    x_lo, z_lo = auctions.outcomes(mech, _with_column(bids, agent, low))
+    x_hi, z_hi = auctions.outcomes(mech, _with_column(bids, agent, high))
+    dp = z_hi[r, agent] - z_lo[r, agent]
+    dx = x_hi[r, agent] - x_lo[r, agent]
+    mbb = dp >= low * dx - tol
+
+    raised = _with_column(bids, agent, bids[r, agent] + rng.uniform(0.0, 2.0, rows))
+    x_up, z_up = auctions.outcomes(mech, raised)
+    monotone = (x_up[r, agent] >= x[r, agent] - tol) & (z_up[r, agent] >= z[r, agent] - tol)
+
+    size = rng.integers(0, n + 1, rows)
+    rank = np.argsort(np.argsort(rng.random((rows, n)), axis=1), axis=1)
+    coalition = rank < size[:, None]  # a uniform random subset of that size
+    deviation = _feasible_deviations(rng, mech.feasible, rows, n)
+    if not np.all(_feasible_rows(mech.feasible, deviation, tol)):
+        raise InvariantViolationError("fuzz drew a deviation outside the feasible set")
+    # Row sums over at most a few agents run in index order, as check_core's do.
+    lhs = np.where(coalition, 0.0, z).sum(axis=1) + np.where(coalition, bids * x, 0.0).sum(axis=1)
+    rhs = np.where(coalition, bids * deviation, 0.0).sum(axis=1)
+    core = lhs >= rhs - tol
+
+    return _FuzzBlock(
+        mech, bids, x, z, agent, low, high, raised, x_up, z_up, coalition, deviation,
+        {"ir": ir, "mbb": mbb, "monotone": monotone, "core": core},
+    )
+
+
+def _oracle_agrees(block: _FuzzBlock, row: int) -> bool:
+    """Replay one row through scalar `allocate` and the `check_*`
+    predicates: both outcomes must equal the kernel's bit for bit, and
+    every verdict the batched one."""
+    tol = auctions.PREDICATE_TOL
+    mech = block.mechanism
+    bids = block.bids[row].tolist()
+    k = int(block.agent[row])
+    out = auctions.allocate(mech, bids)
+    out_up = auctions.allocate(mech, block.raised[row].tolist())
+    same = all(
+        np.array(scalar).tobytes() == batched[row].tobytes()
+        for scalar, batched in (
+            (out.allocations, block.x),
+            (out.payments, block.z),
+            (out_up.allocations, block.x_raised),
+            (out_up.payments, block.z_raised),
+        )
+    )
+    verdicts = {
+        "ir": auctions.check_ir(out, bids),
+        "mbb": auctions.check_mbb(
+            mech, k, float(block.low[row]), float(block.high[row]), bids[:k] + bids[k + 1 :]
+        ),
+        "monotone": out_up.allocations[k] >= out.allocations[k] - tol
+        and out_up.payments[k] >= out.payments[k] - tol,
+        "core": auctions.check_core(
+            mech,
+            bids,
+            np.flatnonzero(block.coalition[row]).tolist(),
+            block.deviation[row].tolist(),
+        ),
+    }
+    return same and all(held == block.verdicts[p][row] for p, held in verdicts.items())
 
 
 def fuzz_mechanisms(
     instances: int = 10_000, seed: int = 0, max_agents: int = 6
 ) -> list[CheckReport]:
-    """Random-instance sweep of the auction predicates.
+    """Random-instance sweep of the auction predicates, in blocks.
 
-    Per mechanism and instance: individual rationality of the outcome,
-    monotone bang-per-buck on a sampled bid pair, weak monotonicity of
-    allocation and payment in one agent's bid, and the coalition condition
-    against a sampled feasible deviation.  Statistic is the violation
-    count; the bound is zero.
+    Per mechanism kind, the instances are drawn in blocks of at most
+    _BLOCK_ROWS rows (and over at least _MIN_BLOCKS blocks when there are
+    that many instances); a block shares one random mechanism (click-rate
+    vector) and agent count, and holds one bid profile per row.  Per
+    instance: individual rationality of the outcome, monotone bang-per-buck
+    on a sampled bid pair, weak monotonicity of allocation and payment in
+    one agent's bid, and the coalition condition for a random coalition
+    against a sampled feasible deviation, all evaluated as array predicates
+    over `auctions.outcomes`.  ORACLE_SAMPLE instances per kind, spread
+    evenly over the blocks, are replayed through scalar `allocate` and the
+    `check_*` predicates; an outcome that differs in any bit, or a verdict
+    that differs, counts against `oracle_fuzz`.  Statistic is the
+    violation count; the bound is zero.
     """
-    from .auctions import allocate, check_core, check_ir, check_mbb
-
+    if max_agents < 2:
+        raise ConfigurationError(f"fuzzing needs max_agents >= 2, got {max_agents}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    block_rows = min(_BLOCK_ROWS, max(1, -(-instances // _MIN_BLOCKS)))
+    sample = min(instances, ORACLE_SAMPLE)
+    replayed = [i * instances // sample for i in range(sample)]
     reports = []
-    for kind in ("first_price", "second_price", "gsp"):
+    for kind in (auctions.FIRST_PRICE, auctions.SECOND_PRICE, auctions.GSP):
         violations = {"ir": 0, "mbb": 0, "monotone": 0, "core": 0}
-        for _ in range(instances):
-            n = int(rng.integers(2, max_agents + 1))
-            mech = _random_mechanism(rng, kind)
-            bids = _random_bids(rng, n)
-            out = allocate(mech, bids)
-            if not check_ir(out, bids):
-                violations["ir"] += 1
-
-            agent = int(rng.integers(0, n))
-            lo, hi = np.sort(rng.uniform(0.0, 3.0, 2))
-            others = bids[:agent] + bids[agent + 1 :]
-            if not check_mbb(mech, agent, float(lo), float(hi), others):
-                violations["mbb"] += 1
-
-            raised = list(bids)
-            raised[agent] = bids[agent] + float(rng.uniform(0.0, 2.0))
-            out_hi = allocate(mech, raised)
-            if (
-                out_hi.allocations[agent] < out.allocations[agent] - 1e-9
-                or out_hi.payments[agent] < out.payments[agent] - 1e-9
-            ):
-                violations["monotone"] += 1
-
-            size = int(rng.integers(0, n + 1))
-            subset = rng.choice(n, size=size, replace=False).tolist()
-            deviation = _random_feasible(rng, mech.feasible, n)
-            if not check_core(mech, bids, subset, deviation):
-                violations["core"] += 1
+        disagreements = 0
+        for start in range(0, instances, block_rows):
+            rows = min(block_rows, instances - start)
+            block = _fuzz_block(rng, kind, rows, max_agents)
+            for prop, held in block.verdicts.items():
+                violations[prop] += int(rows - np.count_nonzero(held))
+            for i in replayed[bisect_left(replayed, start) : bisect_left(replayed, start + rows)]:
+                disagreements += not _oracle_agrees(block, i - start)
         for prop, count in violations.items():
             reports.append(
                 CheckReport(f"{prop}_fuzz[{kind}]", instances, float(count), 0.0, count == 0)
             )
+        reports.append(
+            CheckReport(
+                f"oracle_fuzz[{kind}]", sample, float(disagreements), 0.0, disagreements == 0
+            )
+        )
     return reports
 
 

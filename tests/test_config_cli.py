@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from pacesim.cli import main
+from pacesim.cli import EXIT_INTERNAL, main
 from pacesim.config import SchemaError, apply_overrides, parse_scenario
-from pacesim.scenarios import BUNDLED, load_scenario, regret_environment
+from pacesim.errors import IterationLimitError, UnboundedError
+from pacesim.scenarios import BUNDLED, WELFARE_SUITE, load_scenario, regret_environment
 from pacesim.simulation import PacedAgent, ScriptedAgent
 
 GOOD = """{
@@ -216,6 +217,11 @@ class TestCliExitCodes:
     def test_verify_unknown_suite_exits_2(self):
         assert main(["verify", "no-such-suite"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_trials_below_one_exit_2(self, capsys, trials):
+        assert main(["verify", "concentration", "--trials", trials]) == 2
+        assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
+
     def test_verify_negative_control_exits_1(self):
         assert main(["verify", "gsp-core", "--negative"]) == 1
 
@@ -225,6 +231,72 @@ class TestCliExitCodes:
         reports = json.loads(out.read_text())
         assert all(set(r) >= {"checker", "trials", "statistic", "bound", "pass"}
                    for r in reports)
+
+    def test_regret_zero_horizon_exits_2_before_any_work(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated for a horizon the budgets cannot be scaled to")
+
+        monkeypatch.setattr("pacesim.cli.simulate_pacing", refuse)
+        code = main(["regret", "regret_first_price_uniform", "--set", "horizon=0", "-R", "2"])
+        assert code == 2
+        assert "regret needs a horizon of at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [UnboundedError, IterationLimitError])
+    def test_lp_failure_exits_internal(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("solver fault")
+
+        monkeypatch.setattr("pacesim.welfare.solve_lp_max", fail)
+        code = main(["welfare", "welfare_symmetric_second_price", "-R", "2",
+                     "--set", "horizon=50"])
+        assert code == EXIT_INTERNAL == 6
+        assert f"internal error: {error.__name__}: solver fault" in capsys.readouterr().err
+
+    def test_invariant_violation_exits_internal(self, monkeypatch, capsys):
+        # A fuzz generator that draws an infeasible deviation is a bug in
+        # the checker, not a failed bound.
+        monkeypatch.setattr(
+            "pacesim.verify._feasible_deviations",
+            lambda rng, feasible, rows, n: np.full((rows, n), 2.0),
+        )
+        assert main(["verify", "mbb-core", "--trials", "10"]) == EXIT_INTERNAL
+        assert "InvariantViolationError" in capsys.readouterr().err
+
+    def test_uncaught_exception_exits_internal_with_traceback(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr("pacesim.cli.counterexample_report", crash)
+        assert main(["counterexample", "--horizon", "10"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "ZeroDivisionError: boom" in err
+
+    def test_mbb_core_trials_capped_at_100k(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            "pacesim.cli.fuzz_mechanisms", lambda instances, seed: seen.append(instances) or []
+        )
+        main(["verify", "mbb-core"])
+        main(["verify", "mbb-core", "--trials", "1000000"])
+        main(["verify", "mbb-core", "--trials", "300"])
+        assert seen == [100_000, 100_000, 300]
+
+    def test_verify_simulates_the_verification_traces_once(self, monkeypatch, tmp_path):
+        import pacesim.cli as cli
+
+        calls = []
+        real = cli.replicate
+        monkeypatch.setattr(
+            cli, "replicate", lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
+        )
+        assert main(["verify", "epoch", "stopping", "-o", str(tmp_path / "a.json")]) == 0
+        assert len(calls) == len(WELFARE_SUITE) == 5
+        # A second invocation in the same process simulates afresh.
+        assert main(["verify", "stopping", "-o", str(tmp_path / "b.json")]) == 0
+        assert len(calls) == 10
+        both = json.loads((tmp_path / "a.json").read_text())
+        assert json.loads((tmp_path / "b.json").read_text()) == both[1:]
 
     def test_counterexample_json(self, tmp_path):
         out = tmp_path / "cex.json"

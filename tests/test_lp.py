@@ -4,7 +4,7 @@ random feasibility/optimality spot checks."""
 import numpy as np
 import pytest
 
-from pacesim.errors import ConfigurationError
+from pacesim.errors import ConfigurationError, IterationLimitError
 from pacesim.lp import LPSolution, UnboundedError, solve_lp_max
 
 
@@ -40,6 +40,12 @@ def test_zero_objective():
 def test_unbounded_detected():
     with pytest.raises(UnboundedError):
         solve_lp_max([1.0, 0.0], [[0.0, 1.0]], [1.0])
+
+
+def test_iteration_limit_raises_named_error():
+    # The optimum needs two pivots.
+    with pytest.raises(IterationLimitError):
+        solve_lp_max([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], max_iterations=1)
 
 
 def test_negative_rhs_rejected():

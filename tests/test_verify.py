@@ -28,7 +28,8 @@ from pacesim import (
     sgd_regret_check,
     solve_ex_ante_optimum,
 )
-from pacesim.errors import ConfigurationError, PreconditionError
+from pacesim import auctions, verify
+from pacesim.errors import ConfigurationError, InvariantViolationError, PreconditionError
 from pacesim.verify import fuzz_mechanisms, gsp_exhaustive_core_fuzz
 from pacesim.welfare import counterexample_scenario
 
@@ -171,10 +172,127 @@ class TestGspCore:
             gsp_core_slack([1.0] * 9, [1.0] * 9)
 
 
+KINDS = ("first_price", "second_price", "gsp")
+
+
 class TestMechanismFuzz:
     def test_small_sweep_clean(self):
         for report in fuzz_mechanisms(instances=400, seed=7):
             assert report.passed, report.checker
+
+    def test_reports_every_property_and_the_oracle_replay(self):
+        reports = fuzz_mechanisms(instances=1_000, seed=2)
+        assert [r.checker for r in reports] == [
+            f"{prop}_fuzz[{kind}]"
+            for kind in KINDS
+            for prop in ("ir", "mbb", "monotone", "core", "oracle")
+        ]
+        trials = {r.checker: r.trials for r in reports}
+        assert trials["core_fuzz[gsp]"] == 1_000
+        assert trials["oracle_fuzz[gsp]"] == verify.ORACLE_SAMPLE
+
+    def test_batched_verdicts_equal_scalar_checks(self):
+        # 20 blocks of 100 rows per kind, each row checked with the scalar
+        # allocate and check_* predicates on its own.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+        tol = auctions.PREDICATE_TOL
+        held = dict.fromkeys(("ir", "mbb", "monotone", "core"), 0)
+        for kind in KINDS:
+            for _ in range(20):
+                block = verify._fuzz_block(rng, kind, 100, 6)
+                mech = block.mechanism
+                for row in range(100):
+                    bids = block.bids[row].tolist()
+                    k = int(block.agent[row])
+                    out = auctions.allocate(mech, bids)
+                    up = auctions.allocate(mech, block.raised[row].tolist())
+                    assert out.allocations == tuple(block.x[row].tolist())
+                    assert out.payments == tuple(block.z[row].tolist())
+                    assert up.allocations == tuple(block.x_raised[row].tolist())
+                    assert up.payments == tuple(block.z_raised[row].tolist())
+                    scalar = {
+                        "ir": auctions.check_ir(out, bids),
+                        "mbb": auctions.check_mbb(
+                            mech, k, block.low[row], block.high[row], bids[:k] + bids[k + 1 :]
+                        ),
+                        "monotone": up.allocations[k] >= out.allocations[k] - tol
+                        and up.payments[k] >= out.payments[k] - tol,
+                        "core": auctions.check_core(
+                            mech,
+                            bids,
+                            [i for i in range(len(bids)) if block.coalition[row, i]],
+                            block.deviation[row].tolist(),
+                        ),
+                    }
+                    for prop, verdict in scalar.items():
+                        assert verdict == block.verdicts[prop][row], (kind, prop, row)
+                        held[prop] += verdict
+        assert held == dict.fromkeys(held, 6_000)
+
+    def test_needs_two_agents(self):
+        with pytest.raises(ConfigurationError):
+            fuzz_mechanisms(instances=10, max_agents=1)
+
+    def test_block_features(self):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+        block = verify._fuzz_block(rng, "gsp", 4_000, 6)
+        n = block.bids.shape[1]
+        assert 0.1 < (block.bids == 0.0).mean() < 0.2
+        tied = [len(set(row.tolist())) < n for row in block.bids[block.bids.min(axis=1) > 0]]
+        assert 0.2 < np.mean(tied) < 0.4
+        assert np.all(block.low <= block.high)
+        r = np.arange(len(block.bids))
+        assert np.all(block.raised[r, block.agent] >= block.bids[r, block.agent])
+        assert all(block.mechanism.feasible.contains(y) for y in block.deviation.tolist())
+
+
+class TestMechanismFuzzNegativeControls:
+    """Deliberately broken kernels patched in for `auctions.outcomes`; each
+    must be counted by the checker named."""
+
+    @staticmethod
+    def _counts(monkeypatch, broken):
+        real = auctions.outcomes
+        monkeypatch.setattr(auctions, "outcomes", lambda mech, bids: broken(real, mech, bids))
+        return {r.checker: r.statistic for r in fuzz_mechanisms(instances=1_000, seed=3)}
+
+    def test_overcharging_kernel_fails_ir(self, monkeypatch):
+        def overcharge(real, mech, bids):
+            x, z = real(mech, bids)
+            return x, z + x  # one more unit of money per unit won
+
+        counts = self._counts(monkeypatch, overcharge)
+        for kind in KINDS:
+            assert counts[f"ir_fuzz[{kind}]"] > 0, kind
+
+    def test_highest_index_ties_fail_the_oracle_only(self, monkeypatch):
+        def highest_index_wins(real, mech, bids):
+            x, z = real(mech, bids[:, ::-1])
+            return x[:, ::-1], z[:, ::-1]
+
+        counts = self._counts(monkeypatch, highest_index_wins)
+        for kind in KINDS:
+            # Still a core auction with monotone bang-per-buck: only the
+            # scalar replay sees the changed tie-breaking.
+            assert counts[f"oracle_fuzz[{kind}]"] > 0, kind
+            for prop in ("ir", "mbb", "monotone", "core"):
+                assert counts[f"{prop}_fuzz[{kind}]"] == 0, (kind, prop)
+
+    def test_cheaper_after_raise_fails_monotone(self, monkeypatch):
+        def cheaper_when_raised(real, mech, bids):
+            x, z = real(mech, bids)
+            return x, z * np.exp(-bids)
+
+        counts = self._counts(monkeypatch, cheaper_when_raised)
+        for kind in KINDS:
+            assert counts[f"monotone_fuzz[{kind}]"] > 0, kind
+
+    def test_infeasible_deviation_is_a_generator_bug(self, monkeypatch):
+        monkeypatch.setattr(
+            verify, "_feasible_deviations", lambda rng, feasible, rows, n: np.full((rows, n), 2.0)
+        )
+        with pytest.raises(InvariantViolationError):
+            fuzz_mechanisms(instances=10, seed=0)
 
 
 class TestBenchmarkValueDiagnostic:
