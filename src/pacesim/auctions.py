@@ -16,6 +16,7 @@ of extra allocation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -170,45 +171,68 @@ def allocate(mechanism: Mechanism, bids: Sequence[float]) -> AuctionOutcome:
     return AuctionOutcome(tuple(x), tuple(p))
 
 
-def outcomes(mechanism: Mechanism, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _row_offsets(rows: int, n: int) -> np.ndarray:
+    """(rows, 1) read-only flat index of each row's first cell in a
+    C-ordered (rows, n) array; adding a column index gives the cell."""
+    offsets = np.arange(0, rows * n, n)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
+def outcomes(
+    mechanism: Mechanism, bids: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized `allocate`: allocations and payments, each (rows, n), for
     a (rows, n) bid matrix, one auction per row.
 
     Same rule, tie-breaking and bits as `allocate`, which stays as the
-    scalar oracle this kernel is tested against.
+    scalar oracle this kernel is tested against.  With out=(x, z), two
+    (rows, n) float arrays, the result is written into them (whatever they
+    held before) and they are returned.
     """
     rows, n = bids.shape
-    x = np.zeros_like(bids)
-    z = np.zeros_like(bids)
+    x, z = out or (np.empty_like(bids), np.empty_like(bids))
+    x.fill(0.0)
+    z.fill(0.0)
+    # Cells are addressed by flat C-order index (row offset plus column),
+    # which take and put read and write whatever the arrays' strides.
+    offsets = _row_offsets(rows, n)
     if isinstance(mechanism.feasible, SingleSlot):
-        winners = np.argmax(bids, axis=1)  # first max: lowest index wins ties
-        r = np.arange(rows)
-        wb = bids[r, winners]
+        cell = bids.argmax(axis=1)  # first max: lowest index wins ties
+        cell += offsets[:, 0]
+        wb = bids.take(cell)
         won = wb > 0.0
-        x[r, winners] = won.astype(np.float64)
+        x.put(cell, won)
         if mechanism.kind == FIRST_PRICE:
             pay = wb
+        elif n == 2:
+            # The lower of two bids; on equal bids (0.0 and -0.0) the
+            # first, as np.partition picks it.
+            pay = np.minimum(bids[:, 1], bids[:, 0])
+        elif n > 2:
+            pay = np.partition(bids, n - 2, axis=1)[:, n - 2]
         else:
-            if n >= 2:
-                pay = np.partition(bids, n - 2, axis=1)[:, n - 2]
-            else:
-                pay = np.zeros(rows)
-        z[r, winners] = np.where(won, pay, 0.0)
+            pay = 0.0
+        z.put(cell, np.where(won, pay, 0.0))
         return x, z
 
     rates = np.zeros(n)
-    m = len(mechanism.feasible.click_rates)
-    rates[: min(m, n)] = mechanism.feasible.click_rates[: min(m, n)]
-    order = np.argsort(-bids, axis=1, kind="stable")
-    sorted_bids = np.take_along_axis(bids, order, axis=1)
-    xs = rates[None, :] * (sorted_bids > 0.0)
+    m = min(len(mechanism.feasible.click_rates), n)
+    rates[:m] = mechanism.feasible.click_rates[:m]
+    cells = (-bids).argsort(axis=1, kind="stable")  # by bid, lowest index first on ties
+    cells += offsets
+    sorted_bids = bids.take(cells)
+    xs = rates * (sorted_bids > 0.0)
+    x.put(cells, xs)
+    # xs becomes the payments in sorted order: rate times the next bid
+    # (GSP, nothing below the last slot) or times the agent's own bid.
     if mechanism.kind == GSP:
-        nxt = np.concatenate([sorted_bids[:, 1:], np.zeros((rows, 1))], axis=1)
-        zs = xs * nxt
+        np.multiply(xs[:, :-1], sorted_bids[:, 1:], out=xs[:, :-1])
+        xs[:, -1] = 0.0
     else:
-        zs = xs * sorted_bids
-    np.put_along_axis(x, order, xs, axis=1)
-    np.put_along_axis(z, order, zs, axis=1)
+        np.multiply(xs, sorted_bids, out=xs)
+    z.put(cells, xs)
     return x, z
 
 

@@ -26,7 +26,7 @@ import traceback
 
 import numpy as np
 
-from . import scenarios
+from . import scenarios, verify
 from .config import Scenario, SchemaError, apply_overrides, validate_scenario
 from .constants import Z99
 from .errors import (
@@ -470,7 +470,9 @@ def _suite_gsp_core(trials, seed, negative, traces):
 
 def _suite_mbb_core(trials, seed, negative, traces):
     if negative:
-        raise CliError(EXIT_SCHEMA, "mbb-core has no negative control")
+        # The same batched fuzz on a small sample, over an overcharging
+        # kernel: individual rationality must fail for every kind.
+        return verify._fuzz(1_000, seed, 6, verify._overcharging_outcomes)
     return fuzz_mechanisms(min(trials, 100_000), seed)
 
 

@@ -579,12 +579,17 @@ def simulate_pacing(
     params[:, k] = 1.0, budget, learning_rate, budget / T, mu_cap
     game = _Lockstep(R, T, params[0] == 1.0, *params[1:])
     others = np.zeros((R, n_opp + 1))  # opponents' bids around the focal column
+    # The round's multipliers, bids, x, z and opening budgets, all columns.
+    played = np.empty((5, R, n_opp + 1))
+    out = tuple(played)
     for t in range(T):
         others[:, :k] = comp[:, t, :k]
         others[:, k + 1 :] = comp[:, t, k:]
-        played = game.play(t, first.mechanism, values[:, t, None], others)
-        for f, out in zip((0, 2, 3, 4), played):  # multipliers, bids, x, z
-            record[f, :, t] = out[:, k]
+        game.play(t, first.mechanism, values[:, t, None], others, out)
+        record[0, :, t] = played[0, :, k]  # multipliers
+        record[2:, :, t] = played[1:4, :, k]  # bids, x, z
+    for r in range(R):
+        record[0, r, game.stop_round[r, k] - 1 :] = np.nan  # no multiplier once stopped
     return [
         PacingRun(*record[:, r], int(game.stop_round[r, k]), float(budget), learning_rate, mu_cap)
         for r in range(R)

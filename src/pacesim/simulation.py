@@ -11,10 +11,14 @@ counter-based RNG substream per replication, so a batch of runs of any
 chunk size is bit-identical to running each replication alone.  One round
 of that lockstep (bids, the auction, the projected multiplier update and
 budget exhaustion) is _Lockstep.play, which regret.simulate_pacing plays
-too, its agent the one paced column.  Each replication's trace arrays are
-allocated up front and filled from a small time-major block every
-_RECORD_ROUNDS rounds, so a chunk holds its record once; replicate sizes
-its chunks from the _CHUNK_BYTES memory budget.
+too, its agent the one paced column.  play writes the round into buffers
+its caller owns, here the rows of a small time-major record block, with no
+temporaries of its own.  Each replication's trace arrays are allocated up
+front and filled from that block every _RECORD_ROUNDS rounds, so a chunk
+holds its record once; replicate sizes its chunks from the _CHUNK_BYTES
+memory budget.  The block holds multipliers unmasked; each trace then
+gets NaN, once, where it has none: in the scripted columns, and in each
+paced agent's column from its stop on.
 """
 
 from __future__ import annotations
@@ -279,35 +283,61 @@ class _Lockstep:
     paced agents bid value/(1 + mu) (0 once stopped) and unpaced ones their
     given bid, clamped to the remaining budget; the mechanism runs; live
     paced agents take the projected multiplier step and stop once their
-    budget falls below EXHAUSTION_FRACTION of the start."""
+    budget falls below EXHAUSTION_FRACTION of the start.
+
+    play writes the round into the caller's (rows, n) buffers, updates its
+    state in place, and leaves allocating to the auction kernel's small
+    index temporaries.  It records every multiplier as it stands; the
+    caller masks them once per trace, writing NaN into the unpaced columns
+    and into each paced agent's column from round stop_round - 1 on
+    (counting rounds from 0)."""
 
     def __init__(self, rows, horizon, paced, budgets, eps, rho, mu_cap):
-        self.paced, self.eps, self.rho, self.mu_cap = paced[None, :], eps, rho, mu_cap
+        self.unpaced = ~paced
+        self.any_unpaced = bool(self.unpaced.any())
+        self.eps, self.rho, self.mu_cap = eps, rho, mu_cap
         self.thresh = EXHAUSTION_FRACTION * budgets
         self.mu = np.zeros((rows, len(budgets)))
         self.remaining = np.tile(budgets, (rows, 1))
-        self.stopped = np.zeros(self.mu.shape, dtype=bool)
+        self.pacing = np.tile(paced, (rows, 1))  # paced and not yet stopped
+        self.halted = np.zeros(self.mu.shape, dtype=bool)  # paced and stopped
+        self.halted_any = False
         self.stop_round = np.full(self.mu.shape, horizon + 1, dtype=np.int64)
+        self._step = np.empty(self.mu.shape)
+        self._low = np.zeros(self.mu.shape, dtype=bool)
 
-    def play(self, t: int, mechanism: Mechanism, values, bids):
+    def play(self, t: int, mechanism: Mechanism, values, bids, out) -> None:
         """Round t (from 0) for values (paced) and bids (unpaced) that
-        broadcast to (rows, n).  Returns its multipliers (NaN unless
-        pacing), bids, allocations, payments and opening budgets."""
-        mu, remaining = self.mu, self.remaining
-        live = ~self.stopped
-        pacing = self.paced & live
-        bids = np.where(
-            self.paced,
-            np.where(live, np.minimum(values / (1.0 + mu), remaining), 0.0),
-            np.minimum(bids, remaining),
-        )
-        x, z = outcomes(mechanism, bids)
-        self.mu = np.where(pacing, np.clip(mu - self.eps * (self.rho - z), 0.0, self.mu_cap), mu)
-        self.remaining = remaining - z
-        newly = pacing & (self.remaining < self.thresh)
-        self.stop_round[newly] = t + 2
-        self.stopped |= newly
-        return np.where(pacing, mu, np.nan), bids, x, z, remaining
+        broadcast to (rows, n).  Writes its multipliers, bids, allocations,
+        payments and opening budgets into out, five (rows, n) arrays."""
+        mu_out, b, x, z, remaining_out = out
+        mu, remaining, pacing, step = self.mu, self.remaining, self.pacing, self._step
+        np.copyto(mu_out, mu)
+        np.copyto(remaining_out, remaining)
+        np.add(mu, 1.0, out=b)
+        np.divide(values, b, out=b)
+        if self.any_unpaced:
+            np.copyto(b, bids, where=self.unpaced)
+        np.minimum(b, remaining, out=b)
+        if self.halted_any:
+            np.copyto(b, 0.0, where=self.halted)
+        outcomes(mechanism, b, out=(x, z))
+        # mu <- clip(mu - eps * (rho - z), 0, mu_cap) where pacing
+        np.subtract(self.rho, z, out=step)
+        np.multiply(self.eps, step, out=step)
+        np.subtract(mu, step, out=step)
+        np.maximum(step, 0.0, out=step)
+        np.minimum(step, self.mu_cap, out=step)
+        np.copyto(mu, step, where=pacing)
+        np.subtract(remaining, z, out=remaining)
+        newly = self._low
+        np.less(remaining, self.thresh, out=newly, where=pacing)
+        if np.count_nonzero(newly):
+            self.stop_round[newly] = t + 2
+            pacing ^= newly  # newly is a subset of pacing
+            self.halted |= newly
+            self.halted_any = True
+            newly.fill(False)
 
 
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:
@@ -330,22 +360,29 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
 
     # Each replication owns its six (T, n) arrays; rounds are recorded into
     # one small time-major block and copied out block by block, so the
-    # chunk never holds a second copy of its record.
+    # chunk never holds a second copy of its record.  play writes each
+    # round straight into the block's row views.
     records = [[np.empty((T, n)) for _ in _TRACE_FIELDS] for _ in range(rc)]
     block = np.empty((len(_TRACE_FIELDS), min(_RECORD_ROUNDS, T), rc, n))
-    rec_v, rec_mu, rec_b, rec_x, rec_z, rec_rem = block
+    rec_v = block[0]
+    round_out = [tuple(block[1:, j]) for j in range(block.shape[1])]
 
     profiles = config.value_model.profiles
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + _RECORD_ROUNDS, T)
         np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=rec_v[: t1 - t0])
         for j, t in enumerate(range(t0, t1)):
-            rec_mu[j], rec_b[j], rec_x[j], rec_z[j], rec_rem[j] = game.play(
-                t, config.mechanism, rec_v[j], script_bids[t]
-            )
+            game.play(t, config.mechanism, rec_v[j], script_bids[t], round_out[j])
         for r, arrays in enumerate(records):
             for f, array in enumerate(arrays):
                 array[t0:t1] = block[f, : t1 - t0, r]
+
+    # Multipliers exist only for paced agents while they are live.
+    for r, arrays in enumerate(records):
+        multipliers = arrays[1]
+        multipliers[:, ~paced] = np.nan
+        for k in np.flatnonzero(paced):
+            multipliers[game.stop_round[r, k] - 1 :, k] = np.nan
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
     return [

@@ -504,11 +504,12 @@ class _FuzzBlock:
 
 
 def _fuzz_block(
-    rng: np.random.Generator, kind: str, rows: int, max_agents: int
+    rng: np.random.Generator, kind: str, rows: int, max_agents: int, outcome=None
 ) -> _FuzzBlock:
     """Draw one block of instances and evaluate every property through
-    `auctions.outcomes`, with the scalar checkers' inequalities and
-    PREDICATE_TOL."""
+    the outcome kernel (`auctions.outcomes` unless given), with the scalar
+    checkers' inequalities and PREDICATE_TOL."""
+    outcome = outcome or auctions.outcomes
     tol = auctions.PREDICATE_TOL
     n = int(rng.integers(2, max_agents + 1))
     mech = _random_mechanism(rng, kind)
@@ -519,19 +520,19 @@ def _fuzz_block(
     src = rng.integers(0, n, len(tied))
     dst = (src + rng.integers(1, n, len(tied))) % n
     bids[tied, dst] = bids[tied, src]  # force ties to exercise deterministic resolution
-    x, z = auctions.outcomes(mech, bids)
+    x, z = outcome(mech, bids)
     ir = np.all(z <= bids * x + tol, axis=1)
 
     agent = rng.integers(0, n, rows)
     low, high = np.sort(rng.uniform(0.0, 3.0, (rows, 2)), axis=1).T
-    x_lo, z_lo = auctions.outcomes(mech, _with_column(bids, agent, low))
-    x_hi, z_hi = auctions.outcomes(mech, _with_column(bids, agent, high))
+    x_lo, z_lo = outcome(mech, _with_column(bids, agent, low))
+    x_hi, z_hi = outcome(mech, _with_column(bids, agent, high))
     dp = z_hi[r, agent] - z_lo[r, agent]
     dx = x_hi[r, agent] - x_lo[r, agent]
     mbb = dp >= low * dx - tol
 
     raised = _with_column(bids, agent, bids[r, agent] + rng.uniform(0.0, 2.0, rows))
-    x_up, z_up = auctions.outcomes(mech, raised)
+    x_up, z_up = outcome(mech, raised)
     monotone = (x_up[r, agent] >= x[r, agent] - tol) & (z_up[r, agent] >= z[r, agent] - tol)
 
     size = rng.integers(0, n + 1, rows)
@@ -606,6 +607,18 @@ def fuzz_mechanisms(
     that differs, counts against `oracle_fuzz`.  Statistic is the
     violation count; the bound is zero.
     """
+    return _fuzz(instances, seed, max_agents, auctions.outcomes)
+
+
+def _overcharging_outcomes(mechanism, bids):
+    """A kernel that is not individually rational: one more unit of money
+    per unit won.  The mbb-core negative control fuzzes it."""
+    x, z = auctions.outcomes(mechanism, bids)
+    return x, z + x
+
+
+def _fuzz(instances: int, seed: int, max_agents: int, outcome) -> list[CheckReport]:
+    """fuzz_mechanisms over the given outcome kernel."""
     if max_agents < 2:
         raise ConfigurationError(f"fuzzing needs max_agents >= 2, got {max_agents}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -618,7 +631,7 @@ def fuzz_mechanisms(
         disagreements = 0
         for start in range(0, instances, block_rows):
             rows = min(block_rows, instances - start)
-            block = _fuzz_block(rng, kind, rows, max_agents)
+            block = _fuzz_block(rng, kind, rows, max_agents, outcome)
             for prop, held in block.verdicts.items():
                 violations[prop] += int(rows - np.count_nonzero(held))
             for i in replayed[bisect_left(replayed, start) : bisect_left(replayed, start + rows)]:

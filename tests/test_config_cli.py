@@ -225,6 +225,13 @@ class TestCliExitCodes:
     def test_verify_negative_control_exits_1(self):
         assert main(["verify", "gsp-core", "--negative"]) == 1
 
+    def test_verify_mbb_core_negative_control_fails_ir(self, capsys):
+        # The fuzz over an overcharging kernel: IR fails for every kind.
+        assert main(["verify", "mbb-core", "--negative"]) == 1
+        out = capsys.readouterr().out
+        for kind in ("first_price", "second_price", "gsp"):
+            assert f"[FAIL] ir_fuzz[{kind}]" in out
+
     def test_verify_gsp_core_passes(self, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "gsp-core", "--trials", "200", "-o", str(out)]) == 0

@@ -513,6 +513,27 @@ def test_simulate_pacing_matches_scalar_reference(envs, budget, learning_rate, m
         assert all(run.stop_round <= len(envs) for run in runs)
 
 
+def test_simulate_pacing_ignores_what_its_buffers_held(monkeypatch):
+    # Every np.empty hands back garbage; the runs must not change a bit.
+    envs = [uniform_opponent_env()] * 300
+    clean = simulate_pacing(envs, 120.0, 0.05, 0.1, seed=31, replications=4)
+    real_empty = np.empty
+
+    def garbage_empty(*args, **kwargs):
+        array = real_empty(*args, **kwargs)
+        array.fill(7.25e9 if array.dtype.kind == "f" else 1)
+        return array
+
+    monkeypatch.setattr(np, "empty", garbage_empty)
+    dirty = simulate_pacing(envs, 120.0, 0.05, 0.1, seed=31, replications=4)
+    monkeypatch.undo()
+    assert all(run.stop_round <= 300 for run in clean)
+    for a, b in zip(clean, dirty):
+        for field in ("multipliers", "values", "bids", "allocations", "payments"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert a.stop_round == b.stop_round
+
+
 @pytest.mark.parametrize(
     "other",
     [

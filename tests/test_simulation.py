@@ -156,6 +156,53 @@ class TestChunking:
         assert simulation._chunk_rows(config) >= 64
 
 
+def _dirty_empty(real_empty):
+    """np.empty that hands back garbage, which it is free to do: any read
+    of a cell before it is written shows up as a wrong value."""
+
+    def empty(*args, **kwargs):
+        array = real_empty(*args, **kwargs)
+        array.fill({"f": 7.25e9, "b": True, "i": -12345}.get(array.dtype.kind, 0))
+        return array
+
+    return empty
+
+
+def test_dirty_record_block_matches_one_row_chunks(monkeypatch):
+    # Five rows over three record blocks: the second and third blocks
+    # reuse a buffer full of the first's rounds, the third fills one row
+    # of it, and every fresh buffer starts as garbage.
+    config = _block_edge_config(513)
+    single = replicate(config, 5, chunk_size=1)
+    monkeypatch.setattr(np, "empty", _dirty_empty(np.empty))
+    dirty = replicate(config, 5)
+    monkeypatch.undo()
+    for a, b in zip(dirty, single):
+        _assert_same_trace(a, b)
+        assert np.array_equal(a.stop_rounds, b.stop_rounds)
+    assert np.all(np.isnan(dirty[0].multipliers[:, 2]))  # the scripted column
+    stops = np.concatenate([t.stop_rounds[:2] for t in dirty])
+    assert np.all((stops > 257) & (stops < 513))
+
+
+def test_stopped_agent_with_dust_left_bids_zero():
+    # A second-price charge leaves about 1e-13 of a unit budget: below the
+    # exhaustion threshold, so the agent stops, and from then on it bids 0
+    # although its dust would still buy the now uncontested slot.
+    config = SimulationConfig(
+        second_price(),
+        (PacedAgent(budget=1.0), ScriptedAgent(budget=5.0, schedule=((1, 1.0 - 1e-13), (4, 0.0)))),
+        ValueModel([1.0], [[10.0, 1.0]]),
+        horizon=4,
+    )
+    trace = run_simulation(config)
+    assert trace.stop_rounds[0] == 2
+    assert 0.0 < trace.remaining_budgets[1, 0] < 1e-12
+    assert np.all(trace.bids[1:, 0] == 0.0)
+    assert np.all(trace.allocations[1:] == 0.0)
+    assert np.all(np.isnan(trace.multipliers[1:, 0])) and trace.multipliers[0, 0] == 0.0
+
+
 class TestTraceInvariants:
     def test_hand_trace_uncontested(self):
         # Lone bidder against a zero script: wins everything, pays nothing,
