@@ -1,8 +1,10 @@
 """Single-round core auction mechanisms over divisible-good feasible sets.
 
-First-price and second-price auctions run over a single-slot simplex; the
-generalized second-price (GSP) auction runs over a polymatroid induced by
-non-increasing click rates.  Everything here is deterministic: ties in bids
+Every feasible set is a polymatroid induced by non-increasing click rates;
+the single slot is the one whose only click rate is 1.  First price runs
+over any of them, second price over the single slot, and the generalized
+second-price (GSP) auction over a multi-slot polymatroid; on the single
+slot, second price is GSP.  Everything here is deterministic: ties in bids
 are broken toward the lowest agent index, and a fractional allocation is a
 deterministic fraction of the good, not a lottery.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,19 +37,8 @@ GSP = "gsp"
 
 
 @dataclass(frozen=True)
-class SingleSlot:
-    """One divisible slot per round: profiles with x_k in [0,1] and sum <= 1."""
-
-    def contains(self, profile: Sequence[float], tol: float = PREDICATE_TOL) -> bool:
-        xs = [float(x) for x in profile]
-        if any(x < -tol or x > 1 + tol for x in xs):
-            return False
-        return sum(xs) <= 1 + tol
-
-
-@dataclass(frozen=True)
 class Polymatroid:
-    """Multi-slot feasible set induced by non-increasing click rates.
+    """Feasible set induced by non-increasing click rates, one per slot.
 
     A profile is feasible when, for every subset of agents, its total
     allocation is at most the sum of the largest click rates it could
@@ -69,6 +60,13 @@ class Polymatroid:
         if any(b > a + 1e-12 for a, b in zip(rates, rates[1:])):
             raise ConfigurationError("click rates must be non-increasing")
 
+    def rates(self, n: int) -> np.ndarray:
+        """The click rates of the n best slots, zero-padded to length n."""
+        out = np.zeros(n)
+        m = min(len(self.click_rates), n)
+        out[:m] = self.click_rates[:m]
+        return out
+
     def contains(self, profile: Sequence[float], tol: float = PREDICATE_TOL) -> bool:
         xs = sorted((float(x) for x in profile), reverse=True)
         if xs and xs[-1] < -tol:
@@ -83,7 +81,12 @@ class Polymatroid:
         return True
 
 
-FeasibleSet = SingleSlot | Polymatroid
+@dataclass(frozen=True)
+class SingleSlot(Polymatroid):
+    """One divisible slot per round: the polymatroid whose only click rate
+    is 1, i.e. profiles with x_k >= 0 and sum <= 1."""
+
+    click_rates: tuple[float, ...] = field(default=(1.0,), init=False)
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,21 @@ class Mechanism:
     """An auction rule together with the feasible set it allocates over."""
 
     kind: str
-    feasible: FeasibleSet
+    feasible: Polymatroid
 
     def __post_init__(self):
         if self.kind not in (FIRST_PRICE, SECOND_PRICE, GSP):
             raise ConfigurationError(f"unknown mechanism kind {self.kind!r}")
-        if self.kind == SECOND_PRICE and not isinstance(self.feasible, SingleSlot):
+        if not isinstance(self.feasible, Polymatroid):
+            raise ConfigurationError("the feasible set must be a polymatroid")
+        single = isinstance(self.feasible, SingleSlot)
+        if self.kind == SECOND_PRICE and not single:
             raise ConfigurationError("second-price requires a single-slot feasible set")
-        if self.kind == GSP and not isinstance(self.feasible, Polymatroid):
-            raise ConfigurationError("GSP requires a polymatroid feasible set")
+        if self.kind == GSP and single:
+            raise ConfigurationError("GSP requires a polymatroid other than the single slot")
 
 
-def first_price(feasible: FeasibleSet | None = None) -> Mechanism:
+def first_price(feasible: Polymatroid | None = None) -> Mechanism:
     return Mechanism(FIRST_PRICE, feasible if feasible is not None else SingleSlot())
 
 
@@ -121,7 +127,7 @@ class AuctionOutcome:
 
 
 def _clean_bids(bids: Sequence[float]) -> list[float]:
-    bs = [float(b) for b in bids]
+    bs = [float(b) + 0.0 for b in bids]  # + 0.0 turns -0.0 into 0.0
     if not bs:
         raise ConfigurationError("empty bid profile")
     if any(b < 0 for b in bs):
@@ -132,28 +138,14 @@ def _clean_bids(bids: Sequence[float]) -> list[float]:
 def allocate(mechanism: Mechanism, bids: Sequence[float]) -> AuctionOutcome:
     """Run one round of the auction on a bid profile.
 
-    First-price and second-price allocate the whole slot to the highest
-    bidder; GSP (and first-price over a polymatroid) assigns click rates
-    greedily by bid.  Agents bidding exactly zero never win anything, even
-    when slots remain.
+    Click rates go greedily by bid: the j-th highest bidder gets the j-th
+    rate, so on the single slot the highest bidder takes the whole slot.
+    First price charges each winner rate times its own bid; second price
+    and GSP charge rate times the next bid down.  Agents bidding exactly
+    zero never win anything, even when slots remain.
     """
     bs = _clean_bids(bids)
     n = len(bs)
-    if isinstance(mechanism.feasible, SingleSlot):
-        winner = 0
-        for k in range(1, n):
-            if bs[k] > bs[winner]:
-                winner = k
-        x = [0.0] * n
-        p = [0.0] * n
-        if bs[winner] > 0:
-            x[winner] = 1.0
-            if mechanism.kind == FIRST_PRICE:
-                p[winner] = bs[winner]
-            else:
-                p[winner] = max((bs[k] for k in range(n) if k != winner), default=0.0)
-        return AuctionOutcome(tuple(x), tuple(p))
-
     order = sorted(range(n), key=lambda k: (-bs[k], k))
     rates = mechanism.feasible.click_rates
     x = [0.0] * n
@@ -163,11 +155,11 @@ def allocate(mechanism: Mechanism, bids: Sequence[float]) -> AuctionOutcome:
         if bs[k] <= 0 or rate <= 0:
             continue
         x[k] = rate
-        if mechanism.kind == GSP:
+        if mechanism.kind == FIRST_PRICE:
+            p[k] = rate * bs[k]
+        else:
             nxt = bs[order[j + 1]] if j + 1 < n else 0.0
             p[k] = rate * nxt
-        else:
-            p[k] = rate * bs[k]
     return AuctionOutcome(tuple(x), tuple(p))
 
 
@@ -187,9 +179,11 @@ def outcomes(
     a (rows, n) bid matrix, one auction per row.
 
     Same rule, tie-breaking and bits as `allocate`, which stays as the
-    scalar oracle this kernel is tested against.  With out=(x, z), two
-    (rows, n) float arrays, the result is written into them (whatever they
-    held before) and they are returned.
+    scalar oracle this kernel is tested against; the bids carry no -0.0
+    (every source of values and bids turns it into 0.0), so the two agree
+    on the sign of every zero.  The single slot keeps a faster path of its
+    own.  With out=(x, z), two (rows, n) float arrays, the result is
+    written into them (whatever they held before) and they are returned.
     """
     rows, n = bids.shape
     x, z = out or (np.empty_like(bids), np.empty_like(bids))
@@ -217,21 +211,19 @@ def outcomes(
         z.put(cell, np.where(won, pay, 0.0))
         return x, z
 
-    rates = np.zeros(n)
-    m = min(len(mechanism.feasible.click_rates), n)
-    rates[:m] = mechanism.feasible.click_rates[:m]
+    rates = mechanism.feasible.rates(n)
     cells = (-bids).argsort(axis=1, kind="stable")  # by bid, lowest index first on ties
     cells += offsets
     sorted_bids = bids.take(cells)
     xs = rates * (sorted_bids > 0.0)
     x.put(cells, xs)
-    # xs becomes the payments in sorted order: rate times the next bid
-    # (GSP, nothing below the last slot) or times the agent's own bid.
-    if mechanism.kind == GSP:
+    # xs becomes the payments in sorted order: rate times the agent's own
+    # bid (first price) or times the next bid (nothing below the last slot).
+    if mechanism.kind == FIRST_PRICE:
+        np.multiply(xs, sorted_bids, out=xs)
+    else:
         np.multiply(xs[:, :-1], sorted_bids[:, 1:], out=xs[:, :-1])
         xs[:, -1] = 0.0
-    else:
-        np.multiply(xs, sorted_bids, out=xs)
     z.put(cells, xs)
     return x, z
 

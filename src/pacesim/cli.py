@@ -48,14 +48,10 @@ from .regret import (
     simulate_pacing,
     throttled_value_curve,
 )
-from .simulation import (
-    check_stopping_bound,
-    replicate,
-    save_trace,
-    verify_epoch_value_bound,
-)
+from .simulation import check_stopping_bound, epoch_bound_stats, replicate, save_trace
 from .svgplot import line_chart
 from .verify import (
+    CheckReport,
     DiscreteValues,
     MartingaleSetup,
     PiecewiseLinear,
@@ -447,15 +443,11 @@ def _suite_lipschitz_integral(trials, seed, negative, traces):
         x = float(rng.uniform(0.0, xs[-1]))
         if not lipschitz_integral_check(PiecewiseLinear(xs, ys), x, lam).passed:
             failures += 1
-    from .verify import CheckReport
-
     reports.append(CheckReport("lipschitz_integral_fuzz", count, float(failures), 0.0, failures == 0))
     return reports
 
 
 def _suite_gsp_core(trials, seed, negative, traces):
-    from .verify import CheckReport
-
     if negative:
         slack = gsp_core_slack([1.0, 0.5, 0.0], [5.0, 1.0, 10.0], assume_sorted=True)
         return [
@@ -487,8 +479,6 @@ def _verification_traces(seed) -> list:
 
 
 def _suite_epoch(trials, seed, negative, traces):
-    from .verify import CheckReport
-
     if negative:
         raise CliError(EXIT_SCHEMA, "epoch has no negative control")
     checked = 0
@@ -498,10 +488,10 @@ def _suite_epoch(trials, seed, negative, traces):
         for k in range(trace.n_agents):
             if trace.agent_kinds[k] != "paced":
                 continue
-            report = verify_epoch_value_bound(trace, k)
-            checked += report.n_checked
-            violations += len(report.violations)
-            worst = min(worst, report.min_slack)
+            n_checked, n_violations, min_slack = epoch_bound_stats(trace, k)
+            checked += n_checked
+            violations += n_violations
+            worst = min(worst, min_slack)
     return [
         CheckReport(
             "epoch_value_bound", checked, float(violations), 0.0, violations == 0,
@@ -511,8 +501,6 @@ def _suite_epoch(trials, seed, negative, traces):
 
 
 def _suite_stopping(trials, seed, negative, traces):
-    from .verify import CheckReport
-
     if negative:
         raise CliError(EXIT_SCHEMA, "stopping has no negative control")
     checked = 0

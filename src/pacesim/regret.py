@@ -110,8 +110,8 @@ class EnvironmentStep:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64).copy()
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        comp = np.atleast_2d(np.asarray(self.competing_bids, dtype=np.float64)).copy()
+        values = np.asarray(self.values, dtype=np.float64) + 0.0  # -0.0 -> 0.0
+        comp = np.atleast_2d(np.asarray(self.competing_bids, dtype=np.float64)) + 0.0
         if len(values) != len(probs):
             raise ConfigurationError("one value per atom required")
         if comp.shape[0] == 1 and len(probs) > 1 and comp.size == 0:
@@ -174,9 +174,6 @@ class EnvironmentStep:
 
     def spend(self, mu):
         return self.spend_value(mu)[0]
-
-    def value(self, mu):
-        return self.spend_value(mu)[1]
 
     def _curves_noised(self, mu_arr: np.ndarray):
         bids = self.values[:, None] / (1.0 + mu_arr[None, :])  # (S, M)

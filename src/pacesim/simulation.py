@@ -59,7 +59,7 @@ class ValueModel:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64).copy()
-        profiles = np.atleast_2d(np.asarray(self.profiles, dtype=np.float64)).copy()
+        profiles = np.atleast_2d(np.asarray(self.profiles, dtype=np.float64)) + 0.0  # -0.0 -> 0.0
         if probs.ndim != 1 or profiles.ndim != 2 or len(probs) != len(profiles):
             raise ConfigurationError("need one probability per value profile")
         if len(probs) == 0:
@@ -153,15 +153,16 @@ class ScriptedAgent:
                 last = until
 
     def bids_over(self, horizon: int) -> np.ndarray:
+        """The script's bid in each round, with -0.0 read as 0.0."""
         if self.bid is not None:
-            return np.full(horizon, float(self.bid))
+            return np.full(horizon, float(self.bid) + 0.0)
         out = np.empty(horizon)
         start = 0
         for until, bid in self.schedule:
-            out[start : min(until, horizon)] = bid
+            out[start : min(until, horizon)] = bid + 0.0
             start = min(until, horizon)
         if start < horizon:
-            out[start:] = self.schedule[-1][1]
+            out[start:] = self.schedule[-1][1] + 0.0
         return out
 
 
@@ -236,11 +237,6 @@ class Trace:
     @property
     def n_agents(self) -> int:
         return self.values.shape[1]
-
-    def spend(self, agent: int | None = None):
-        if agent is None:
-            return self.payments.sum(axis=0)
-        return float(self.payments[:, agent].sum())
 
 
 #: The Trace's per-round (T, n) arrays, in the order of the CSV's value columns.

@@ -444,22 +444,11 @@ def _random_mechanism(rng: np.random.Generator, kind: str):
     return auctions.Mechanism(kind, auctions.Polymatroid(tuple(rates)))
 
 
-def _slot_rates(feasible, n: int) -> np.ndarray:
-    """Click rates zero-padded to n slots; the single slot is rates (1, 0, ...)."""
-    rates = np.zeros(n)
-    if isinstance(feasible, auctions.SingleSlot):
-        rates[0] = 1.0
-    else:
-        m = min(len(feasible.click_rates), n)
-        rates[:m] = feasible.click_rates[:m]
-    return rates
-
-
 def _feasible_rows(feasible, profiles: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized `feasible.contains`, one verdict per row: no entry below
     -tol, and each prefix sum of the descending-sorted row at most the sum
     of as many largest slot rates, plus tol."""
-    caps = np.cumsum(_slot_rates(feasible, profiles.shape[1]))
+    caps = np.cumsum(feasible.rates(profiles.shape[1]))
     prefix = np.cumsum(-np.sort(-profiles, axis=1), axis=1)
     return (profiles.min(axis=1) >= -tol) & np.all(prefix <= caps + tol, axis=1)
 
@@ -473,7 +462,7 @@ def _feasible_deviations(rng: np.random.Generator, feasible, rows: int, n: int) 
         weights = rng.exponential(size=(rows, n))
         return scale * weights / weights.sum(axis=1, keepdims=True)
     slots = np.argsort(rng.random((rows, n)), axis=1)
-    return _slot_rates(feasible, n)[slots] * rng.random((rows, n)) * scale
+    return feasible.rates(n)[slots] * rng.random((rows, n)) * scale
 
 
 def _with_column(bids: np.ndarray, agent: np.ndarray, column: np.ndarray) -> np.ndarray:

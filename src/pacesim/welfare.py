@@ -6,7 +6,12 @@ support point, the sum over agents of min(budget, horizon * expected
 per-round value).  The min is linearized with one auxiliary welfare
 variable per agent and the resulting LP is solved exactly by the dense
 simplex in `lp`; a frontier grid search over the same program serves as an
-independent oracle on two-agent instances.
+independent oracle on two-agent instances.  Each scenario's allocation
+lies in the polymatroid: every agent subset of size j takes at most r(j),
+the sum of the j largest click rates.  Only the sizes j with r(j) < r(n)
+get subset rows, plus the full set; any other subset's row follows from
+the full-set row and y >= 0, so the single slot keeps just its simplex
+row.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .auctions import FeasibleSet, Polymatroid, SingleSlot, second_price
+from .auctions import Polymatroid, SingleSlot, second_price
 from .constants import WELFARE_BOUND_CONSTANT, Z99
 from .errors import (
     CapacityError,
@@ -32,7 +37,7 @@ from .simulation import ScriptedAgent, SimulationConfig, Trace, ValueModel, run_
 #: Largest n * support_size the exact solver accepts.
 SOLVER_VARIABLE_CAP = 10_000
 
-#: Polymatroid subset-constraint generation refuses this many agents or more.
+#: Subset-row generation refuses this many agents or more, but for the single slot.
 POLYMATROID_AGENT_CAP = 12
 
 
@@ -78,9 +83,6 @@ class ExAnteRule:
     liquid_values: np.ndarray  # per-agent min(budget, horizon * expected value)
     value: float
 
-    def allocation_for(self, scenario: int) -> np.ndarray:
-        return self.allocations[scenario]
-
 
 def ex_ante_value(
     allocations: np.ndarray,
@@ -95,15 +97,9 @@ def ex_ante_value(
     return float(np.minimum(b, horizon * expected).sum())
 
 
-def _polymatroid_rank(rates: tuple[float, ...], n: int) -> np.ndarray:
-    padded = np.zeros(n)
-    padded[: min(len(rates), n)] = rates[: min(len(rates), n)]
-    return np.cumsum(padded)
-
-
 def solve_ex_ante_optimum(
     model: ValueModel,
-    feasible: FeasibleSet,
+    feasible: Polymatroid,
     budgets: Sequence[float],
     horizon: int,
 ) -> ExAnteRule:
@@ -111,8 +107,10 @@ def solve_ex_ante_optimum(
 
     Variables are one allocation per (scenario, agent) plus one welfare
     variable w_k per agent with w_k <= budget_k and w_k <= horizon *
-    expected value; single-slot scenarios contribute simplex constraints,
-    polymatroid scenarios one constraint per agent subset.
+    expected value.  Each scenario gets one row per agent subset whose
+    size j has rank r(j) below r(n), the full set's, plus the full-set
+    row: the rows for the other subsets are implied, so the single slot
+    has only its simplex row and GSP with three slots only sizes 1 and 2.
     """
     S, n = model.support_size, model.n_agents
     b = np.asarray(budgets, dtype=np.float64)
@@ -124,7 +122,7 @@ def solve_ex_ante_optimum(
         raise ConfigurationError("horizon must be non-negative")
     if n * S > SOLVER_VARIABLE_CAP:
         raise CapacityError(f"{n * S} allocation variables exceed {SOLVER_VARIABLE_CAP}")
-    if isinstance(feasible, Polymatroid) and n >= POLYMATROID_AGENT_CAP:
+    if not isinstance(feasible, SingleSlot) and n >= POLYMATROID_AGENT_CAP:
         raise CapacityError(
             f"polymatroid subset constraints refuse n >= {POLYMATROID_AGENT_CAP}"
         )
@@ -151,17 +149,12 @@ def solve_ex_ante_optimum(
         coeffs = [-horizon * float(model.probs[s] * model.profiles[s, k]) for s in range(S)]
         add([yi(s, k) for s in range(S)] + [S * n + k], coeffs + [1.0], 0.0)
 
-    if isinstance(feasible, SingleSlot):
-        for s in range(S):
-            add([yi(s, k) for k in range(n)], [1.0] * n, 1.0)
-            for k in range(n):
-                add([yi(s, k)], [1.0], 1.0)
-    else:
-        rank = _polymatroid_rank(feasible.click_rates, n)
-        for s in range(S):
-            for size in range(1, n + 1):
-                for subset in itertools.combinations(range(n), size):
-                    add([yi(s, k) for k in subset], [1.0] * size, float(rank[size - 1]))
+    rank = np.cumsum(feasible.rates(n))
+    sizes = [j for j in range(1, n) if rank[j - 1] < rank[-1]] + [n]
+    for s in range(S):
+        for size in sizes:
+            for subset in itertools.combinations(range(n), size):
+                add([yi(s, k) for k in subset], [1.0] * size, float(rank[size - 1]))
 
     c = np.zeros(nvars)
     c[S * n :] = 1.0
@@ -171,26 +164,20 @@ def solve_ex_ante_optimum(
     return ExAnteRule(y, w, sol.value)
 
 
-def _frontier_grid(feasible: FeasibleSet, n: int, step: float) -> np.ndarray:
+def _frontier_grid(feasible: Polymatroid, n: int, step: float) -> np.ndarray:
     """Maximal-boundary allocations for <= 2 agents on a regular grid.
 
     The objective is non-decreasing in every coordinate, so the optimum is
     attained on the maximal frontier of the (downward-closed) feasible set;
     for one or two agents that frontier is a segment.
     """
-    if isinstance(feasible, SingleSlot):
-        top = 1.0
-        second = 1.0 if n == 2 else 0.0
-    else:
-        rates = feasible.click_rates
-        top = rates[0]
-        second = rates[1] if len(rates) > 1 and n == 2 else 0.0
+    top = feasible.click_rates[0]
     if n == 1:
         grid = np.arange(0.0, top + step / 2, step)
         return np.clip(grid, 0.0, top)[:, None]
     if n != 2:
         raise CapacityError("the grid oracle handles at most two agents")
-    total = top + second if isinstance(feasible, Polymatroid) else 1.0
+    total = top + float(feasible.rates(2)[1])
     lo, hi = total - top, top
     first = np.arange(lo, hi + step / 2, step)
     first = np.clip(first, lo, hi)
@@ -201,7 +188,7 @@ def _frontier_grid(feasible: FeasibleSet, n: int, step: float) -> np.ndarray:
 
 def ex_ante_grid_oracle(
     model: ValueModel,
-    feasible: FeasibleSet,
+    feasible: Polymatroid,
     budgets: Sequence[float],
     horizon: int,
     step: float = 0.01,

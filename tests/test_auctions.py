@@ -282,3 +282,45 @@ def test_polymatroid_containment_prefix_rule():
     assert not poly.contains([0.7, 0.7, 0.7])  # triple total 2.1 > rank cap 1.5
     assert not poly.contains([1.1, 0.0])
     assert not poly.contains([-0.01, 0.5])
+
+
+@pytest.mark.parametrize(
+    "single, rate_one",
+    [
+        (first_price(), first_price(Polymatroid((1.0,)))),
+        (second_price(), Mechanism("gsp", Polymatroid((1.0,)))),
+    ],
+    ids=["first-price", "second-price-vs-gsp"],
+)
+def test_single_slot_runs_as_the_rate_one_polymatroid(single, rate_one):
+    # The single slot is the polymatroid with click rate 1, and second
+    # price is GSP on it: the kernel's one-slot path and the scalar oracle
+    # must give the greedy path's bits, on random and tied profiles.
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        bids = rng.uniform(0, 2, (300, n))
+        bids[:100] = np.round(bids[:100])
+        bids[100:200] = np.round(bids[100:200], 1)
+        bids[rng.random(bids.shape) < 0.2] = 0.0
+        bids[0] = 0.0
+        for a, b in zip(outcomes(single, bids), outcomes(rate_one, bids)):
+            assert a.tobytes() == b.tobytes(), n
+        for row in bids:
+            a, b = allocate(single, row), allocate(rate_one, row)
+            assert np.array(a.allocations).tobytes() == np.array(b.allocations).tobytes()
+            assert np.array(a.payments).tobytes() == np.array(b.payments).tobytes()
+
+
+@pytest.mark.parametrize(
+    "mech", _KERNEL_MECHANISMS,
+    ids=["first-price", "first-price-polymatroid", "second-price", "gsp-two", "gsp-four"],
+)
+def test_allocate_reads_negative_zero_bids_as_zero(mech):
+    # No -0.0 may come out of the oracle: a GSP charge of rate times a
+    # -0.0 next bid would carry the sign.
+    for n in range(1, 4):
+        for profile in itertools.product([-0.0, 0.0, 0.5, 1.0], repeat=n):
+            signed = allocate(mech, profile)
+            plain = allocate(mech, [b + 0.0 for b in profile])
+            assert np.array(signed.allocations).tobytes() == np.array(plain.allocations).tobytes()
+            assert np.array(signed.payments).tobytes() == np.array(plain.payments).tobytes()

@@ -547,3 +547,17 @@ def test_simulate_pacing_rejects_mixed_environments(other):
     envs = [uniform_opponent_env()] * 5 + [other] * 5
     with pytest.raises(ConfigurationError, match="must share"):
         simulate_pacing(envs, budget=2.5, learning_rate=0.1, mu_cap=4.0)
+
+
+def test_negative_zero_environment_runs_like_positive_zero():
+    # -0.0 among the values and competing bids must not reach a run's
+    # bids and payments: it is read as 0.0 where the environment is built.
+    def env(zero):
+        comp = [[zero, 0.3], [zero, zero]]
+        return EnvironmentStep(gsp([1.0, 0.5]), [0.5, 0.5], [0.8, zero], comp)
+
+    signed = simulate_pacing(env(-0.0), 20.0, 0.1, 4.0, horizon=60, seed=3, replications=2)
+    plain = simulate_pacing(env(0.0), 20.0, 0.1, 4.0, horizon=60, seed=3, replications=2)
+    for a, b in zip(signed, plain):
+        for field in ("multipliers", "values", "bids", "allocations", "payments"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field

@@ -14,6 +14,7 @@ import pytest
 from pacesim import (
     Epoch,
     PacedAgent,
+    Polymatroid,
     ScriptedAgent,
     SimulationConfig,
     Trace,
@@ -201,6 +202,32 @@ def test_stopped_agent_with_dust_left_bids_zero():
     assert np.all(trace.bids[1:, 0] == 0.0)
     assert np.all(trace.allocations[1:] == 0.0)
     assert np.all(np.isnan(trace.multipliers[1:, 0])) and trace.multipliers[0, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [second_price(), first_price(), first_price(Polymatroid((1.0, 0.5))), gsp([1.0, 0.5])],
+    ids=["second-price", "first-price", "first-price-polymatroid", "gsp"],
+)
+def test_negative_zero_values_and_bids_give_the_traces_of_positive_zero(mechanism):
+    # -0.0 in the value profiles and the scripts must not reach a trace:
+    # the auction's payments and allocations would carry its sign.
+    def config(zero):
+        return SimulationConfig(
+            mechanism,
+            (
+                PacedAgent(budget=20.0),
+                ScriptedAgent(budget=20.0, bid=zero),
+                ScriptedAgent(budget=20.0, schedule=((7, 0.5), (20, zero))),
+            ),
+            ValueModel([0.5, 0.5], [[1.0, zero, 0.5], [zero, 0.7, zero]]),
+            horizon=40,
+            seed=5,
+        )
+
+    for signed, plain in zip(replicate(config(-0.0), 2), replicate(config(0.0), 2)):
+        for field in TRACE_FIELDS:
+            assert getattr(signed, field).tobytes() == getattr(plain, field).tobytes(), field
 
 
 class TestTraceInvariants:

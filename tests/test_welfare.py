@@ -1,6 +1,7 @@
 """Liquid welfare reports, the exact ex-ante program against its grid
 oracle, sequence-rule collapsing, and the counterexample scenario."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from pacesim import (
     solve_ex_ante_optimum,
     verify_welfare_bound,
 )
+from pacesim import welfare
 from pacesim.errors import CapacityError, StatisticsError
 from pacesim.welfare import welfare_bound_slack
 
@@ -326,3 +328,81 @@ def test_rule_to_csv_round_trip(tmp_path):
     assert lines[0] == "scenario,agent_0,agent_1"
     parsed = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
     assert np.array_equal(parsed, rule)
+
+
+@pytest.mark.parametrize(
+    "feasible, rows_per_scenario",
+    [(SingleSlot(), 1), (Polymatroid((1.0, 0.6, 0.3)), 16)],
+    ids=["single-slot", "gsp-three-slots"],
+)
+def test_ex_ante_lp_writes_only_the_rank_rows_that_can_bind(
+    monkeypatch, feasible, rows_per_scenario
+):
+    # Two welfare rows per agent, then per scenario the subsets of every
+    # size whose rank is below the full set's (none for the single slot,
+    # sizes 1 and 2 for three slots: 5 + 10) and the full set.
+    shapes = []
+    real_solve = welfare.solve_lp_max
+
+    def recording_solve(c, A, b):
+        shapes.append(A.shape)
+        return real_solve(c, A, b)
+
+    monkeypatch.setattr(welfare, "solve_lp_max", recording_solve)
+    n, S = 5, 3
+    rng = np.random.default_rng(8)
+    model = ValueModel(rng.dirichlet(np.ones(S)), rng.uniform(0.1, 1.0, (S, n)))
+    solve_ex_ante_optimum(model, feasible, [2.0] * n, 10)
+    assert shapes == [(2 * n + rows_per_scenario * S, S * n + n)]
+
+
+def _highs_ex_ante_value(model, feasible, budgets, horizon):
+    """The ex-ante program with one row for every agent subset of every
+    scenario, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    S, n = model.profiles.shape
+    rank = np.cumsum((list(feasible.click_rates) + [0.0] * n)[:n])
+    rows, rhs = [], []
+    for k in range(n):
+        row = np.zeros(S * n + n)
+        row[S * n + k] = 1.0
+        row[k : S * n : n] = -horizon * model.probs * model.profiles[:, k]
+        rows.append(row)
+        rhs.append(0.0)
+    for s in range(S):
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                row = np.zeros(S * n + n)
+                row[[s * n + k for k in subset]] = 1.0
+                rows.append(row)
+                rhs.append(rank[size - 1])
+    c = np.concatenate([np.zeros(S * n), -np.ones(n)])
+    bounds = [(0.0, None)] * (S * n) + [(0.0, float(b)) for b in budgets]
+    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_ex_ante_optimum_matches_highs_over_every_subset():
+    # The pruned rows must leave the optimum of the full program: the
+    # single slot up to 10 agents, polymatroids of 1-4 rates up to 8.
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2024)
+    for trial in range(30):
+        S = int(rng.integers(1, 5))
+        if trial % 3 == 0:
+            n = int(rng.integers(1, 11))
+            feasible = SingleSlot()
+        else:
+            n = int(rng.integers(1, 9))
+            rates = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 5))))[::-1]
+            if rng.random() < 0.3:
+                rates[0] = 1.0
+            feasible = Polymatroid(tuple(rates))
+        model = ValueModel(rng.dirichlet(np.ones(S)), rng.uniform(0.0, 1.0, (S, n)))
+        horizon = int(rng.integers(5, 50))
+        budgets = rng.uniform(0.1, 0.6, n) * horizon
+        rule = solve_ex_ante_optimum(model, feasible, budgets, horizon)
+        reference = _highs_ex_ante_value(model, feasible, budgets, horizon)
+        assert rule.value == pytest.approx(reference, rel=1e-9, abs=1e-12), (trial, feasible, n, S)
