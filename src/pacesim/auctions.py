@@ -130,8 +130,8 @@ def _clean_bids(bids: Sequence[float]) -> list[float]:
     bs = [float(b) + 0.0 for b in bids]  # + 0.0 turns -0.0 into 0.0
     if not bs:
         raise ConfigurationError("empty bid profile")
-    if any(b < 0 for b in bs):
-        raise ConfigurationError("bids must be non-negative")
+    if not all(b >= 0 for b in bs):  # NaN fails this too
+        raise ConfigurationError("bids must be non-negative numbers")
     return bs
 
 

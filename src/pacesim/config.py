@@ -10,7 +10,7 @@ every error carries the best line anchor available from the raw text.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .auctions import FIRST_PRICE, GSP, SECOND_PRICE, Mechanism, Polymatroid, SingleSlot
@@ -62,15 +62,19 @@ def _check_keys(obj: dict, allowed: set, where: str, text: str):
 def _number(obj, key, where, text, minimum=None, integer=False):
     if key not in obj:
         _fail(text, where, f"{where}.{key} is required")
-    val = obj[key]
+    return _real(obj[key], f"{where}.{key}", text, key, minimum, integer)
+
+
+def _real(val, what, text, anchor, minimum=None, integer=False):
+    """A JSON number within float range; bools, strings and null are refused."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(text, key, f"{where}.{key} must be a number")
-    if not math.isfinite(val):
-        _fail(text, key, f"{where}.{key} must be finite, got {val}")
+        _fail(text, anchor, f"{what} must be a number")
+    if not abs(val) <= sys.float_info.max:
+        _fail(text, anchor, f"{what} must be finite, got {val}")
     if integer and int(val) != val:
-        _fail(text, key, f"{where}.{key} must be an integer")
+        _fail(text, anchor, f"{what} must be an integer")
     if minimum is not None and val < minimum:
-        _fail(text, key, f"{where}.{key} must be >= {minimum}")
+        _fail(text, anchor, f"{what} must be >= {minimum}")
     return int(val) if integer else float(val)
 
 
@@ -90,7 +94,8 @@ def _mechanism(doc: dict, text: str) -> Mechanism:
     try:
         if rates is None:
             return Mechanism(kind, SingleSlot())
-        return Mechanism(kind, Polymatroid(tuple(float(a) for a in rates)))
+        rates = tuple(_real(a, "a click rate", text, "click_rates") for a in rates)
+        return Mechanism(kind, Polymatroid(rates))
     except (ConfigurationError, TypeError, ValueError) as exc:
         _fail(text, "click_rates", f"bad click_rates: {exc}")
 
@@ -114,27 +119,26 @@ def _agents(doc: dict, text: str) -> tuple:
             try:
                 if "schedule" in script:
                     schedule = tuple(
-                        (int(u), float(b)) for u, b in script["schedule"]
+                        (_real(u, "a round", text, "schedule", integer=True),
+                         _real(b, "a bid", text, "schedule"))
+                        for u, b in script["schedule"]
                     )
                     specs.append(ScriptedAgent(budget=budget, schedule=schedule))
                 else:
-                    specs.append(ScriptedAgent(budget=budget, bid=float(script["bid"])))
-            except (ConfigurationError, TypeError, ValueError, KeyError, OverflowError) as exc:
+                    bid = _number(script, "bid", f"{where}.script", text)
+                    specs.append(ScriptedAgent(budget=budget, bid=bid))
+            except (ConfigurationError, TypeError, ValueError) as exc:
                 _fail(text, "script", f"bad {where}.script: {exc}")
         else:
             _check_keys(obj, {"budget", "learning_rate", "mu_cap"}, where, text)
             budget = _number(obj, "budget", where, text)
-            lr = obj.get("learning_rate")
-            cap = obj.get("mu_cap")
+            lr, cap = (
+                None if obj.get(key) is None else _number(obj, key, where, text)
+                for key in ("learning_rate", "mu_cap")
+            )
             try:
-                specs.append(
-                    PacedAgent(
-                        budget=budget,
-                        learning_rate=None if lr is None else float(lr),
-                        mu_cap=None if cap is None else float(cap),
-                    )
-                )
-            except (ConfigurationError, TypeError, ValueError) as exc:
+                specs.append(PacedAgent(budget=budget, learning_rate=lr, mu_cap=cap))
+            except ConfigurationError as exc:
                 _fail(text, "budget", f"bad {where}: {exc}")
     return tuple(specs)
 
@@ -161,8 +165,10 @@ def _value_model(doc: dict, text: str, n_agents: int) -> ValueModel:
                 "values",
                 f"support[{i}].values must list one value per agent ({n_agents})",
             )
-        profiles.append([float(v) for v in values])
+        profiles.append([_real(v, f"a support[{i}] value", text, "values") for v in values])
     labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        _fail(text, "labels", "value_model.labels must be a list")
     try:
         return ValueModel(
             probs=probs,
@@ -186,7 +192,7 @@ def validate_scenario(doc: dict, text: str = "") -> Scenario:
     horizon = _number(doc, "horizon", "scenario", text, minimum=0, integer=True)
     seed = 0
     if "seed" in doc:
-        seed = _number(doc, "seed", "scenario", text, integer=True)
+        seed = _number(doc, "seed", "scenario", text, minimum=0, integer=True)
     replications = None
     if "replications" in doc:
         replications = _number(doc, "replications", "scenario", text, minimum=1, integer=True)
@@ -228,7 +234,7 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
         path, raw = assignment.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert
             value = raw
         parts = path.split(".")
         target = doc

@@ -43,10 +43,10 @@ class AgentConfig:
     value_cap: float = 1.0
 
     def __post_init__(self):
-        if not self.budget > 0:
-            raise ConfigurationError("budget must be positive")
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ConfigurationError("horizon must be a positive integer")
+        if not self.target_rate > 0:  # a subnormal budget underflows per round
+            raise ConfigurationError("budget per round must be positive")
         if self.value_cap < 1:
             raise ConfigurationError("value_cap must be at least 1 (rescale values)")
         if self.learning_rate is None:

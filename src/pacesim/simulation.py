@@ -120,6 +120,10 @@ class PacedAgent:
         _check_finite(self, "budget", "learning_rate", "mu_cap")
         if not self.budget > 0:
             raise ConfigurationError("budget must be positive")
+        if self.learning_rate is not None and not self.learning_rate > 0:
+            raise ConfigurationError("learning_rate must be positive")
+        if self.mu_cap is not None and self.mu_cap < 0:
+            raise ConfigurationError("mu_cap must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,8 @@ class ScriptedAgent:
         if self.bid is not None and self.bid < 0:
             raise ConfigurationError("scripted bid must be non-negative")
         if self.schedule is not None:
+            if not self.schedule:
+                raise ConfigurationError("a schedule needs at least one segment")
             last = 0
             for until, bid in self.schedule:
                 if not math.isfinite(bid):
@@ -186,6 +192,9 @@ class SimulationConfig:
                 f"{len(self.agents)} agents but value model has dimension "
                 f"{self.value_model.n_agents}"
             )
+        for k, spec in enumerate(self.agents):
+            if isinstance(spec, PacedAgent) and self.horizon > 0:
+                self.agent_config(k)  # the resolved pacing parameters must be valid
 
     @property
     def n_agents(self) -> int:

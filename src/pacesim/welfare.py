@@ -7,11 +7,11 @@ per-round value).  The min is linearized with one auxiliary welfare
 variable per agent and the resulting LP is solved exactly by the dense
 simplex in `lp`; a frontier grid search over the same program serves as an
 independent oracle on two-agent instances.  Each scenario's allocation
-lies in the polymatroid: every agent subset of size j takes at most r(j),
-the sum of the j largest click rates.  Only the sizes j with r(j) < r(n)
-get subset rows, plus the full set; any other subset's row follows from
-the full-set row and y >= 0, so the single slot keeps just its simplex
-row.
+lies in the polymatroid of the positive click rates alpha_1 >= ... >=
+alpha_m, written without enumerating subsets: y is in it exactly when
+y = D alpha for a nonnegative n x m slot-share matrix D whose rows and
+columns each sum to at most 1 (weak majorization, Marshall-Olkin-Arnold),
+so the LP has n * m share columns and m + n rows per scenario.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .auctions import Polymatroid, SingleSlot, second_price
+from .auctions import Polymatroid, second_price
 from .constants import WELFARE_BOUND_CONSTANT, Z99
 from .errors import (
     CapacityError,
@@ -34,11 +34,8 @@ from .errors import (
 from .lp import solve_lp_max
 from .simulation import ScriptedAgent, SimulationConfig, Trace, ValueModel, run_simulation
 
-#: Largest n * support_size the exact solver accepts.
+#: Largest support_size * n * m (slot-share columns) the exact solver accepts.
 SOLVER_VARIABLE_CAP = 10_000
-
-#: Subset-row generation refuses this many agents or more, but for the single slot.
-POLYMATROID_AGENT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,12 @@ def solve_ex_ante_optimum(
 ) -> ExAnteRule:
     """Maximize ex-ante liquid welfare exactly over per-scenario allocations.
 
-    Variables are one allocation per (scenario, agent) plus one welfare
+    Scenario s shares out the m slots with positive rate among the n agents:
+    D[s, k, j] >= 0 is agent k's share of slot j, every slot and (for m > 1)
+    every agent shares out at most 1, and the allocation is y_s = D_s alpha.
+    Beside these n * m share columns per scenario there is one welfare
     variable w_k per agent with w_k <= budget_k and w_k <= horizon *
-    expected value.  Each scenario gets one row per agent subset whose
-    size j has rank r(j) below r(n), the full set's, plus the full-set
-    row: the rows for the other subsets are implied, so the single slot
-    has only its simplex row and GSP with three slots only sizes 1 and 2.
+    expected value.  `SOLVER_VARIABLE_CAP` bounds the S * n * m share columns.
     """
     S, n = model.support_size, model.n_agents
     b = np.asarray(budgets, dtype=np.float64)
@@ -120,48 +117,35 @@ def solve_ex_ante_optimum(
         raise ConfigurationError("budgets must be non-negative")
     if horizon < 0:
         raise ConfigurationError("horizon must be non-negative")
-    if n * S > SOLVER_VARIABLE_CAP:
-        raise CapacityError(f"{n * S} allocation variables exceed {SOLVER_VARIABLE_CAP}")
-    if not isinstance(feasible, SingleSlot) and n >= POLYMATROID_AGENT_CAP:
-        raise CapacityError(
-            f"polymatroid subset constraints refuse n >= {POLYMATROID_AGENT_CAP}"
-        )
+    alpha = np.array([a for a in feasible.rates(n) if a > 0])
+    m = len(alpha)
+    shares = S * n * m
+    if shares > SOLVER_VARIABLE_CAP:
+        raise CapacityError(f"{shares} allocation variables exceed {SOLVER_VARIABLE_CAP}")
 
     if horizon == 0 or not np.any(model.profiles > 0):
         return ExAnteRule(np.zeros((S, n)), np.zeros(n), 0.0)
 
-    nvars = S * n + n
+    # Rows: w_k <= b_k and w_k - T E[v_k y_k] <= 0 per agent, then per scenario m
+    # slot rows and n agent rows (implied by the slot row when m = 1).  Each
+    # reshape splits only a contiguous axis, so it is a view and writes into A.
+    per_scenario = m + n if m > 1 else m
+    A = np.zeros((2 * n + S * per_scenario, shares + n))
+    A[np.arange(2 * n), shares + np.arange(2 * n) // 2] = 1.0
+    value = -horizon * (model.probs[:, None] * model.profiles)
+    welfare_rows = A[1 : 2 * n : 2, :shares].reshape(n, S, n, m)
+    welfare_rows[np.arange(n), :, np.arange(n)] = np.multiply.outer(value.T, alpha)
+    share_rows = A[2 * n :, :shares].reshape(S, per_scenario, S, n, m)
+    s, j, k = np.arange(S)[:, None], np.arange(m), np.arange(n)
+    share_rows[s, j, s, :, j] = 1.0
+    if m > 1:
+        share_rows[s, m + k, s, k] = 1.0
+    rhs = np.ones(len(A))
+    rhs[: 2 * n] = np.column_stack([b, np.zeros(n)]).ravel()
 
-    def yi(s: int, k: int) -> int:
-        return s * n + k
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add(indices, coeffs, bound):
-        row = np.zeros(nvars)
-        row[list(indices)] = coeffs
-        rows.append(row)
-        rhs.append(bound)
-
-    for k in range(n):
-        add([S * n + k], [1.0], float(b[k]))
-        coeffs = [-horizon * float(model.probs[s] * model.profiles[s, k]) for s in range(S)]
-        add([yi(s, k) for s in range(S)] + [S * n + k], coeffs + [1.0], 0.0)
-
-    rank = np.cumsum(feasible.rates(n))
-    sizes = [j for j in range(1, n) if rank[j - 1] < rank[-1]] + [n]
-    for s in range(S):
-        for size in sizes:
-            for subset in itertools.combinations(range(n), size):
-                add([yi(s, k) for k in subset], [1.0] * size, float(rank[size - 1]))
-
-    c = np.zeros(nvars)
-    c[S * n :] = 1.0
-    sol = solve_lp_max(c, np.array(rows), np.array(rhs))
-    y = np.clip(sol.x[: S * n].reshape(S, n), 0.0, None)
-    w = sol.x[S * n :].copy()
-    return ExAnteRule(y, w, sol.value)
+    sol = solve_lp_max(np.repeat([0.0, 1.0], [shares, n]), A, rhs)
+    D = np.clip(sol.x[:shares].reshape(S, n, m), 0.0, None)
+    return ExAnteRule((D * alpha).sum(axis=2), sol.x[shares:].copy(), sol.value)
 
 
 def _frontier_grid(feasible: Polymatroid, n: int, step: float) -> np.ndarray:

@@ -324,3 +324,20 @@ def test_allocate_reads_negative_zero_bids_as_zero(mech):
             plain = allocate(mech, [b + 0.0 for b in profile])
             assert np.array(signed.allocations).tobytes() == np.array(plain.allocations).tobytes()
             assert np.array(signed.payments).tobytes() == np.array(plain.payments).tobytes()
+
+
+@pytest.mark.parametrize(
+    "mech", _KERNEL_MECHANISMS,
+    ids=["first-price", "first-price-polymatroid", "second-price", "gsp-two", "gsp-four"],
+)
+def test_nan_bids_are_rejected_by_every_scalar_entry_point(mech):
+    nan = float("nan")
+    bids = [1.0, nan, 0.5]
+    with pytest.raises(ConfigurationError):
+        allocate(mech, bids)
+    with pytest.raises(ConfigurationError):
+        check_ir(allocate(mech, [1.0, 0.7, 0.5]), bids)
+    with pytest.raises(ConfigurationError):
+        check_core(mech, bids, {0, 2}, [0.0, 0.0, 0.0])
+    with pytest.raises(ConfigurationError):
+        check_mbb(mech, 0, 0.2, 0.4, [nan, 0.5])

@@ -1,16 +1,28 @@
 """Scenario-file validation and the command-line surface: schemas, dotted
 overrides, exit codes, and byte-identical outputs across worker counts."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacesim.cli import EXIT_INTERNAL, main
 from pacesim.config import SchemaError, apply_overrides, parse_scenario
 from pacesim.errors import IterationLimitError, UnboundedError
-from pacesim.scenarios import BUNDLED, WELFARE_SUITE, load_scenario, regret_environment
+from pacesim.scenarios import (
+    BUNDLED,
+    WELFARE_SUITE,
+    load_scenario,
+    regret_environment,
+    scenario_text,
+)
 from pacesim.simulation import PacedAgent, ScriptedAgent
 
 GOOD = """{
@@ -196,8 +208,12 @@ class TestCliExitCodes:
         assert main(["run", str(tmp_path / "nope.json"), "-o", str(tmp_path)]) == 3
 
     def test_capacity_exits_4(self, tmp_path):
+        # 420 support points x 12 agents x 2 slots = 10,080 share columns.
         agents = ",\n".join('{"budget": 10.0}' for _ in range(12))
-        support = '{"prob": 1.0, "values": [%s]}' % ",".join(["0.5"] * 12)
+        support = ",\n".join(
+            '{"prob": %r, "values": [%s]}' % (1 / 420, ",".join(["0.5"] * 12))
+            for _ in range(420)
+        )
         doc = """{
           "mechanism": {"type": "gsp", "click_rates": [1.0, 0.5]},
           "agents": [%s],
@@ -222,8 +238,32 @@ class TestCliExitCodes:
         assert main(["verify", "concentration", "--trials", trials]) == 2
         assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
 
-    def test_verify_negative_control_exits_1(self):
-        assert main(["verify", "gsp-core", "--negative"]) == 1
+    @pytest.mark.parametrize(
+        "suite", ["concentration", "sgd", "lipschitz-integral", "gsp-core", "mbb-core"]
+    )
+    def test_verify_negative_control_exits_1(self, suite):
+        assert main(["verify", suite, "--negative"]) == 1
+
+    def test_verify_all_negative_runs_only_the_negative_controls(self, monkeypatch, tmp_path):
+        import pacesim.cli as cli
+
+        monkeypatch.setattr(cli, "replicate", lambda *a, **k: pytest.fail("simulated traces"))
+        out = tmp_path / "negative.json"
+        assert main(["verify", "all", "--negative", "-o", str(out)]) == 1
+        checkers = {r["checker"] for r in json.loads(out.read_text())}
+        assert {"gsp_core_negative", "ir_fuzz[gsp]"} <= checkers
+        assert not checkers & {"epoch_value_bound", "stopping_bound"}
+
+    @pytest.mark.parametrize("suite", ["epoch", "stopping"])
+    def test_verify_negative_without_a_control_exits_2(self, capsys, suite):
+        assert main(["verify", suite, "--negative"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has no negative control" in captured.err
+
+    def test_verify_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "concentration", "--trials", "10", "--seed", "-1"]) == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
 
     def test_verify_mbb_core_negative_control_fails_ir(self, capsys):
         # The fuzz over an overcharging kernel: IR fails for every kind.
@@ -389,3 +429,93 @@ def test_dump_curves_writes_segments_in_first_appearance_order(tmp_path):
         block = rows[201 * segment : 201 * (segment + 1)]
         mus = np.array([float(row[1]) for row in block])
         assert [float(row[2]) for row in block] == env.spend(mus).tolist()
+
+
+_ANNOTATED = (
+    GOOD.replace('{"budget": 25.0}', '{"budget": 25.0, "learning_rate": 0.1, "mu_cap": 2.0}')
+    .replace('{"bid": 0.5}', '{"schedule": [[50, 0.5], [100, 0.2]]}')
+    .replace('"support": [', '"labels": ["low", "high"], "support": [')
+)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        'value_model.support.0.values=["a",1]',
+        "value_model.support.0.values=[null,1]",
+        "value_model.support.0.values=[true,1]",
+        "value_model.labels=5",
+        "seed=-3",
+        "agents.1.script.schedule=[]",
+        "agents.0.learning_rate=0",
+        "agents.0.learning_rate=-0.5",
+        "agents.0.mu_cap=-1",
+        "agents.0.budget=5e-324",  # underflows to zero per round
+    ],
+)
+def test_bad_scenario_input_exits_2_with_a_line_anchor(tmp_path, capsys, override):
+    cfg = tmp_path / "annotated.json"
+    cfg.write_text(_ANNOTATED)
+    assert main(["run", str(cfg), "-o", str(tmp_path / "ok")]) == 0
+    code = main(["run", str(cfg), "-o", str(tmp_path / "out"), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert re.match(rf"error: {re.escape(str(cfg))}:\d+: ", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+# Horizons stay at most 20 so that every example simulates in milliseconds.
+_SMALL = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.floats(-3, 20), st.text(max_size=3)
+)
+_LEAF = st.one_of(
+    st.floats(0, 2),  # in range for most leaves, so that many mutants simulate
+    _SMALL,
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(-1, 3)), max_size=3),
+    st.just({}),
+)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    doc = json.loads(scenario_text(draw(st.sampled_from(BUNDLED))))
+    doc["horizon"] = 20
+    leaves = list(_leaf_paths(doc))
+    for path in draw(st.lists(st.sampled_from(leaves), max_size=3)):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(_SMALL if path == ("horizon",) else _LEAF)
+    overrides = []
+    for path in draw(st.lists(st.sampled_from(leaves), max_size=2)):
+        value = draw(_SMALL if path == ("horizon",) else _LEAF)
+        overrides += ["--set", ".".join(map(str, path)) + "=" + json.dumps(value)]
+    return doc, overrides
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_mutated_scenarios())
+def test_mutated_scenarios_run_or_exit_2_with_a_line_anchor(case):
+    doc, overrides = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "mutated.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", cfg, "-R", "1", "--summary-only", "-o", os.path.join(tmp, "out"),
+                         *overrides])
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or (
+        code == 2 and re.match(rf"error: {re.escape(cfg)}:\d+: ", err.getvalue())
+    ), (code, err.getvalue())

@@ -179,9 +179,10 @@ class TestExAnteOptimum:
         )
         with pytest.raises(CapacityError):
             solve_ex_ante_optimum(big_model, SingleSlot(), [1.0] * 112, 10)
-        poly_model = ValueModel([1.0], [np.ones(12) * 0.5])
+        # 100 scenarios x 40 agents x 3 slots = 12,000 share columns.
+        poly_model = ValueModel([1.0 / 100] * 100, np.ones((100, 40)) * 0.5)
         with pytest.raises(CapacityError):
-            solve_ex_ante_optimum(poly_model, Polymatroid((1.0,)), [1.0] * 12, 10)
+            solve_ex_ante_optimum(poly_model, Polymatroid((1.0, 0.6, 0.3)), [1.0] * 40, 10)
 
 
 class TestCollapseSequenceRule:
@@ -331,16 +332,16 @@ def test_rule_to_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "feasible, rows_per_scenario",
-    [(SingleSlot(), 1), (Polymatroid((1.0, 0.6, 0.3)), 16)],
+    "feasible, rows_per_scenario, slots",
+    [(SingleSlot(), 1, 1), (Polymatroid((1.0, 0.6, 0.3)), 8, 3)],
     ids=["single-slot", "gsp-three-slots"],
 )
 def test_ex_ante_lp_writes_only_the_rank_rows_that_can_bind(
-    monkeypatch, feasible, rows_per_scenario
+    monkeypatch, feasible, rows_per_scenario, slots
 ):
-    # Two welfare rows per agent, then per scenario the subsets of every
-    # size whose rank is below the full set's (none for the single slot,
-    # sizes 1 and 2 for three slots: 5 + 10) and the full set.
+    # Two welfare rows per agent, then per scenario one row per slot and,
+    # with more than one slot, one per agent (3 + 5), over one share
+    # column per (scenario, agent, slot) and one welfare column per agent.
     shapes = []
     real_solve = welfare.solve_lp_max
 
@@ -353,7 +354,7 @@ def test_ex_ante_lp_writes_only_the_rank_rows_that_can_bind(
     rng = np.random.default_rng(8)
     model = ValueModel(rng.dirichlet(np.ones(S)), rng.uniform(0.1, 1.0, (S, n)))
     solve_ex_ante_optimum(model, feasible, [2.0] * n, 10)
-    assert shapes == [(2 * n + rows_per_scenario * S, S * n + n)]
+    assert shapes == [(2 * n + rows_per_scenario * S, S * n * slots + n)]
 
 
 def _highs_ex_ante_value(model, feasible, budgets, horizon):
@@ -385,7 +386,7 @@ def _highs_ex_ante_value(model, feasible, budgets, horizon):
 
 
 def test_ex_ante_optimum_matches_highs_over_every_subset():
-    # The pruned rows must leave the optimum of the full program: the
+    # The slot shares must reach the optimum of the full program: the
     # single slot up to 10 agents, polymatroids of 1-4 rates up to 8.
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2024)
@@ -406,3 +407,29 @@ def test_ex_ante_optimum_matches_highs_over_every_subset():
         rule = solve_ex_ante_optimum(model, feasible, budgets, horizon)
         reference = _highs_ex_ante_value(model, feasible, budgets, horizon)
         assert rule.value == pytest.approx(reference, rel=1e-9, abs=1e-12), (trial, feasible, n, S)
+    # Sizes the subset enumeration could not reach: 9-12 agents with up to
+    # as many rates as agents, where every subset of every size can bind.
+    for trial in range(8):
+        S = int(rng.integers(1, 4))
+        n = int(rng.integers(9, 13))
+        rates = np.sort(rng.uniform(0.05, 1.0, int(rng.integers(2, n + 1))))[::-1]
+        feasible = Polymatroid(tuple(rates))
+        model = ValueModel(rng.dirichlet(np.ones(S)), rng.uniform(0.0, 1.0, (S, n)))
+        horizon = int(rng.integers(5, 50))
+        budgets = rng.uniform(0.1, 0.6, n) * horizon
+        rule = solve_ex_ante_optimum(model, feasible, budgets, horizon)
+        reference = _highs_ex_ante_value(model, feasible, budgets, horizon)
+        assert rule.value == pytest.approx(reference, rel=1e-9, abs=1e-12), (trial, feasible, n, S)
+
+
+def test_ex_ante_optimum_scales_to_sixteen_gsp_agents():
+    n, S, horizon = 16, 4, 1_000
+    rng = np.random.default_rng(16)
+    model = ValueModel(rng.dirichlet(np.ones(S)), rng.uniform(0.0, 1.0, (S, n)))
+    budgets = 0.3 * horizon * (model.probs[:, None] * model.profiles).sum(axis=0)
+    feasible = Polymatroid((1.0, 0.6, 0.3))
+    rule = solve_ex_ante_optimum(model, feasible, budgets, horizon)
+    assert all(feasible.contains(y) for y in rule.allocations)
+    assert ex_ante_value(rule.allocations, model, budgets, horizon) == pytest.approx(
+        rule.value, rel=1e-9
+    )
