@@ -6,7 +6,8 @@ over any of them, second price over the single slot, and the generalized
 second-price (GSP) auction over a multi-slot polymatroid; on the single
 slot, second price is GSP.  Everything here is deterministic: ties in bids
 are broken toward the lowest agent index, and a fractional allocation is a
-deterministic fraction of the good, not a lottery.
+deterministic fraction of the good, not a lottery.  Bids must be finite
+and non-negative: the scalar entry points refuse NaN and infinite bids.
 
 Besides the mechanisms themselves, the module ships predicate checkers for
 the three structural properties the rest of the package leans on:
@@ -130,8 +131,8 @@ def _clean_bids(bids: Sequence[float]) -> list[float]:
     bs = [float(b) + 0.0 for b in bids]  # + 0.0 turns -0.0 into 0.0
     if not bs:
         raise ConfigurationError("empty bid profile")
-    if not all(b >= 0 for b in bs):  # NaN fails this too
-        raise ConfigurationError("bids must be non-negative numbers")
+    if not all(0 <= b < math.inf for b in bs):  # NaN fails this too
+        raise ConfigurationError("bids must be finite non-negative numbers")
     return bs
 
 
@@ -142,7 +143,8 @@ def allocate(mechanism: Mechanism, bids: Sequence[float]) -> AuctionOutcome:
     rate, so on the single slot the highest bidder takes the whole slot.
     First price charges each winner rate times its own bid; second price
     and GSP charge rate times the next bid down.  Agents bidding exactly
-    zero never win anything, even when slots remain.
+    zero never win anything, even when slots remain.  Bids must be finite
+    and non-negative; NaN and infinite bids are refused.
     """
     bs = _clean_bids(bids)
     n = len(bs)
@@ -163,13 +165,50 @@ def allocate(mechanism: Mechanism, bids: Sequence[float]) -> AuctionOutcome:
     return AuctionOutcome(tuple(x), tuple(p))
 
 
-@functools.lru_cache(maxsize=64)
-def _row_offsets(rows: int, n: int) -> np.ndarray:
-    """(rows, 1) read-only flat index of each row's first cell in a
-    C-ordered (rows, n) array; adding a column index gives the cell."""
-    offsets = np.arange(0, rows * n, n)[:, None]
-    offsets.flags.writeable = False
-    return offsets
+@functools.lru_cache(maxsize=8)
+def _kernel(mechanism: Mechanism, rows: int, n: int):
+    """kernel(bids, x, z) for (rows, n) arrays, with x and z holding zeros:
+    the allocations and payments of `mechanism`.  Cells are addressed by
+    flat C-order index (row offset plus column), which take and put use
+    whatever the strides; the offsets and rates are (rows, n) arrays, so no
+    operand is broadcast.  The kernel keeps no other state."""
+    offsets = np.arange(0, rows * n, n)
+    first = mechanism.kind == FIRST_PRICE
+    if isinstance(mechanism.feasible, SingleSlot):
+
+        def single_slot(bids, x, z):
+            cell = bids.argmax(axis=1)  # first max: lowest index wins ties
+            cell += offsets
+            wb = bids.take(cell)
+            x.put(cell, wb > 0.0)
+            if first:  # a row without a winner bids +0.0, so it pays +0.0
+                z.put(cell, wb)
+            elif n == 2:  # the lower bid; of equal ones the first, as np.partition
+                z.put(cell, np.minimum(bids[:, 1], bids[:, 0]))
+            elif n > 2:
+                z.put(cell, np.partition(bids, n - 2, axis=1)[:, n - 2])
+
+        return single_slot
+
+    offsets = np.repeat(offsets[:, None], n, axis=1)
+    rates = np.tile(mechanism.feasible.rates(n), (rows, 1))
+
+    def greedy(bids, x, z):
+        cells = np.negative(bids).argsort(axis=1, kind="stable")  # lowest index first on ties
+        cells += offsets
+        sorted_bids = bids.take(cells)
+        xs = np.multiply(rates, sorted_bids > 0.0)
+        x.put(cells, xs)
+        # xs becomes the payments in sorted order: rate times the agent's own
+        # bid (first price) or the next bid (nothing below the last slot).
+        if first:
+            np.multiply(xs, sorted_bids, out=xs)
+        else:
+            np.multiply(xs[:, :-1], sorted_bids[:, 1:], out=xs[:, :-1])
+            xs[:, -1] = 0.0
+        z.put(cells, xs)
+
+    return greedy
 
 
 def outcomes(
@@ -178,53 +217,19 @@ def outcomes(
     """Vectorized `allocate`: allocations and payments, each (rows, n), for
     a (rows, n) bid matrix, one auction per row.
 
-    Same rule, tie-breaking and bits as `allocate`, which stays as the
-    scalar oracle this kernel is tested against; the bids carry no -0.0
-    (every source of values and bids turns it into 0.0), so the two agree
-    on the sign of every zero.  The single slot keeps a faster path of its
-    own.  With out=(x, z), two (rows, n) float arrays, the result is
-    written into them (whatever they held before) and they are returned.
+    Same rule, tie-breaking and bits as `allocate`, the scalar oracle it
+    is tested against.  Bids must be finite and non-negative and carry no
+    -0.0 (every source of values and bids turns it into 0.0), so the two
+    agree on the sign of every zero.  With out=(x, z), two (rows, n) float
+    arrays, whatever they held, the result goes into them and they are
+    returned.  The buffers are zeroed, then filled by the mechanism's
+    cached kernel (`_kernel`); the single slot has a faster one.
     """
     rows, n = bids.shape
     x, z = out or (np.empty_like(bids), np.empty_like(bids))
     x.fill(0.0)
     z.fill(0.0)
-    # Cells are addressed by flat C-order index (row offset plus column),
-    # which take and put read and write whatever the arrays' strides.
-    offsets = _row_offsets(rows, n)
-    if isinstance(mechanism.feasible, SingleSlot):
-        cell = bids.argmax(axis=1)  # first max: lowest index wins ties
-        cell += offsets[:, 0]
-        wb = bids.take(cell)
-        won = wb > 0.0
-        x.put(cell, won)
-        if mechanism.kind == FIRST_PRICE:
-            pay = wb
-        elif n == 2:
-            # The lower of two bids; on equal bids (0.0 and -0.0) the
-            # first, as np.partition picks it.
-            pay = np.minimum(bids[:, 1], bids[:, 0])
-        elif n > 2:
-            pay = np.partition(bids, n - 2, axis=1)[:, n - 2]
-        else:
-            pay = 0.0
-        z.put(cell, np.where(won, pay, 0.0))
-        return x, z
-
-    rates = mechanism.feasible.rates(n)
-    cells = (-bids).argsort(axis=1, kind="stable")  # by bid, lowest index first on ties
-    cells += offsets
-    sorted_bids = bids.take(cells)
-    xs = rates * (sorted_bids > 0.0)
-    x.put(cells, xs)
-    # xs becomes the payments in sorted order: rate times the agent's own
-    # bid (first price) or times the next bid (nothing below the last slot).
-    if mechanism.kind == FIRST_PRICE:
-        np.multiply(xs, sorted_bids, out=xs)
-    else:
-        np.multiply(xs[:, :-1], sorted_bids[:, 1:], out=xs[:, :-1])
-        xs[:, -1] = 0.0
-    z.put(cells, xs)
+    _kernel(mechanism, rows, n)(bids, x, z)
     return x, z
 
 

@@ -105,8 +105,9 @@ def _load_scenario(path: str, overrides: list[str] | None) -> Scenario:
     text = _read_config_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_SCHEMA, f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        line = getattr(exc, "lineno", 1)
+        raise CliError(EXIT_SCHEMA, f"{path}:{line}: invalid JSON: {getattr(exc, 'msg', exc)}")
     try:
         if overrides:
             doc = apply_overrides(doc, overrides)

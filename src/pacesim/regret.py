@@ -27,7 +27,7 @@ import numpy as np
 from .auctions import FIRST_PRICE, SECOND_PRICE, Mechanism, SingleSlot, outcomes
 from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
-from .simulation import _Lockstep, atom_indices
+from .simulation import _RECORD_ROUNDS, _Lockstep, atom_indices
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
@@ -575,16 +575,20 @@ def simulate_pacing(
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
     params[:, k] = 1.0, budget, learning_rate, budget / T, mu_cap
     game = _Lockstep(R, T, params[0] == 1.0, *params[1:])
-    others = np.zeros((R, n_opp + 1))  # opponents' bids around the focal column
-    # The round's multipliers, bids, x, z and opening budgets, all columns.
-    played = np.empty((5, R, n_opp + 1))
-    out = tuple(played)
-    for t in range(T):
-        others[:, :k] = comp[:, t, :k]
-        others[:, k + 1 :] = comp[:, t, k:]
-        game.play(t, first.mechanism, values[:, t, None], others, out)
-        record[0, :, t] = played[0, :, k]  # multipliers
-        record[2:, :, t] = played[1:4, :, k]  # bids, x, z
+    # A record block of all columns: the agent's values (in every column)
+    # and the opponents' bids around it in; multipliers, budgets, b, x, z out.
+    B = min(_RECORD_ROUNDS, T)
+    vals, others = np.empty((2, B, R, n_opp + 1))
+    mus, rems = np.empty((2, B + 1, R, n_opp + 1))
+    played = np.empty((3, B, R, n_opp + 1))  # bids, x, z
+    for t0 in range(0, T, _RECORD_ROUNDS):
+        t1 = min(t0 + B, T)
+        vals[: t1 - t0] = values[:, t0:t1].T[:, :, None]
+        others[: t1 - t0, :, :k] = comp[:, t0:t1, :k].transpose(1, 0, 2)
+        others[: t1 - t0, :, k + 1 :] = comp[:, t0:t1, k:].transpose(1, 0, 2)
+        game.play(t0, first.mechanism, vals[: t1 - t0], others, mus, rems, *played)
+        record[0, :, t0:t1] = mus[: t1 - t0, :, k].T
+        record[2:, :, t0:t1] = played[:, : t1 - t0, :, k].transpose(0, 2, 1)
     for r in range(R):
         record[0, r, game.stop_round[r, k] - 1 :] = np.nan  # no multiplier once stopped
     return [

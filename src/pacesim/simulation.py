@@ -8,17 +8,20 @@ budgets) is kept as a Trace.
 
 Replications run in lockstep as rows of vectorized state arrays, one
 counter-based RNG substream per replication, so a batch of runs of any
-chunk size is bit-identical to running each replication alone.  One round
-of that lockstep (bids, the auction, the projected multiplier update and
+chunk size is bit-identical to running each replication alone.  The
+lockstep round (bids, the auction, the projected multiplier update and
 budget exhaustion) is _Lockstep.play, which regret.simulate_pacing plays
-too, its agent the one paced column.  play writes the round into buffers
-its caller owns, here the rows of a small time-major record block, with no
-temporaries of its own.  Each replication's trace arrays are allocated up
-front and filled from that block every _RECORD_ROUNDS rounds, so a chunk
-holds its record once; replicate sizes its chunks from the _CHUNK_BYTES
-memory budget.  The block holds multipliers unmasked; each trace then
-gets NaN, once, where it has none: in the scripted columns, and in each
-paced agent's column from its stop on.
+too, its agent the one paced column.  One play call runs a whole record
+block of _RECORD_ROUNDS rounds, time-major, into buffers its caller owns;
+the state lives in the block's B + 1 rows of multipliers and opening
+budgets, round j reading row j and writing row j + 1, and x and z are
+zeroed once a block.  Each replication's trace arrays are allocated up
+front and filled from the block, so a chunk holds its record once;
+replicate sizes its chunks from the _CHUNK_BYTES memory budget.  The block
+holds multipliers unmasked and a stopped agent's budget state as 0; each
+trace then gets, once, NaN multipliers in the scripted columns and, in
+each paced agent's column from its stop on, NaN multipliers and its true
+budget.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .auctions import Mechanism, outcomes
+from .auctions import Mechanism, _kernel
 from .errors import ConfigurationError
 from .pacing import EXHAUSTION_FRACTION, AgentConfig
 
@@ -283,66 +286,70 @@ def _chunk_rows(config: SimulationConfig) -> int:
 
 
 class _Lockstep:
-    """Pacing state of `rows` runs of n agents in lockstep; per-agent
-    parameters are (n,) arrays, NaN where unused.  One play is one round:
-    paced agents bid value/(1 + mu) (0 once stopped) and unpaced ones their
-    given bid, clamped to the remaining budget; the mechanism runs; live
-    paced agents take the projected multiplier step and stop once their
-    budget falls below EXHAUSTION_FRACTION of the start.
+    """Pacing state of `rows` runs of n agents in lockstep.  Each round,
+    paced agents bid value/(1 + mu) and unpaced ones their given bid,
+    clamped to the budget state; the mechanism runs; paced agents take the
+    projected multiplier step and stop once their budget falls below
+    EXHAUSTION_FRACTION of the start.
 
-    play writes the round into the caller's (rows, n) buffers, updates its
-    state in place, and leaves allocating to the auction kernel's small
-    index temporaries.  It records every multiplier as it stands; the
-    caller masks them once per trace, writing NaN into the unpaced columns
-    and into each paced agent's column from round stop_round - 1 on
-    (counting rounds from 0)."""
+    The per-agent parameters are (rows, n) arrays built once, so no operand
+    of a round is broadcast; every cell takes the multiplier step, and the
+    stop threshold is -inf where no stop can come.  A stopping agent's
+    budget state becomes 0, so the clamp makes it bid 0 and pay 0.0 from
+    then on; `frozen` keeps its true opening budget.  The caller writes NaN
+    multipliers into the unpaced columns, and NaN multipliers and the frozen
+    budget into each paced column from round stop_round - 1 on (from 0)."""
 
     def __init__(self, rows, horizon, paced, budgets, eps, rho, mu_cap):
-        self.unpaced = ~paced
+        shape = (rows, len(budgets))
+        self.budgets, self.closed = budgets, 0
+        self.unpaced = np.tile(~paced, (rows, 1))
         self.any_unpaced = bool(self.unpaced.any())
-        self.eps, self.rho, self.mu_cap = eps, rho, mu_cap
-        self.thresh = EXHAUSTION_FRACTION * budgets
-        self.mu = np.zeros((rows, len(budgets)))
-        self.remaining = np.tile(budgets, (rows, 1))
-        self.pacing = np.tile(paced, (rows, 1))  # paced and not yet stopped
-        self.halted = np.zeros(self.mu.shape, dtype=bool)  # paced and stopped
-        self.halted_any = False
-        self.stop_round = np.full(self.mu.shape, horizon + 1, dtype=np.int64)
-        self._step = np.empty(self.mu.shape)
-        self._low = np.zeros(self.mu.shape, dtype=bool)
+        self.eps, self.rho, self.mu_cap = (np.tile(a, (rows, 1)) for a in (eps, rho, mu_cap))
+        self.thresh = np.tile(np.where(paced, EXHAUSTION_FRACTION * budgets, -np.inf), (rows, 1))
+        self.frozen = np.zeros(shape)
+        self.stop_round = np.full(shape, horizon + 1, dtype=np.int64)
+        self.step, self.newly = np.empty(shape), np.empty(shape, dtype=bool)
 
-    def play(self, t: int, mechanism: Mechanism, values, bids, out) -> None:
-        """Round t (from 0) for values (paced) and bids (unpaced) that
-        broadcast to (rows, n).  Writes its multipliers, bids, allocations,
-        payments and opening budgets into out, five (rows, n) arrays."""
-        mu_out, b, x, z, remaining_out = out
-        mu, remaining, pacing, step = self.mu, self.remaining, self.pacing, self._step
-        np.copyto(mu_out, mu)
-        np.copyto(remaining_out, remaining)
-        np.add(mu, 1.0, out=b)
-        np.divide(values, b, out=b)
-        if self.any_unpaced:
-            np.copyto(b, bids, where=self.unpaced)
-        np.minimum(b, remaining, out=b)
-        if self.halted_any:
-            np.copyto(b, 0.0, where=self.halted)
-        outcomes(mechanism, b, out=(x, z))
-        # mu <- clip(mu - eps * (rho - z), 0, mu_cap) where pacing
-        np.subtract(self.rho, z, out=step)
-        np.multiply(self.eps, step, out=step)
-        np.subtract(mu, step, out=step)
-        np.maximum(step, 0.0, out=step)
-        np.minimum(step, self.mu_cap, out=step)
-        np.copyto(mu, step, where=pacing)
-        np.subtract(remaining, z, out=remaining)
-        newly = self._low
-        np.less(remaining, self.thresh, out=newly, where=pacing)
-        if np.count_nonzero(newly):
-            self.stop_round[newly] = t + 2
-            pacing ^= newly  # newly is a subset of pacing
-            self.halted |= newly
-            self.halted_any = True
-            newly.fill(False)
+    def play(self, t0, mechanism, values, bids, mus, rems, b, x, z) -> None:
+        """Rounds t0 ... t0 + nb - 1 (from 0), one record block, for values
+        (paced agents) and bids (unpaced ones, or None), each (nb, rows, n).
+        Round j reads row j of the multipliers mus and opening budgets rems
+        and writes row j + 1; row 0 is the start for t0 == 0, else the row
+        the last block closed on, so every block passes the same buffers.
+        Bids, allocations and payments go to row j of b, x and z."""
+        nb = len(values)
+        mus[0], rems[0] = (0.0, self.budgets) if t0 == 0 else (mus[self.closed], rems[self.closed])
+        self.closed = nb
+        x[:nb] = 0.0
+        z[:nb] = 0.0
+        kernel = _kernel(mechanism, *self.eps.shape)
+        add, divide, subtract, multiply, minimum, maximum, less, copyto, count = (
+            np.add, np.divide, np.subtract, np.multiply, np.minimum, np.maximum, np.less,
+            np.copyto, np.count_nonzero)
+        eps, rho, mu_cap, thresh, step, newly = (
+            self.eps, self.rho, self.mu_cap, self.thresh, self.step, self.newly)
+        bids, unpaced = (bids, self.unpaced) if self.any_unpaced else (None, None)
+        for j in range(nb):
+            mu, mu_next, rem, rem_next, bj, zj = mus[j], mus[j + 1], rems[j], rems[j + 1], b[j], z[j]
+            add(mu, 1.0, out=bj)
+            divide(values[j], bj, out=bj)
+            if bids is not None:
+                copyto(bj, bids[j], where=unpaced)
+            minimum(bj, rem, out=bj)
+            kernel(bj, x[j], zj)
+            # mu <- clip(mu - eps * (rho - z), 0, mu_cap)
+            subtract(rho, zj, out=step)
+            multiply(eps, step, out=step)
+            subtract(mu, step, out=mu_next)
+            maximum(mu_next, 0.0, out=mu_next)
+            minimum(mu_next, mu_cap, out=mu_next)
+            subtract(rem, zj, out=rem_next)
+            if count(less(rem_next, thresh, out=newly)):
+                self.stop_round[newly] = t0 + j + 2
+                self.frozen[newly] = rem_next[newly]
+                rem_next[newly] = 0.0
+                thresh[newly] = -np.inf
 
 
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:
@@ -363,31 +370,33 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
 
     game = _Lockstep(rc, T, paced, budgets, eps, rho, mu_cap)
 
-    # Each replication owns its six (T, n) arrays; rounds are recorded into
-    # one small time-major block and copied out block by block, so the
-    # chunk never holds a second copy of its record.  play writes each
-    # round straight into the block's row views.
+    # Each replication owns its six (T, n) arrays; the rounds of each
+    # record block (in _TRACE_FIELDS order) are copied out to them.
     records = [[np.empty((T, n)) for _ in _TRACE_FIELDS] for _ in range(rc)]
-    block = np.empty((len(_TRACE_FIELDS), min(_RECORD_ROUNDS, T), rc, n))
-    rec_v = block[0]
-    round_out = [tuple(block[1:, j]) for j in range(block.shape[1])]
+    B = min(_RECORD_ROUNDS, T)
+    values, b, x, z = np.empty((4, B, rc, n))
+    mus, rems = np.empty((2, B + 1, rc, n))
+    block = (values, mus, b, x, z, rems)
+    scripts = np.empty((B, rc, n)) if game.any_unpaced else None  # the unpaced bids
 
     profiles = config.value_model.profiles
     for t0 in range(0, T, _RECORD_ROUNDS):
-        t1 = min(t0 + _RECORD_ROUNDS, T)
-        np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=rec_v[: t1 - t0])
-        for j, t in enumerate(range(t0, t1)):
-            game.play(t, config.mechanism, rec_v[j], script_bids[t], round_out[j])
+        t1 = min(t0 + B, T)
+        np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=values[: t1 - t0])
+        if scripts is not None:
+            scripts[: t1 - t0] = script_bids[t0:t1, None]
+        game.play(t0, config.mechanism, values[: t1 - t0], scripts, mus, rems, b, x, z)
         for r, arrays in enumerate(records):
-            for f, array in enumerate(arrays):
-                array[t0:t1] = block[f, : t1 - t0, r]
+            for array, rows in zip(arrays, block):
+                array[t0:t1] = rows[: t1 - t0, r]
 
-    # Multipliers exist only for paced agents while they are live.
-    for r, arrays in enumerate(records):
-        multipliers = arrays[1]
+    # Multipliers exist only for paced agents while they are live, and a
+    # stopped agent's opening budget stays where it stopped.
+    for r, (_v, multipliers, _b, _x, _z, remaining) in enumerate(records):
         multipliers[:, ~paced] = np.nan
         for k in np.flatnonzero(paced):
             multipliers[game.stop_round[r, k] - 1 :, k] = np.nan
+            remaining[game.stop_round[r, k] - 1 :, k] = game.frozen[r, k]
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
     return [

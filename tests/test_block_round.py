@@ -1,0 +1,239 @@
+"""The lockstep round played a record block at a time: agents that stop on
+a block's edges, and cached outcome kernels that share no state."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from pacesim import (
+    EnvironmentStep,
+    PacedAgent,
+    Polymatroid,
+    ScriptedAgent,
+    SimulationConfig,
+    ValueModel,
+    allocate,
+    check_core,
+    check_ir,
+    check_mbb,
+    first_price,
+    gsp,
+    replicate,
+    second_price,
+    simulate_pacing,
+)
+from pacesim.auctions import outcomes
+from pacesim.errors import ConfigurationError
+from pacesim.pacing import EXHAUSTION_FRACTION, AgentConfig, compute_bid, init_state, update
+from pacesim.simulation import _RECORD_ROUNDS
+
+TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
+DUST_PRICE = 1.0 - 1e-13
+
+# (horizon, round from 0 in which agent 0 stops): the last round of the
+# first record block, the first round of the second, and the horizon's
+# last round, inside a block and at the end of a full one.
+STOPS = [
+    (300, _RECORD_ROUNDS - 1),
+    (300, _RECORD_ROUNDS),
+    (300, 299),
+    (2 * _RECORD_ROUNDS, 2 * _RECORD_ROUNDS - 1),
+]
+
+
+def _stop_config(horizon, stop):
+    """Agent 0 is paced with a budget of stop + 1 and bids at least 1.2
+    until its budget binds: it wins every round, paying the scripted
+    opponent's 1.0, until round `stop`, where its last 1.0 of budget meets
+    a price of 1 - 1e-13 and leaves dust below the exhaustion threshold.
+    Agent 1, paced, bids below 1 and wins against the script's 0.5 only
+    once agent 0 has stopped."""
+    return SimulationConfig(
+        second_price(),
+        (
+            PacedAgent(budget=stop + 1.0, mu_cap=4.0),
+            PacedAgent(budget=horizon / 8, learning_rate=0.05),
+            ScriptedAgent(
+                budget=1e6, schedule=((stop, 1.0), (stop + 1, DUST_PRICE), (horizon + 1, 0.5))
+            ),
+        ),
+        ValueModel([0.6, 0.4], [[10.0, 0.95, 0.0], [6.0, 0.6, 0.0]]),
+        horizon=horizon,
+        seed=17,
+    )
+
+
+def _market_replay(config, seed_child):
+    """Round-by-round replay through the scalar allocate and the pacing
+    state transition, remaining budgets included."""
+    T, n = config.horizon, config.n_agents
+    rng = np.random.Generator(np.random.Philox(seed_child))
+    idx = config.value_model.sample_indices(rng, T)
+    states = {
+        k: init_state(config.agent_config(k))
+        for k, spec in enumerate(config.agents) if isinstance(spec, PacedAgent)
+    }
+    scripted = {
+        k: spec.budget for k, spec in enumerate(config.agents) if isinstance(spec, ScriptedAgent)
+    }
+    rows = {f: np.zeros((T, n)) for f in TRACE_FIELDS}
+    stop_rounds = np.full(n, T + 1)
+    for t in range(T):
+        values = config.value_model.profiles[idx[t]]
+        bids = []
+        for k in range(n):
+            if k in scripted:
+                rows["multipliers"][t, k] = math.nan
+                rows["remaining_budgets"][t, k] = scripted[k]
+                bids.append(min(config.agents[k].bids_over(T)[t], scripted[k]))
+            else:
+                state = states[k]
+                rows["remaining_budgets"][t, k] = state.remaining_budget
+                if stop_rounds[k] <= t + 1:
+                    rows["multipliers"][t, k] = math.nan
+                    bids.append(0.0)
+                else:
+                    rows["multipliers"][t, k] = state.multiplier
+                    bids.append(compute_bid(state, float(values[k])))
+        outcome = allocate(config.mechanism, bids)
+        for k in range(n):
+            rows["values"][t, k] = values[k]
+            rows["bids"][t, k] = bids[k]
+            rows["allocations"][t, k] = outcome.allocations[k]
+            rows["payments"][t, k] = outcome.payments[k]
+            if k in scripted:
+                scripted[k] -= outcome.payments[k]
+            elif stop_rounds[k] > t + 1:
+                states[k] = state = update(states[k], outcome.payments[k])
+                if state.remaining_budget < EXHAUSTION_FRACTION * state.config.budget:
+                    stop_rounds[k] = t + 2
+    return rows, stop_rounds
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("horizon, stop", STOPS, ids=lambda v: str(v))
+def test_replicate_stop_on_a_block_edge_matches_one_row_chunks_and_scalar_replay(horizon, stop):
+    config = _stop_config(horizon, stop)
+    chunked = replicate(config, 4)
+    single = replicate(config, 4, chunk_size=1)
+    children = np.random.SeedSequence(config.seed).spawn(4)
+    for trace, one, child in zip(chunked, single, children):
+        rows, stop_rounds = _market_replay(config, child)
+        assert trace.stop_rounds[0] == stop + 2
+        assert np.array_equal(trace.stop_rounds, stop_rounds)
+        assert np.array_equal(one.stop_rounds, stop_rounds)
+        for field in TRACE_FIELDS:
+            assert _same_bits(getattr(trace, field), rows[field]), field
+            assert _same_bits(getattr(one, field), rows[field]), field
+        if stop + 1 < horizon:
+            # The dust a stopped agent keeps is its opening budget to the end.
+            dust = trace.remaining_budgets[stop + 1 :, 0]
+            assert np.all(dust == dust[0]) and 0.0 < dust[0] < 1e-12
+            assert np.all(trace.bids[stop + 1 :, 0] == 0.0)
+            assert np.any(trace.allocations[stop + 1 :, 1] > 0.0)
+
+
+def _pacing_envs(horizon, stop):
+    """The same construction for simulate_pacing: the agent pays the one
+    opponent's 1.0 until round `stop`, where it leaves dust."""
+    def env(price):
+        return EnvironmentStep(second_price(), [0.6, 0.4], [10.0, 6.0], [[price], [price]])
+
+    return [env(1.0)] * stop + [env(DUST_PRICE)] + [env(0.5)] * (horizon - stop - 1)
+
+
+def _pacing_replay(envs, budget, learning_rate, mu_cap, seed_child):
+    T = len(envs)
+    cfg = AgentConfig(budget=budget, horizon=T, learning_rate=learning_rate, mu_cap=mu_cap,
+                      value_cap=max(env.value_cap for env in envs))
+    rng = np.random.Generator(np.random.Philox(seed_child))
+    atom_u = rng.random(T)
+    rng.random((T, envs[0].n_opponents))  # the noise draws; eta is 0
+    rows = {f: np.zeros(T) for f in ("multipliers", "values", "bids", "allocations", "payments")}
+    state, stop_round = init_state(cfg), T + 1
+    for t, env in enumerate(envs):
+        atom = int(np.searchsorted(np.cumsum(env.probs), atom_u[t], side="right"))
+        value = float(env.values[min(atom, env.n_atoms - 1)])
+        if stop_round <= t + 1:
+            mu, bid = math.nan, 0.0
+        else:
+            mu, bid = state.multiplier, compute_bid(state, value)
+        outcome = allocate(env.mechanism, [bid, float(env.competing_bids[0][0])])
+        for f, v in zip(rows, (mu, value, bid, outcome.allocations[0], outcome.payments[0])):
+            rows[f][t] = v
+        if stop_round > t + 1:
+            state = update(state, outcome.payments[0])
+            if state.remaining_budget < EXHAUSTION_FRACTION * budget:
+                stop_round = t + 2
+    return rows, stop_round
+
+
+@pytest.mark.parametrize("horizon, stop", STOPS, ids=lambda v: str(v))
+def test_simulate_pacing_stop_on_a_block_edge_matches_scalar_replay(horizon, stop):
+    envs = _pacing_envs(horizon, stop)
+    budget, learning_rate, mu_cap = stop + 1.0, 0.05, 4.0
+    runs = simulate_pacing(envs, budget, learning_rate, mu_cap, seed=9, replications=3)
+    (one,) = simulate_pacing(envs, budget, learning_rate, mu_cap, seed=9, replications=1)
+    children = np.random.SeedSequence(9).spawn(3)
+    for r, (run, child) in enumerate(zip(runs, children)):
+        rows, stop_round = _pacing_replay(envs, budget, learning_rate, mu_cap, child)
+        assert run.stop_round == stop_round == stop + 2
+        for field, expected in rows.items():
+            assert _same_bits(getattr(run, field), expected), (r, field)
+            if r == 0:
+                assert _same_bits(getattr(one, field), expected), field
+
+
+_MECHANISMS = [
+    first_price(),
+    first_price(Polymatroid((0.9, 0.4, 0.2))),
+    second_price(),
+    gsp([1.0, 0.5]),
+    gsp([0.8, 0.6, 0.3, 0.1]),
+]
+
+
+def test_cached_kernels_share_no_state():
+    # Calls alternate between mechanisms and row counts, so that each
+    # kernel is fetched from the cache between calls of the others; every
+    # result must equal the scalar oracle's, byte for byte.
+    rng = np.random.default_rng(41)
+    cases = []
+    for mech, rows, n in itertools.product(_MECHANISMS, (1, 7, 64), (1, 3, 5)):
+        bids = np.round(rng.uniform(0, 2, (rows, n)), 1)
+        bids[rng.random(bids.shape) < 0.25] = 0.0
+        expected = [allocate(mech, row) for row in bids]
+        cases.append((mech, bids, np.array([o.allocations for o in expected]),
+                      np.array([o.payments for o in expected])))
+    for _ in range(3):
+        for mech, bids, x_ref, z_ref in cases:
+            x, z = outcomes(mech, bids)
+            assert x.tobytes() == x_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+        for mech, bids, x_ref, z_ref in reversed(cases):
+            buffers = (np.full(bids.shape, 7.0), np.full(bids.shape, -0.0))
+            x, z = outcomes(mech, bids, out=buffers)
+            assert x.tobytes() == x_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mech", _MECHANISMS,
+    ids=["first-price", "first-price-polymatroid", "second-price", "gsp-two", "gsp-four"],
+)
+def test_infinite_bids_are_rejected_by_every_scalar_entry_point(mech):
+    inf = math.inf
+    bids = [1.0, inf, 0.5]
+    with pytest.raises(ConfigurationError):
+        allocate(mech, bids)
+    with pytest.raises(ConfigurationError):
+        check_ir(allocate(mech, [1.0, 0.7, 0.5]), bids)
+    with pytest.raises(ConfigurationError):
+        check_core(mech, bids, {0, 2}, [0.0, 0.0, 0.0])
+    with pytest.raises(ConfigurationError):
+        check_mbb(mech, 0, 0.2, 0.4, [inf, 0.5])
+    with pytest.raises(ConfigurationError):
+        check_mbb(mech, 0, 0.2, inf, [1.0, 0.5])

@@ -519,3 +519,70 @@ def test_mutated_scenarios_run_or_exit_2_with_a_line_anchor(case):
     assert code == 0 or (
         code == 2 and re.match(rf"error: {re.escape(cfg)}:\d+: ", err.getvalue())
     ), (code, err.getvalue())
+
+
+def test_huge_integer_literal_exits_2_with_a_line_anchor(tmp_path, capsys):
+    # json.loads refuses integers of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError.
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(GOOD.replace('"horizon": 100', '"horizon": ' + "7" * 5001))
+    code = main(["run", str(cfg), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {cfg}:1: invalid JSON: "), err
+    assert "Traceback" not in err
+    with pytest.raises(SchemaError) as raised:
+        parse_scenario(cfg.read_text())
+    assert raised.value.line == 1
+
+
+# One agent, and one support point, a line; every error names its own line.
+_ONE_PER_LINE = """{
+  "mechanism": {"type": "first_price"},
+  "agents": [
+    {"budget": 25.0, "learning_rate": 0.1},
+    {"budget": 20.0, "learning_rate": 0.2, "mu_cap": 3.0},
+    {"budget": 10.0, "script": {"bid": 0.5}}
+  ],
+  "value_model": {"support": [
+    {"prob": 0.5, "values": [1.0, 0.5, 0.0]},
+    {"prob": 0.5, "values": [0.5, 1.0, 0.5]}
+  ]},
+  "horizon": 50
+}"""
+
+
+@pytest.mark.parametrize(
+    "override, line",
+    [
+        ("agents.1.learning_rate=-1", 5),
+        ("agents.1.mu_cap=-1", 5),
+        ("agents.1.budget=0", 5),
+        ("agents.1.learning_rate=true", 5),
+        ("agents.2.budget=-1", 6),
+        ("agents.2.script.bid=-1", 6),
+        ("value_model.support.1.values=[true,1,0]", 10),
+        ("value_model.support.1.values=[1,1]", 10),
+        ("value_model.support.1.prob=-0.5", 10),
+        ("horizon=-1", 12),
+    ],
+)
+def test_errors_are_anchored_at_the_entry_at_fault(tmp_path, capsys, override, line):
+    cfg = tmp_path / "lines.json"
+    cfg.write_text(_ONE_PER_LINE)
+    assert main(["run", str(cfg), "-o", str(tmp_path / "ok"), "--summary-only"]) == 0
+    code = main(["run", str(cfg), "-o", str(tmp_path / "out"), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {cfg}:{line}: "), err
+
+
+def test_error_in_the_file_itself_is_anchored_at_its_entry():
+    bad = _ONE_PER_LINE.replace('"learning_rate": 0.2', '"learning_rate": -1')
+    with pytest.raises(SchemaError, match="learning_rate") as raised:
+        parse_scenario(bad)
+    assert raised.value.line == 5
+    bad = _ONE_PER_LINE.replace("[0.5, 1.0, 0.5]", '[0.5, "x", 0.5]')
+    with pytest.raises(SchemaError) as raised:
+        parse_scenario(bad)
+    assert raised.value.line == 10
