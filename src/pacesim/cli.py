@@ -105,7 +105,7 @@ def _load_scenario(path: str, overrides: list[str] | None) -> Scenario:
     text = _read_config_text(path)
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also an integer too long, or deep nesting
         line = getattr(exc, "lineno", 1)
         raise CliError(EXIT_SCHEMA, f"{path}:{line}: invalid JSON: {getattr(exc, 'msg', exc)}")
     try:

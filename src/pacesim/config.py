@@ -52,7 +52,7 @@ def _line_of(text: str, path: tuple) -> int | None:
     override may have replaced the rest); None without a text."""
     if not text.strip():
         return None
-    pos = _SPACE.match(text).end()
+    pos, found = _SPACE.match(text).end(), None
     try:
         for part in path:  # find member `part` of the object or array at pos
             i, index, found = _SPACE.match(text, pos + 1).end(), 0, None
@@ -67,8 +67,9 @@ def _line_of(text: str, path: tuple) -> int | None:
             if found is None:
                 break
             pos = found
-    except (LookupError, ValueError):
-        pass
+    except (LookupError, ValueError, RecursionError):  # malformed, or nested too deeply
+        if found is not None:  # the member found before the scan stopped
+            pos = found
     return text.count("\n", 0, pos) + 1
 
 
@@ -248,15 +249,15 @@ def validate_scenario(doc: dict, text: str = "") -> Scenario:
             horizon=horizon,
             seed=seed,
         )
-    except ConfigurationError as exc:
-        raise SchemaError(str(exc), 1)
+    except ConfigurationError as exc:  # anchored at the entry at fault, if it says which
+        raise SchemaError(str(exc), _line_of(text, exc.path) or 1)
     return Scenario(config=config, replications=replications, smoothing_eta=eta, doc=doc)
 
 
 def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also an integer too long, or deep nesting
         raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1))
     return validate_scenario(doc, text)
 
@@ -273,6 +274,8 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
             value = json.loads(raw)
         except ValueError:  # not JSON, or an integer too long to convert
             value = raw
+        except RecursionError:
+            raise SchemaError(f"override {path!r}: value nested too deeply") from None
         parts = path.split(".")
         target = doc
         for i, part in enumerate(parts[:-1]):

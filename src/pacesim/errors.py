@@ -7,7 +7,14 @@ ValueError deep inside a module.
 
 
 class ConfigurationError(ValueError):
-    """A mechanism, agent, scenario, or bid profile is malformed."""
+    """A mechanism, agent, scenario, or bid profile is malformed.
+
+    path, when known, locates the entry at fault in a scenario document:
+    its keys and list indices, say ("agents", 1)."""
+
+    def __init__(self, message: str, path: tuple = ()):
+        super().__init__(message)
+        self.path = path
 
 
 class PreconditionError(ValueError):

@@ -4,7 +4,10 @@ Value profiles are drawn i.i.d. across rounds from a finite-support joint
 distribution, every agent submits a bid, the mechanism allocates and
 charges, and each pacing agent updates its multiplier.  The full per-round
 record (values, multipliers, bids, allocations, payments, remaining
-budgets) is kept as a Trace.
+budgets) is a Trace.  The engine records values, multipliers, allocations
+and payments; bids and remaining budgets are exact functions of those, so
+each trace derives them on first read, with the round's own ufuncs in the
+round's order.
 
 Replications run in lockstep as rows of vectorized state arrays, one
 counter-based RNG substream per replication, so a batch of runs of any
@@ -15,17 +18,18 @@ too, its agent the one paced column.  One play call runs a whole record
 block of _RECORD_ROUNDS rounds, time-major, into buffers its caller owns;
 the state lives in the block's B + 1 rows of multipliers and opening
 budgets, round j reading row j and writing row j + 1, and x and z are
-zeroed once a block.  Each replication's trace arrays are allocated up
-front and filled from the block, so a chunk holds its record once;
-replicate sizes its chunks from the _CHUNK_BYTES memory budget.  The block
-holds multipliers unmasked and a stopped agent's budget state as 0; each
+zeroed once a block.  Each replication's recorded arrays are allocated up
+front; its values are taken from the profiles in one call, and its
+multipliers, allocations and payments are filled from the block, so a
+chunk holds its record once; replicate sizes its chunks from the
+_CHUNK_BYTES memory budget.  The block holds multipliers unmasked; each
 trace then gets, once, NaN multipliers in the scripted columns and, in
-each paced agent's column from its stop on, NaN multipliers and its true
-budget.
+each paced agent's column, from its stop on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -197,7 +201,10 @@ class SimulationConfig:
             )
         for k, spec in enumerate(self.agents):
             if isinstance(spec, PacedAgent) and self.horizon > 0:
-                self.agent_config(k)  # the resolved pacing parameters must be valid
+                try:
+                    self.agent_config(k)  # the resolved pacing parameters must be valid
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"agent {k}: {exc}", ("agents", k)) from exc
 
     @property
     def n_agents(self) -> int:
@@ -217,6 +224,27 @@ class SimulationConfig:
         )
 
 
+class _Derived:
+    """A Trace field that may be given as a function of the trace: the
+    first read calls it and caches the array in its place.  The value is
+    stored under the field's own name in the instance dict, so
+    Trace(**trace.__dict__) copies a trace whether or not it was read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            raise AttributeError(self.name)  # no class-level default: the field stays required
+        value = trace.__dict__[self.name]
+        if callable(value):
+            value = trace.__dict__[self.name] = value(trace)
+        return value
+
+    def __set__(self, trace, value):
+        trace.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Trace:
     """Per-round record of one simulation run.
@@ -225,14 +253,21 @@ class Trace:
     and for paced agents after they stop.  remaining_budgets holds each
     agent's budget at the start of the round.  stop_rounds is the first
     round an agent could no longer bid (horizon + 1 if it never ran out).
+
+    values, multipliers, allocations and payments are recorded.  bids and
+    remaining_budgets may be given as arrays (load_trace does) or, as the
+    engine gives them, as functions of the trace, computed on first read
+    and cached: remaining_budgets from budgets and payments
+    (_opening_budgets), bids from values, multipliers, remaining_budgets
+    and stop_rounds plus the scripted agents' bids (_derived_bids).
     """
 
     values: np.ndarray
     multipliers: np.ndarray
-    bids: np.ndarray
+    bids: np.ndarray = _Derived()
     allocations: np.ndarray
     payments: np.ndarray
-    remaining_budgets: np.ndarray
+    remaining_budgets: np.ndarray = _Derived()
     budgets: np.ndarray
     agent_kinds: tuple[str, ...]
     target_rates: np.ndarray
@@ -253,6 +288,35 @@ class Trace:
 
 #: The Trace's per-round (T, n) arrays, in the order of the CSV's value columns.
 _TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
+#: The fields the engine copies out of each record block; values come from
+#: the profiles and the other two fields are derived.
+_RECORDED = ("multipliers", "allocations", "payments")
+
+
+def _opening_budgets(trace: Trace) -> np.ndarray:
+    """Each agent's budget at the start of each round: the budget less the
+    payments before it, subtracted one round at a time as the round does
+    (a stopped agent pays +0.0, so its last budget carries forward)."""
+    out = np.empty(trace.payments.shape)
+    if len(out):
+        out[0] = trace.budgets
+        out[1:] = trace.payments[:-1]
+        np.subtract.accumulate(out, axis=0, out=out)
+    return out
+
+
+def _derived_bids(script_bids: np.ndarray, trace: Trace) -> np.ndarray:
+    """The bids the round made: value/(1 + mu) for paced agents and the
+    script for the others (script_bids, (T, n), read in the scripted
+    columns), clamped to the opening budget; 0 from a paced agent's stop on."""
+    bids = np.add(trace.multipliers, 1.0)
+    np.divide(trace.values, bids, out=bids)
+    paced = np.array(trace.agent_kinds) == "paced"
+    bids[:, ~paced] = script_bids[:, ~paced]
+    np.minimum(bids, trace.remaining_budgets, out=bids)
+    for k in np.flatnonzero(paced):
+        bids[trace.stop_rounds[k] - 1 :, k] = 0.0
+    return bids
 
 
 def _resolve_params(config: SimulationConfig):
@@ -275,7 +339,8 @@ def _resolve_params(config: SimulationConfig):
 #: Rounds recorded into the shared time-major block before it is copied
 #: out to each replication's own trace arrays.
 _RECORD_ROUNDS = 256
-#: Trace memory one replicate chunk may hold: six float64 (T, n) arrays a row.
+#: Trace memory one replicate chunk may hold: six float64 (T, n) arrays a row,
+#: so a caller that reads the derived fields too stays within it.
 _CHUNK_BYTES = 160 * 2**20
 
 
@@ -296,9 +361,8 @@ class _Lockstep:
     of a round is broadcast; every cell takes the multiplier step, and the
     stop threshold is -inf where no stop can come.  A stopping agent's
     budget state becomes 0, so the clamp makes it bid 0 and pay 0.0 from
-    then on; `frozen` keeps its true opening budget.  The caller writes NaN
-    multipliers into the unpaced columns, and NaN multipliers and the frozen
-    budget into each paced column from round stop_round - 1 on (from 0)."""
+    then on.  The caller writes NaN multipliers into the unpaced columns,
+    and into each paced column from round stop_round - 1 on (from 0)."""
 
     def __init__(self, rows, horizon, paced, budgets, eps, rho, mu_cap):
         shape = (rows, len(budgets))
@@ -307,7 +371,6 @@ class _Lockstep:
         self.any_unpaced = bool(self.unpaced.any())
         self.eps, self.rho, self.mu_cap = (np.tile(a, (rows, 1)) for a in (eps, rho, mu_cap))
         self.thresh = np.tile(np.where(paced, EXHAUSTION_FRACTION * budgets, -np.inf), (rows, 1))
-        self.frozen = np.zeros(shape)
         self.stop_round = np.full(shape, horizon + 1, dtype=np.int64)
         self.step, self.newly = np.empty(shape), np.empty(shape, dtype=bool)
 
@@ -347,7 +410,6 @@ class _Lockstep:
             subtract(rem, zj, out=rem_next)
             if count(less(rem_next, thresh, out=newly)):
                 self.stop_round[newly] = t0 + j + 2
-                self.frozen[newly] = rem_next[newly]
                 rem_next[newly] = 0.0
                 thresh[newly] = -np.inf
 
@@ -370,16 +432,17 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
 
     game = _Lockstep(rc, T, paced, budgets, eps, rho, mu_cap)
 
-    # Each replication owns its six (T, n) arrays; the rounds of each
-    # record block (in _TRACE_FIELDS order) are copied out to them.
-    records = [[np.empty((T, n)) for _ in _TRACE_FIELDS] for _ in range(rc)]
+    # Each replication owns its (T, n) arrays: values taken from the
+    # profiles, and the _RECORDED fields copied out of each record block.
+    profiles = config.value_model.profiles
+    taken = [profiles.take(i, axis=0) for i in idx]
+    records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]
     B = min(_RECORD_ROUNDS, T)
     values, b, x, z = np.empty((4, B, rc, n))
     mus, rems = np.empty((2, B + 1, rc, n))
-    block = (values, mus, b, x, z, rems)
+    block = (mus, x, z)
     scripts = np.empty((B, rc, n)) if game.any_unpaced else None  # the unpaced bids
 
-    profiles = config.value_model.profiles
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + B, T)
         np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=values[: t1 - t0])
@@ -390,18 +453,20 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
             for array, rows in zip(arrays, block):
                 array[t0:t1] = rows[: t1 - t0, r]
 
-    # Multipliers exist only for paced agents while they are live, and a
-    # stopped agent's opening budget stays where it stopped.
-    for r, (_v, multipliers, _b, _x, _z, remaining) in enumerate(records):
+    # Multipliers exist only for paced agents while they are live.
+    for r, (multipliers, _x, _z) in enumerate(records):
         multipliers[:, ~paced] = np.nan
         for k in np.flatnonzero(paced):
             multipliers[game.stop_round[r, k] - 1 :, k] = np.nan
-            remaining[game.stop_round[r, k] - 1 :, k] = game.frozen[r, k]
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
+    bids = functools.partial(_derived_bids, script_bids)
     return [
         Trace(
-            **dict(zip(_TRACE_FIELDS, arrays)),
+            values=taken[r],
+            **dict(zip(_RECORDED, arrays)),
+            bids=bids,
+            remaining_budgets=_opening_budgets,
             budgets=budgets.copy(),
             agent_kinds=kinds,
             target_rates=rho.copy(),

@@ -1,11 +1,15 @@
 """The lockstep round played a record block at a time: agents that stop on
-a block's edges, and cached outcome kernels that share no state."""
+a block's edges, the bids and opening budgets each trace derives from its
+record, and cached outcome kernels that share no state."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacesim import (
     EnvironmentStep,
@@ -21,9 +25,11 @@ from pacesim import (
     first_price,
     gsp,
     replicate,
+    run_simulation,
     second_price,
     simulate_pacing,
 )
+from pacesim import simulation
 from pacesim.auctions import outcomes
 from pacesim.errors import ConfigurationError
 from pacesim.pacing import EXHAUSTION_FRACTION, AgentConfig, compute_bid, init_state, update
@@ -136,6 +142,94 @@ def test_replicate_stop_on_a_block_edge_matches_one_row_chunks_and_scalar_replay
             assert np.all(dust == dust[0]) and 0.0 < dust[0] < 1e-12
             assert np.all(trace.bids[stop + 1 :, 0] == 0.0)
             assert np.any(trace.allocations[stop + 1 :, 1] > 0.0)
+
+
+_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def _random_markets(draw):
+    """One to three agents, each paced or scripted (a constant bid or a
+    schedule), on budgets small enough that agents run out, under any of
+    the three mechanisms, at horizons on and around a record block."""
+    horizon = draw(st.sampled_from([0, 1, _RECORD_ROUNDS - 1, _RECORD_ROUNDS, _RECORD_ROUNDS + 1]))
+    n = draw(st.integers(1, 3))
+    agents = []
+    for _ in range(n):
+        budget = draw(st.sampled_from([0.3, 2.0, 20.0, 200.0]))
+        kind = draw(st.sampled_from(["paced", "bid", "schedule"]))
+        if kind == "paced":
+            rate = draw(st.sampled_from([None, 0.05, 0.5]))
+            agents.append(PacedAgent(budget=budget, learning_rate=rate))
+        elif kind == "bid":
+            agents.append(ScriptedAgent(budget=budget, bid=draw(_VALUES)))
+        else:
+            cut = draw(st.integers(1, 300))
+            segments = ((cut, draw(_VALUES)), (cut + draw(st.integers(1, 300)), draw(_VALUES)))
+            agents.append(ScriptedAgent(budget=budget, schedule=segments))
+    support = draw(st.integers(1, 3))
+    model = ValueModel(
+        [1.0 / support] * support, [[draw(_VALUES) for _ in range(n)] for _ in range(support)]
+    )
+    mechanism = draw(st.sampled_from([second_price(), first_price(), gsp([1.0, 0.5])]))
+    config = SimulationConfig(mechanism, tuple(agents), model, horizon, draw(st.integers(0, 999)))
+    return config, None
+
+
+@st.composite
+def _stopping_markets(draw):
+    """_stop_config with agent 0 stopping at a drawn round: the first, one
+    inside the block, or the horizon's last."""
+    horizon = draw(st.sampled_from([_RECORD_ROUNDS - 1, _RECORD_ROUNDS, _RECORD_ROUNDS + 1]))
+    stop = draw(st.sampled_from([1, horizon // 2, horizon - 1]) | st.integers(1, horizon - 1))
+    config = dataclasses.replace(_stop_config(horizon, stop), seed=draw(st.integers(0, 999)))
+    return config, stop
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_random_markets() | _stopping_markets())
+def test_derived_bids_and_opening_budgets_match_the_scalar_replay(case):
+    config, stop = case
+    T, n = config.horizon, config.n_agents
+    traces = replicate(config, 3)
+    children = np.random.SeedSequence(config.seed).spawn(3)
+    for trace, child in zip(traces, children):
+        if T:
+            rows, stop_rounds = _market_replay(config, child)
+        else:  # paced agents have no pacing parameters to replay at horizon 0
+            rows, stop_rounds = {f: np.zeros((0, n)) for f in TRACE_FIELDS}, np.ones(n)
+        assert np.array_equal(trace.stop_rounds, stop_rounds)
+        if stop is not None:
+            assert trace.stop_rounds[0] == stop + 2
+        for field in TRACE_FIELDS:  # bit for bit: signed zeros and NaNs count
+            assert _same_bits(getattr(trace, field), rows[field]), field
+
+
+def test_derived_fields_are_computed_once_into_arrays_of_their_own(monkeypatch):
+    calls = []
+    for name in ("_opening_budgets", "_derived_bids"):
+        def counted(*args, name=name, derive=getattr(simulation, name)):
+            calls.append(name)
+            return derive(*args)
+
+        monkeypatch.setattr(simulation, name, counted)
+    trace = replicate(_stop_config(300, 100), 2)[1]
+    assert calls == []
+    bids = trace.bids  # reads the opening budgets too
+    assert trace.bids is bids
+    assert trace.remaining_budgets is trace.remaining_budgets
+    assert sorted(calls) == ["_derived_bids", "_opening_budgets"]
+    for array in (trace.bids, trace.remaining_budgets):
+        assert array.flags.c_contiguous and array.flags.owndata and array.flags.writeable
+
+
+def test_replace_carries_the_derived_arrays_it_read():
+    trace = run_simulation(_stop_config(300, 100))
+    other = dataclasses.replace(trace, payments=np.zeros_like(trace.payments))
+    assert other.bids is trace.bids
+    assert other.remaining_budgets is trace.remaining_budgets
+    # Derived again from no payments, every budget would still be whole.
+    assert not np.array_equal(other.remaining_budgets[-1], other.budgets)
 
 
 def _pacing_envs(horizon, stop):

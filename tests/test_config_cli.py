@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacesim.cli import EXIT_INTERNAL, main
-from pacesim.config import SchemaError, apply_overrides, parse_scenario
+from pacesim.config import SchemaError, _line_of, apply_overrides, parse_scenario
 from pacesim.errors import IterationLimitError, UnboundedError
 from pacesim.scenarios import (
     BUNDLED,
@@ -558,6 +558,7 @@ _ONE_PER_LINE = """{
         ("agents.1.learning_rate=-1", 5),
         ("agents.1.mu_cap=-1", 5),
         ("agents.1.budget=0", 5),
+        ("agents.1.budget=5e-324", 5),  # refused by the resolved pacing parameters
         ("agents.1.learning_rate=true", 5),
         ("agents.2.budget=-1", 6),
         ("agents.2.script.bid=-1", 6),
@@ -586,3 +587,40 @@ def test_error_in_the_file_itself_is_anchored_at_its_entry():
     with pytest.raises(SchemaError) as raised:
         parse_scenario(bad)
     assert raised.value.line == 10
+
+
+#: Nested far past the recursion limit: json.loads raises RecursionError,
+#: which is no ValueError.
+_DEEP = "[" * 10**5 + "]" * 10**5
+
+
+def test_deep_nesting_exits_2_with_a_line_anchor(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(GOOD.replace('"horizon": 100', '"horizon": ' + _DEEP))
+    code = main(["run", str(cfg), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {cfg}:1: invalid JSON: "), err
+    with pytest.raises(SchemaError, match="invalid JSON") as raised:
+        parse_scenario(cfg.read_text())
+    assert raised.value.line == 1
+
+
+def test_deeply_nested_override_exits_2_with_a_line_anchor(tmp_path, capsys):
+    cfg = tmp_path / "good.json"
+    cfg.write_text(GOOD)
+    code = main(["run", str(cfg), "-o", str(tmp_path / "out"), "--set", "horizon=" + _DEEP])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {cfg}:1: override 'horizon': value nested too deeply"), err
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        apply_overrides(json.loads(GOOD), ["agents.0.budget=" + _DEEP])
+
+
+def test_line_of_stops_at_a_value_too_deep_to_scan():
+    # The scan of the top-level object stops at the horizon's value: what it
+    # found by then is the anchor.
+    text = GOOD.replace('"horizon": 100', '"horizon": ' + _DEEP)
+    assert _line_of(text, ("horizon",)) == 11
+    assert _line_of(text, ("agents", 1)) == 3
+    assert _line_of(text, ("seed",)) == 1
