@@ -44,7 +44,8 @@ class Polymatroid:
     A profile is feasible when, for every subset of agents, its total
     allocation is at most the sum of the largest click rates it could
     occupy; rates beyond the slot count contribute zero.  Sorting the
-    profile reduces the subset test to prefix sums.
+    profile reduces the subset test to prefix sums.  An error's path is
+    ("click_rates", j) for the rate at fault.
     """
 
     click_rates: tuple[float, ...]
@@ -53,13 +54,11 @@ class Polymatroid:
         rates = tuple(float(a) for a in self.click_rates)
         object.__setattr__(self, "click_rates", rates)
         if not rates:
-            raise ConfigurationError("polymatroid needs at least one click rate")
-        if not all(math.isfinite(a) for a in rates):
-            raise ConfigurationError("click rates must be finite")
-        if rates[0] > 1 + 1e-12 or min(rates) < -1e-12:
-            raise ConfigurationError("click rates must lie in [0, 1]")
-        if any(b > a + 1e-12 for a, b in zip(rates, rates[1:])):
-            raise ConfigurationError("click rates must be non-increasing")
+            raise ConfigurationError("polymatroid needs at least one click rate", ("click_rates",))
+        for j, a in enumerate(rates):  # NaN fails the comparison
+            if not -1e-12 <= a <= (rates[j - 1] if j else 1.0) + 1e-12:
+                message = "click rates must be finite, lie in [0, 1] and be non-increasing"
+                raise ConfigurationError(f"{message}, got {a}", ("click_rates", j))
 
     def rates(self, n: int) -> np.ndarray:
         """The click rates of the n best slots, zero-padded to length n."""
@@ -92,21 +91,26 @@ class SingleSlot(Polymatroid):
 
 @dataclass(frozen=True)
 class Mechanism:
-    """An auction rule together with the feasible set it allocates over."""
+    """An auction rule together with the feasible set it allocates over;
+    an error's path is ("type",) or ("click_rates",), as in a scenario."""
 
     kind: str
     feasible: Polymatroid
 
     def __post_init__(self):
         if self.kind not in (FIRST_PRICE, SECOND_PRICE, GSP):
-            raise ConfigurationError(f"unknown mechanism kind {self.kind!r}")
+            raise ConfigurationError(f"unknown mechanism kind {self.kind!r}", ("type",))
         if not isinstance(self.feasible, Polymatroid):
             raise ConfigurationError("the feasible set must be a polymatroid")
         single = isinstance(self.feasible, SingleSlot)
         if self.kind == SECOND_PRICE and not single:
-            raise ConfigurationError("second-price requires a single-slot feasible set")
+            raise ConfigurationError(
+                "second-price requires a single-slot feasible set", ("click_rates",)
+            )
         if self.kind == GSP and single:
-            raise ConfigurationError("GSP requires a polymatroid other than the single slot")
+            raise ConfigurationError(
+                "GSP requires a polymatroid other than the single slot", ("click_rates",)
+            )
 
 
 def first_price(feasible: Polymatroid | None = None) -> Mechanism:

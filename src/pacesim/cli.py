@@ -27,7 +27,7 @@ import traceback
 import numpy as np
 
 from . import scenarios, verify
-from .config import Scenario, SchemaError, apply_overrides, validate_scenario
+from .config import Scenario, SchemaError, anchored, apply_overrides, decode_json, validate_scenario
 from .constants import Z99
 from .errors import (
     CapacityError,
@@ -101,20 +101,10 @@ def _read_config_text(path: str) -> str:
         raise CliError(EXIT_IO, f"no such config file or bundled scenario: {path}")
 
 
-def _load_scenario(path: str, overrides: list[str] | None) -> Scenario:
+def _load_scenario(path: str, overrides: list[str]) -> tuple[Scenario, str]:
+    """The scenario at path with the --set overrides applied, and its text."""
     text = _read_config_text(path)
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer too long, or deep nesting
-        line = getattr(exc, "lineno", 1)
-        raise CliError(EXIT_SCHEMA, f"{path}:{line}: invalid JSON: {getattr(exc, 'msg', exc)}")
-    try:
-        if overrides:
-            doc = apply_overrides(doc, overrides)
-        return validate_scenario(doc, text)
-    except SchemaError as exc:
-        line = getattr(exc, "line", None) or 1
-        raise CliError(EXIT_SCHEMA, f"{path}:{line}: {exc}")
+    return validate_scenario(apply_overrides(decode_json(text), overrides), text), text
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -144,7 +134,7 @@ def _replications(args, scenario: Scenario, default: int) -> int:
 
 
 def cmd_run(args) -> int:
-    scenario = _load_scenario(args.config, args.set)
+    scenario, _text = _load_scenario(args.config, args.set)
     config = scenario.config
     reps = _replications(args, scenario, 1)
     try:
@@ -196,7 +186,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_welfare(args) -> int:
-    scenario = _load_scenario(args.config, args.set)
+    scenario, _text = _load_scenario(args.config, args.set)
     config = scenario.config
     reps = _replications(args, scenario, 200)
     if reps < 2:
@@ -253,16 +243,21 @@ def cmd_welfare(args) -> int:
 # regret
 
 
-def _at_horizon(scenario: Scenario, T: int, **fields) -> Scenario:
+def _at_horizon(scenario: Scenario, T: int, text: str = "", **fields) -> Scenario:
     """The scenario at horizon T, each budget scaled by T over its own
-    horizon (keeping the per-round target), with the given top-level
-    fields replaced."""
+    horizon (which must be positive, keeping the per-round target), with
+    the given top-level fields replaced; errors are anchored in text, the
+    scenario's own."""
+    if scenario.config.horizon < 1:
+        raise ConfigurationError(
+            f"regret needs a horizon of at least 1, got {scenario.config.horizon}", ("horizon",)
+        )
     doc = copy.deepcopy(scenario.doc)
     doc["horizon"] = T
     for agent_doc in doc["agents"]:
         agent_doc["budget"] = agent_doc["budget"] * T / scenario.config.horizon
     doc.update(fields)
-    return validate_scenario(doc)
+    return validate_scenario(doc, text)
 
 
 def _parse_horizons(raw: str | None, default: int) -> list[int]:
@@ -278,36 +273,32 @@ def _parse_horizons(raw: str | None, default: int) -> list[int]:
 
 
 def cmd_regret(args) -> int:
-    scenario = _load_scenario(args.config, args.set)
-    # Budgets are rescaled per round of the scenario's own horizon.
-    if scenario.config.horizon < 1:
-        raise CliError(
-            EXIT_SCHEMA, f"regret needs a horizon of at least 1, got {scenario.config.horizon}"
-        )
+    scenario, text = _load_scenario(args.config, args.set)
     horizons = _parse_horizons(args.horizons, scenario.config.horizon)
     reps = _replications(args, scenario, 20)
 
     per_horizon = []
     last = None
     for T in horizons:
-        scen = _at_horizon(scenario, T)
-        try:
-            agent, envs, params = scenarios.regret_environment(scen)
-        except EnvironmentError_ as exc:
-            raise CliError(EXIT_ENV, str(exc))
-        eps = params["learning_rate"] if len(horizons) == 1 else 1.0 / math.sqrt(T)
-        try:
-            runs = simulate_pacing(
-                envs,
-                budget=params["budget"],
-                learning_rate=eps,
-                mu_cap=params["mu_cap"],
-                seed=scen.config.seed,
-                replications=reps,
-            )
-            reports = dynamic_regret_batch(runs, envs, params["target_rate"], params["mu_cap"])
-        except (PreconditionError, ConfigurationError, SmoothingRequiredError) as exc:
-            raise CliError(EXIT_SCHEMA, str(exc))
+        with anchored(text):  # regret's own refusals of the scenario, at the line at fault
+            scen = _at_horizon(scenario, T, text)
+            try:
+                agent, envs, params = scenarios.regret_environment(scen)
+            except EnvironmentError_ as exc:
+                raise CliError(EXIT_ENV, str(exc))
+            eps = params["learning_rate"] if len(horizons) == 1 else 1.0 / math.sqrt(T)
+            try:
+                runs = simulate_pacing(
+                    envs,
+                    budget=params["budget"],
+                    learning_rate=eps,
+                    mu_cap=params["mu_cap"],
+                    seed=scen.config.seed,
+                    replications=reps,
+                )
+                reports = dynamic_regret_batch(runs, envs, params["target_rate"], params["mu_cap"])
+            except SmoothingRequiredError as exc:  # the spend curve steps: smoothing.eta is short
+                raise ConfigurationError(str(exc), ("smoothing", "eta")) from exc
         value_regrets = np.array([r.value_regret for r in reports])
         sgd_regrets = np.array([r.sgd_regret for r in reports])
         entry = {
@@ -636,6 +627,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except SchemaError as exc:  # raised for the scenario file alone
+        print(f"error: {args.config}:{exc.line or 1}: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -643,7 +637,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENV
     except (
-        SchemaError,
         ConfigurationError,
         PreconditionError,
         SmoothingRequiredError,

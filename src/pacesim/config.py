@@ -2,44 +2,59 @@
 
 Sections: mechanism {type, click_rates}, agents (paced {budget,
 learning_rate, mu_cap} or scripted {budget, script}), value_model
-{support: [{prob, values}]}, horizon, seed, and the optional replications
-and smoothing {eta}.  Validation is strict: unknown keys are rejected and
-every error is anchored at the line of the offending value, found by its
-dotted path (say agents.1.learning_rate) in the raw text.
+{support: [{prob, values}], labels}, horizon, seed, and the optional
+replications and smoothing {eta}.
+
+This module checks the JSON's shape only: objects, lists and numbers (no
+bools) where they belong, no unknown or missing key, one value per agent,
+numbers a float can hold.  Every rule on a value (finite, sign, range,
+integer, order, sum, consistency) lives on the dataclass that holds it,
+which raises ConfigurationError with the value's path; `anchored` reports
+either kind of error at the line of its path in the raw text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import sys
 from dataclasses import dataclass
 
-from .auctions import FIRST_PRICE, GSP, SECOND_PRICE, Mechanism, Polymatroid, SingleSlot
+from .auctions import Mechanism, Polymatroid, SingleSlot
 from .errors import ConfigurationError
 from .simulation import (
     PacedAgent,
     ScriptedAgent,
     SimulationConfig,
     ValueModel,
+    _check_number,
 )
 
 
 class SchemaError(ConfigurationError):
+    """A scenario error at a line of the document's text (None without one)."""
+
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
 
 
 _TOP_KEYS = {"mechanism", "agents", "value_model", "horizon", "seed", "replications", "smoothing"}
-_REQUIRED = {"mechanism", "agents", "value_model", "horizon"}
+_REQUIRED = ("mechanism", "agents", "value_model", "horizon")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A simulation and the document's run settings, if given: a positive
+    integer of replications and a finite, non-negative bid-noise width."""
+
     config: SimulationConfig
     replications: int | None
     smoothing_eta: float | None
     doc: dict
+
+    def __post_init__(self):
+        _check_number(self, "replications", positive=True, integer=True)
+        _check_number(self, "smoothing_eta", path=("smoothing", "eta"))
 
 
 _DECODER = json.JSONDecoder()
@@ -73,193 +88,151 @@ def _line_of(text: str, path: tuple) -> int | None:
     return text.count("\n", 0, pos) + 1
 
 
-def _fail(text: str, path: tuple, message: str):
-    raise SchemaError(message, _line_of(text, path))
+def _name(path: tuple) -> str:
+    """A path as the messages spell it: agents[1].budget."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:] or "scenario"
 
 
-def _check_keys(obj: dict, allowed: set, where: str, text: str, path: tuple):
-    for key in obj:
-        if key not in allowed:
-            _fail(text, path + (key,), f"unknown key {key!r} in {where}")
-
-
-def _number(obj, key, where, text, path, minimum=None, integer=False):
-    if key not in obj:
-        _fail(text, path, f"{where}.{key} is required")
-    return _real(obj[key], f"{where}.{key}", text, path + (key,), minimum, integer)
-
-
-def _real(val, what, text, path, minimum=None, integer=False):
-    """A JSON number within float range; bools, strings and null are refused."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(text, path, f"{what} must be a number")
-    if not abs(val) <= sys.float_info.max:
-        _fail(text, path, f"{what} must be finite, got {val}")
-    if integer and int(val) != val:
-        _fail(text, path, f"{what} must be an integer")
-    if minimum is not None and val < minimum:
-        _fail(text, path, f"{what} must be >= {minimum}")
-    return int(val) if integer else float(val)
-
-
-def _mechanism(doc: dict, text: str) -> Mechanism:
-    obj = doc["mechanism"]
-    path = ("mechanism",)
-    if not isinstance(obj, dict):
-        _fail(text, path, "mechanism must be an object")
-    _check_keys(obj, {"type", "click_rates"}, "mechanism", text, path)
-    kind = obj.get("type")
-    if kind not in (FIRST_PRICE, SECOND_PRICE, GSP):
-        _fail(text, path + ("type",), f"mechanism.type must be one of first_price, second_price, gsp")
-    rates = obj.get("click_rates")
-    path += ("click_rates",)
-    if kind == SECOND_PRICE and rates is not None:
-        _fail(text, path, "second_price does not take click_rates")
-    if kind == GSP and rates is None:
-        _fail(text, ("mechanism",), "gsp requires click_rates")
+@contextlib.contextmanager
+def anchored(text: str, at: tuple = ()):
+    """Raise a ConfigurationError from the block as a SchemaError at the
+    line, in the document text, of the value at `at` + the error's path.
+    Below the root, the message names the object at `at`."""
     try:
-        if rates is None:
-            return Mechanism(kind, SingleSlot())
-        rates = tuple(_real(a, "a click rate", text, path + (j,)) for j, a in enumerate(rates))
-        return Mechanism(kind, Polymatroid(rates))
-    except SchemaError as exc:
-        raise SchemaError(f"bad click_rates: {exc}", exc.line)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        _fail(text, path, f"bad click_rates: {exc}")
+        yield
+    except SchemaError:  # anchored in an inner block
+        raise
+    except ConfigurationError as exc:
+        message = f"bad {_name(at)}: {exc}" if at else str(exc)
+        raise SchemaError(message, _line_of(text, at + exc.path)) from exc
 
 
-def _agents(doc: dict, text: str) -> tuple:
-    items = doc["agents"]
-    if not isinstance(items, list) or not items:
-        _fail(text, ("agents",), "agents must be a non-empty list")
-    specs = []
-    for i, obj in enumerate(items):
-        where = f"agents[{i}]"
-        path = ("agents", i)
-        if not isinstance(obj, dict):
-            _fail(text, path, f"{where} must be an object")
-        if "script" in obj:
-            _check_keys(obj, {"budget", "script"}, where, text, path)
-            script = obj["script"]
-            spath = path + ("script",)
-            if not isinstance(script, dict):
-                _fail(text, spath, f"{where}.script must be an object")
-            _check_keys(script, {"bid", "schedule"}, f"{where}.script", text, spath)
-            budget = _number(obj, "budget", where, text, path)
-            try:
-                if "schedule" in script:
-                    seg = spath + ("schedule",)
-                    schedule = tuple(
-                        (_real(u, "a round", text, seg + (j, 0), integer=True),
-                         _real(b, "a bid", text, seg + (j, 1)))
-                        for j, (u, b) in enumerate(script["schedule"])
-                    )
-                    specs.append(ScriptedAgent(budget=budget, schedule=schedule))
-                else:
-                    bid = _number(script, "bid", f"{where}.script", text, spath)
-                    specs.append(ScriptedAgent(budget=budget, bid=bid))
-            except SchemaError as exc:
-                raise SchemaError(f"bad {where}.script: {exc}", exc.line)
-            except ConfigurationError as exc:
-                field = path + ("budget",) if str(exc).startswith("budget") else spath
-                _fail(text, field, f"bad {where}.script: {exc}")
-            except (TypeError, ValueError) as exc:  # a schedule entry that is no pair
-                _fail(text, spath + ("schedule",), f"bad {where}.script: {exc}")
-        else:
-            _check_keys(obj, {"budget", "learning_rate", "mu_cap"}, where, text, path)
-            budget = _number(obj, "budget", where, text, path)
-            lr, cap = (
-                None if obj.get(key) is None else _number(obj, key, where, text, path)
-                for key in ("learning_rate", "mu_cap")
-            )
-            try:
-                specs.append(PacedAgent(budget=budget, learning_rate=lr, mu_cap=cap))
-            except ConfigurationError as exc:
-                _fail(text, path + (str(exc).split()[0],), f"bad {where}: {exc}")  # the field
-    return tuple(specs)
+def _need(ok, path: tuple, message: str) -> None:
+    if not ok:
+        raise ConfigurationError(f"{_name(path)} {message}", path)
 
 
-def _value_model(doc: dict, text: str, n_agents: int) -> ValueModel:
-    obj = doc["value_model"]
+def _object(node, path: tuple, keys) -> dict:
+    """node, a JSON object with no key outside keys."""
+    _need(isinstance(node, dict), path, "must be an object")
+    for key in node:
+        if key not in keys:
+            raise ConfigurationError(f"unknown key {key!r} in {_name(path)}", path + (key,))
+    return node
+
+
+def _real(val, path: tuple, integer: bool = False):
+    """A JSON number a float can hold: a float, or as given if integer."""
+    _need(not isinstance(val, bool) and isinstance(val, (int, float)), path, "must be a number")
+    try:
+        real = float(val)
+    except OverflowError:  # an integer beyond float range
+        raise ConfigurationError(f"{_name(path)} must be finite, got {val}", path) from None
+    return val if integer else real
+
+
+def _number(obj: dict, key: str, path: tuple, integer: bool = False):
+    _need(key in obj, path + (key,), "is required")
+    return _real(obj[key], path + (key,), integer)
+
+
+def _mechanism(obj, text: str) -> Mechanism:
+    path = ("mechanism",)
+    _object(obj, path, {"type", "click_rates"})
+    rates = obj.get("click_rates")
+    if rates is not None:
+        _need(isinstance(rates, list), path + ("click_rates",), "must be a list")
+        rates = tuple(_real(a, path + ("click_rates", j)) for j, a in enumerate(rates))
+    with anchored(text, path):
+        return Mechanism(obj.get("type"), SingleSlot() if rates is None else Polymatroid(rates))
+
+
+def _agent(obj, path: tuple, text: str):
+    scripted = isinstance(obj, dict) and "script" in obj
+    _object(obj, path, {"budget", "script"} if scripted else {"budget", "learning_rate", "mu_cap"})
+    fields = {"budget": _number(obj, "budget", path)}
+    spath = path + ("script",)
+    script = _object(obj["script"], spath, {"bid", "schedule"}) if scripted else {}
+    if not scripted:
+        for key in ("learning_rate", "mu_cap"):
+            fields[key] = None if obj.get(key) is None else _real(obj[key], path + (key,))
+    elif "schedule" not in script:
+        fields["bid"] = _number(script, "bid", spath)
+    else:
+        seg, entries = spath + ("schedule",), script["schedule"]
+        pairs = isinstance(entries, list) and all(isinstance(e, list) and len(e) == 2 for e in entries)
+        _need(pairs, seg, "must be a list of [round, bid] pairs")
+        fields["schedule"] = tuple(
+            (_real(u, seg + (j, 0), integer=True), _real(b, seg + (j, 1)))
+            for j, (u, b) in enumerate(entries)
+        )
+    with anchored(text, path):
+        return (ScriptedAgent if scripted else PacedAgent)(**fields)
+
+
+def _value_model(obj, n_agents: int, text: str) -> ValueModel:
     path = ("value_model",)
-    if not isinstance(obj, dict):
-        _fail(text, path, "value_model must be an object")
-    _check_keys(obj, {"support", "labels"}, "value_model", text, path)
+    _object(obj, path, {"support", "labels"})
     support = obj.get("support")
-    if not isinstance(support, list) or not support:
-        _fail(text, path + ("support",), "value_model.support must be a non-empty list")
+    _need(isinstance(support, list) and support, path + ("support",), "must be a non-empty list")
     probs = []
     profiles = []
     for i, point in enumerate(support):
         ppath = path + ("support", i)
-        if not isinstance(point, dict):
-            _fail(text, ppath, f"support[{i}] must be an object")
-        _check_keys(point, {"prob", "values"}, f"support[{i}]", text, ppath)
-        probs.append(_number(point, "prob", f"support[{i}]", text, ppath, minimum=0.0))
+        probs.append(_number(_object(point, ppath, {"prob", "values"}), "prob", ppath))
         values = point.get("values")
         vpath = ppath + ("values",)
-        if not isinstance(values, list) or len(values) != n_agents:
-            _fail(text, vpath, f"support[{i}].values must list one value per agent ({n_agents})")
-        profiles.append(
-            [_real(v, f"a support[{i}] value", text, vpath + (j,)) for j, v in enumerate(values)]
-        )
+        ok = isinstance(values, list) and len(values) == n_agents
+        _need(ok, vpath, f"must list one value per agent ({n_agents})")
+        profiles.append([_real(v, vpath + (j,)) for j, v in enumerate(values)])
     labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        _fail(text, path + ("labels",), "value_model.labels must be a list")
-    try:
+    _need(labels is None or isinstance(labels, list), path + ("labels",), "must be a list")
+    with anchored(text, path):
         return ValueModel(
             probs=probs,
             profiles=profiles,
             labels=None if labels is None else tuple(str(s) for s in labels),
         )
-    except ConfigurationError as exc:
-        _fail(text, path + ("support",), str(exc))
 
 
-def validate_scenario(doc: dict, text: str = "") -> Scenario:
-    if not isinstance(doc, dict):
-        raise SchemaError("scenario must be a JSON object", 1)
-    _check_keys(doc, _TOP_KEYS, "scenario", text, ())
-    for key in _REQUIRED:
-        if key not in doc:
-            raise SchemaError(f"missing required section {key!r}", 1)
-    mechanism = _mechanism(doc, text)
-    agents = _agents(doc, text)
-    model = _value_model(doc, text, len(agents))
-    horizon = _number(doc, "horizon", "scenario", text, (), minimum=0, integer=True)
-    seed = 0
-    if "seed" in doc:
-        seed = _number(doc, "seed", "scenario", text, (), minimum=0, integer=True)
-    replications = None
-    if "replications" in doc:
-        replications = _number(doc, "replications", "scenario", text, (), minimum=1, integer=True)
-    eta = None
-    if "smoothing" in doc:
-        smoothing = doc["smoothing"]
-        path = ("smoothing",)
-        if not isinstance(smoothing, dict):
-            _fail(text, path, "smoothing must be an object")
-        _check_keys(smoothing, {"eta"}, "smoothing", text, path)
-        eta = _number(smoothing, "eta", "smoothing", text, path, minimum=0.0)
-    try:
+def validate_scenario(doc, text: str = "") -> Scenario:
+    """The Scenario a decoded document describes; text, the document's raw
+    JSON if there is one, anchors each error at its line."""
+    with anchored(text):
+        _object(doc, (), _TOP_KEYS)
+        for key in _REQUIRED:
+            _need(key in doc, (key,), "is required")
+        mechanism = _mechanism(doc["mechanism"], text)
+        items = doc["agents"]
+        _need(isinstance(items, list) and items, ("agents",), "must be a non-empty list")
+        agents = tuple(_agent(obj, ("agents", i), text) for i, obj in enumerate(items))
+        model = _value_model(doc["value_model"], len(agents), text)
         config = SimulationConfig(
             mechanism=mechanism,
             agents=agents,
             value_model=model,
-            horizon=horizon,
-            seed=seed,
+            horizon=_real(doc["horizon"], ("horizon",), integer=True),
+            seed=_real(doc["seed"], ("seed",), integer=True) if "seed" in doc else 0,
         )
-    except ConfigurationError as exc:  # anchored at the entry at fault, if it says which
-        raise SchemaError(str(exc), _line_of(text, exc.path) or 1)
-    return Scenario(config=config, replications=replications, smoothing_eta=eta, doc=doc)
+        replications = eta = None
+        if "replications" in doc:
+            replications = _real(doc["replications"], ("replications",), integer=True)
+        if "smoothing" in doc:
+            smoothing = _object(doc["smoothing"], ("smoothing",), {"eta"})
+            eta = _number(smoothing, "eta", ("smoothing",))
+        return Scenario(config=config, replications=replications, smoothing_eta=eta, doc=doc)
+
+
+def decode_json(text: str):
+    """The JSON value in text; invalid JSON is a SchemaError at its line."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long, or deep nesting
+        raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1))
 
 
 def parse_scenario(text: str) -> Scenario:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer too long, or deep nesting
-        raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1))
-    return validate_scenario(doc, text)
+    return validate_scenario(decode_json(text), text)
 
 
 def apply_overrides(doc: dict, assignments: list[str]) -> dict:
@@ -276,19 +249,12 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
             value = raw
         except RecursionError:
             raise SchemaError(f"override {path!r}: value nested too deeply") from None
-        parts = path.split(".")
-        target = doc
-        for i, part in enumerate(parts[:-1]):
+        target = parent = doc
+        for part in path.split("."):
             key = int(part) if part.lstrip("-").isdigit() else part
             try:
-                target = target[key]
+                target, parent = target[key], target
             except (KeyError, IndexError, TypeError):
                 raise SchemaError(f"override path {path!r} not found at {part!r}")
-        last = parts[-1]
-        key = int(last) if last.lstrip("-").isdigit() else last
-        try:
-            target[key]
-        except (KeyError, IndexError, TypeError):
-            raise SchemaError(f"override path {path!r} not found at {last!r}")
-        target[key] = value
+        parent[key] = value
     return doc

@@ -9,8 +9,9 @@ ValueError deep inside a module.
 class ConfigurationError(ValueError):
     """A mechanism, agent, scenario, or bid profile is malformed.
 
-    path, when known, locates the entry at fault in a scenario document:
-    its keys and list indices, say ("agents", 1)."""
+    path, when known, locates the value at fault in a scenario document,
+    as keys and list indices from the object that raised it: ("budget",)
+    from an agent, ("agents", 1, "budget") from a SimulationConfig."""
 
     def __init__(self, message: str, path: tuple = ()):
         super().__init__(message)

@@ -33,7 +33,8 @@ class AgentConfig:
 
     learning_rate defaults to 1/sqrt(horizon) and mu_cap to
     value_cap/target_rate; both defaults satisfy the hypotheses of the
-    early-stopping bound whenever value_cap <= sqrt(horizon).
+    early-stopping bound whenever value_cap <= sqrt(horizon).  An error on
+    the budget, learning_rate or mu_cap has that field for its path.
     """
 
     budget: float
@@ -46,7 +47,7 @@ class AgentConfig:
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ConfigurationError("horizon must be a positive integer")
         if not self.target_rate > 0:  # a subnormal budget underflows per round
-            raise ConfigurationError("budget per round must be positive")
+            raise ConfigurationError("budget per round must be positive", ("budget",))
         if self.value_cap < 1:
             raise ConfigurationError("value_cap must be at least 1 (rescale values)")
         if self.learning_rate is None:
@@ -54,9 +55,9 @@ class AgentConfig:
         if self.mu_cap is None:
             object.__setattr__(self, "mu_cap", self.value_cap / self.target_rate)
         if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be positive")
+            raise ConfigurationError("learning_rate must be positive", ("learning_rate",))
         if self.mu_cap < 0:
-            raise ConfigurationError("mu_cap must be non-negative")
+            raise ConfigurationError("mu_cap must be non-negative", ("mu_cap",))
 
     @property
     def target_rate(self) -> float:

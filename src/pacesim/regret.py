@@ -637,9 +637,13 @@ def regret_bounds(
     smoothing: SmoothingSpec,
 ) -> tuple[float, float]:
     """Analytic right-hand sides: the SGD-regret bound and the value-regret
-    bound it feeds, with the implementation constant applied."""
+    bound it feeds, with the implementation constant applied.  Both are
+    inf when a square in the SGD bound exceeds float range."""
     c = REGRET_BOUND_CONSTANT
-    reg1 = ((path_length + 1.0) * mu_cap**2 + (rho + value_cap) ** 2) * math.sqrt(horizon)
+    try:
+        reg1 = ((path_length + 1.0) * mu_cap**2 + (rho + value_cap) ** 2) * math.sqrt(horizon)
+    except OverflowError:
+        return math.inf, math.inf
     sgd_bound = c * reg1
     delta = min(smoothing.floor_absolute, rho)
     if delta <= 0 or smoothing.lipschitz < 0:

@@ -52,6 +52,7 @@ def regret_environment(scenario: Scenario) -> tuple[int, list[EnvironmentStep], 
     distributions.  Returns (agent index, one environment per round, agent
     parameters).  Environments are shared objects within each script
     segment, so downstream caches collapse piecewise-constant stretches.
+    The perfect multiplier's search needs the agent's mu_cap >= value_cap / rho.
     """
     config = scenario.config
     paced = [k for k, a in enumerate(config.agents) if isinstance(a, PacedAgent)]
@@ -91,6 +92,12 @@ def regret_environment(scenario: Scenario) -> tuple[int, list[EnvironmentStep], 
 
     spec = config.agents[agent]
     cfg = config.agent_config(agent)
+    floor = envs[0].value_cap / cfg.target_rate
+    if cfg.mu_cap < floor:
+        raise ConfigurationError(
+            f"regret needs mu_cap >= value_cap / rho = {floor}, got {cfg.mu_cap}",
+            ("agents", agent, "mu_cap"),
+        )
     params = {
         "agent": agent,
         "budget": spec.budget,

@@ -57,7 +57,8 @@ class ValueModel:
 
     Each support point is a probability and one value per agent; points may
     carry impression-type labels.  Profiles are drawn independently across
-    rounds.
+    rounds.  An error's path is that in a scenario's value_model entry, down
+    to the first probability or value at fault.
     """
 
     probs: np.ndarray
@@ -68,19 +69,21 @@ class ValueModel:
         probs = np.asarray(self.probs, dtype=np.float64).copy()
         profiles = np.atleast_2d(np.asarray(self.profiles, dtype=np.float64)) + 0.0  # -0.0 -> 0.0
         if probs.ndim != 1 or profiles.ndim != 2 or len(probs) != len(profiles):
-            raise ConfigurationError("need one probability per value profile")
+            raise ConfigurationError("need one probability per value profile", ("support",))
         if len(probs) == 0:
-            raise ConfigurationError("empty support")
-        if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(profiles))):
-            raise ConfigurationError("probabilities and values must be finite")
-        if np.any(probs < 0):
-            raise ConfigurationError("negative probability")
+            raise ConfigurationError("empty support", ("support",))
+        for field, entries in (("prob", probs), ("values", profiles)):
+            bad = ~(entries >= 0) | (entries == math.inf)  # NaN fails >= 0
+            if bad.any():
+                i, *k = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+                raise ConfigurationError(
+                    f"probabilities and values must be finite and >= 0, got {entries[bad][0]}",
+                    ("support", i, field, *k),
+                )
         if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ConfigurationError(f"probabilities sum to {probs.sum()}, not 1")
-        if np.any(profiles < 0):
-            raise ConfigurationError("values must be non-negative")
+            raise ConfigurationError(f"probabilities sum to {probs.sum()}, not 1", ("support",))
         if self.labels is not None and len(self.labels) != len(probs):
-            raise ConfigurationError("one label per support point")
+            raise ConfigurationError("one label per support point", ("labels",))
         probs.flags.writeable = False
         profiles.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -103,12 +106,23 @@ class ValueModel:
         return atom_indices(self.probs, rng.random(horizon)).astype(np.int64)
 
 
-def _check_finite(spec, *fields: str) -> None:
-    """Reject NaN and infinite values in the given optional number fields."""
-    for name in fields:
-        value = getattr(spec, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
+def _check_number(spec, name: str, positive=False, integer=False, path=None) -> None:
+    """Refuse a number field of spec (None passes) that is not finite, is
+    negative, is 0 if positive or is fractional if integer; an integer
+    field is stored as an int.  The error's path is path, else (name,)."""
+    value, path = getattr(spec, name), path or (name,)
+    if value is None:
+        return
+    what = ".".join(path)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value}", path)
+    if integer and int(value) != value:
+        raise ConfigurationError(f"{what} must be an integer, got {value}", path)
+    if value < 0 or (positive and value == 0):
+        rule = "positive" if positive else "non-negative"
+        raise ConfigurationError(f"{what} must be {rule}, got {value}", path)
+    if integer:
+        object.__setattr__(spec, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -124,22 +138,19 @@ class PacedAgent:
     mu_cap: float | None = None
 
     def __post_init__(self):
-        _check_finite(self, "budget", "learning_rate", "mu_cap")
-        if not self.budget > 0:
-            raise ConfigurationError("budget must be positive")
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.mu_cap is not None and self.mu_cap < 0:
-            raise ConfigurationError("mu_cap must be non-negative")
+        _check_number(self, "budget", positive=True)
+        _check_number(self, "learning_rate", positive=True)
+        _check_number(self, "mu_cap")
 
 
 @dataclass(frozen=True)
 class ScriptedAgent:
     """A fixed-script opponent: a constant bid or a piecewise-constant schedule.
 
-    schedule entries are (last_round, bid) with increasing boundaries; bids
-    are clamped to the remaining budget so scripted agents also satisfy the
-    ex-post budget constraint.
+    schedule entries are (last_round, bid) with increasing integer
+    boundaries; bids are clamped to the remaining budget so scripted agents
+    also satisfy the ex-post budget constraint.  An error's path is that in
+    a scenario's agent entry, where bid and schedule sit under "script".
     """
 
     budget: float
@@ -147,23 +158,28 @@ class ScriptedAgent:
     schedule: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self):
-        _check_finite(self, "budget", "bid")
-        if not self.budget > 0:
-            raise ConfigurationError("budget must be positive")
+        _check_number(self, "budget", positive=True)
         if (self.bid is None) == (self.schedule is None):
-            raise ConfigurationError("give exactly one of bid or schedule")
-        if self.bid is not None and self.bid < 0:
-            raise ConfigurationError("scripted bid must be non-negative")
+            raise ConfigurationError("give exactly one of bid or schedule", ("script",))
+        _check_number(self, "bid", path=("script", "bid"))
         if self.schedule is not None:
             if not self.schedule:
-                raise ConfigurationError("a schedule needs at least one segment")
+                raise ConfigurationError(
+                    "a schedule needs at least one segment", ("script", "schedule")
+                )
             last = 0
-            for until, bid in self.schedule:
-                if not math.isfinite(bid):
-                    raise ConfigurationError(f"schedule bids must be finite, got {bid}")
-                if until <= last or bid < 0:
-                    raise ConfigurationError("bad schedule segment")
+            for j, (until, bid) in enumerate(self.schedule):
+                at = ("script", "schedule", j)
+                if not (last < until < math.inf and int(until) == until):
+                    raise ConfigurationError(
+                        f"schedule rounds must be increasing integers, got {until}", (*at, 0)
+                    )
+                if not 0 <= bid < math.inf:
+                    raise ConfigurationError(
+                        f"schedule bids must be finite and non-negative, got {bid}", (*at, 1)
+                    )
                 last = until
+            object.__setattr__(self, "schedule", tuple((int(u), b) for u, b in self.schedule))
 
     def bids_over(self, horizon: int) -> np.ndarray:
         """The script's bid in each round, with -0.0 read as 0.0."""
@@ -184,6 +200,9 @@ AgentSpec = PacedAgent | ScriptedAgent
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """A market over a horizon, seeded: both are non-negative integers.  An
+    error on a paced agent's resolved AgentConfig has path ("agents", k, ...)."""
+
     mechanism: Mechanism
     agents: tuple[AgentSpec, ...]
     value_model: ValueModel
@@ -192,8 +211,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
-        if self.horizon < 0:
-            raise ConfigurationError("horizon must be non-negative")
+        _check_number(self, "horizon", integer=True)
+        _check_number(self, "seed", integer=True)  # as SeedSequence takes it
         if len(self.agents) != self.value_model.n_agents:
             raise ConfigurationError(
                 f"{len(self.agents)} agents but value model has dimension "
@@ -204,7 +223,7 @@ class SimulationConfig:
                 try:
                     self.agent_config(k)  # the resolved pacing parameters must be valid
                 except ConfigurationError as exc:
-                    raise ConfigurationError(f"agent {k}: {exc}", ("agents", k)) from exc
+                    raise ConfigurationError(f"agent {k}: {exc}", ("agents", k, *exc.path)) from exc
 
     @property
     def n_agents(self) -> int:

@@ -624,3 +624,71 @@ def test_line_of_stops_at_a_value_too_deep_to_scan():
     assert _line_of(text, ("horizon",)) == 11
     assert _line_of(text, ("agents", 1)) == 3
     assert _line_of(text, ("seed",)) == 1
+
+
+_REGRET_SCENARIOS = tuple(name for name in BUNDLED if name.startswith("regret_"))
+
+
+@st.composite
+def _mutated_regret_scenarios(draw):
+    doc = json.loads(scenario_text(draw(st.sampled_from(_REGRET_SCENARIOS))))
+    doc["horizon"] = 20
+    leaves = list(_leaf_paths(doc))
+    for path in draw(st.lists(st.sampled_from(leaves), max_size=3)):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(_SMALL if path == ("horizon",) else _LEAF)
+    overrides = []
+    for path in draw(st.lists(st.sampled_from(leaves), max_size=2)):
+        value = draw(_SMALL if path == ("horizon",) else _LEAF)
+        overrides += ["--set", ".".join(map(str, path)) + "=" + json.dumps(value)]
+    return doc, overrides
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_mutated_regret_scenarios())
+def test_mutated_regret_scenarios_run_or_exit_2_with_a_line_anchor(case):
+    doc, overrides = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "mutated.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["regret", cfg, "-R", "2", *overrides])
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 5) or (
+        code == 2 and re.match(rf"error: {re.escape(cfg)}:\d+: ", err.getvalue())
+    ), (code, err.getvalue())
+
+
+@pytest.mark.parametrize("override", ["agents.0.mu_cap=1e200", "agents.0.budget=1e300"])
+def test_regret_bounds_too_large_for_a_float_are_inf(tmp_path, capsys, override):
+    # mu_cap**2 or (rho + value_cap)**2 overflows: the bound is vacuous, not a crash.
+    out = tmp_path / "regret.json"
+    code = main(["regret", "regret_first_price_uniform", "-R", "2", "--set", "horizon=50",
+                 "--set", override, "-o", str(out)])
+    assert code == 0, capsys.readouterr().err
+    (entry,) = json.loads(out.read_text())["per_horizon"]
+    assert entry["sgd_bound"] == entry["value_bound"] == float("inf")
+    assert "(bound inf)" in capsys.readouterr().out
+
+
+# The bundled regret scenario, whose first agent (budget and mu_cap) is on line 4.
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        # budget * T / H overflows when the scenario is rescaled to horizon T
+        ("agents.0.budget=1e308", "bad agents[0]: budget must be finite, got inf"),
+        # at horizon 50, rho = 250 / 50 and value_cap / rho = 0.2
+        ("agents.0.mu_cap=0.1", "regret needs mu_cap >= value_cap / rho = 0.2, got 0.1"),
+    ],
+)
+def test_regret_refusals_are_anchored_at_the_entry_at_fault(tmp_path, capsys, override, message):
+    cfg = tmp_path / "regret.json"
+    cfg.write_text(scenario_text("regret_first_price_uniform"))
+    code = main(["regret", str(cfg), "-R", "2", "--set", "horizon=50", "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"error: {cfg}:4: {message}\n"
