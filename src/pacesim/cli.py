@@ -280,7 +280,9 @@ def cmd_regret(args) -> int:
     per_horizon = []
     last = None
     for T in horizons:
-        with anchored(text):  # regret's own refusals of the scenario, at the line at fault
+        # Regret's own refusals of the scenario, at the line at fault; an
+        # overflow or invalid operation means values too large to analyse.
+        with anchored(text), np.errstate(over="raise", invalid="raise"):
             scen = _at_horizon(scenario, T, text)
             try:
                 agent, envs, params = scenarios.regret_environment(scen)
@@ -297,27 +299,31 @@ def cmd_regret(args) -> int:
                     replications=reps,
                 )
                 reports = dynamic_regret_batch(runs, envs, params["target_rate"], params["mu_cap"])
+                value_regrets = np.array([r.value_regret for r in reports])
+                sgd_regrets = np.array([r.sgd_regret for r in reports])
+                entry = {
+                    "horizon": T,
+                    "replications": reps,
+                    "learning_rate": eps,
+                    "value_regret_mean": float(value_regrets.mean()),
+                    "value_regret_stderr": float(value_regrets.std(ddof=1) / math.sqrt(reps))
+                    if reps > 1
+                    else 0.0,
+                    "sgd_regret_mean": float(sgd_regrets.mean()),
+                    "sgd_regret_max": float(sgd_regrets.max()),
+                    "sgd_bound": reports[0].sgd_bound,
+                    "value_bound": reports[0].value_bound,
+                    "path_length": reports[0].path_length,
+                    "lambda": reports[0].smoothing.lipschitz,
+                    "delta_absolute": reports[0].smoothing.floor_absolute,
+                    "delta_relative": reports[0].smoothing.floor_relative,
+                }
             except SmoothingRequiredError as exc:  # the spend curve steps: smoothing.eta is short
                 raise ConfigurationError(str(exc), ("smoothing", "eta")) from exc
-        value_regrets = np.array([r.value_regret for r in reports])
-        sgd_regrets = np.array([r.sgd_regret for r in reports])
-        entry = {
-            "horizon": T,
-            "replications": reps,
-            "learning_rate": eps,
-            "value_regret_mean": float(value_regrets.mean()),
-            "value_regret_stderr": float(value_regrets.std(ddof=1) / math.sqrt(reps))
-            if reps > 1
-            else 0.0,
-            "sgd_regret_mean": float(sgd_regrets.mean()),
-            "sgd_regret_max": float(sgd_regrets.max()),
-            "sgd_bound": reports[0].sgd_bound,
-            "value_bound": reports[0].value_bound,
-            "path_length": reports[0].path_length,
-            "lambda": reports[0].smoothing.lipschitz,
-            "delta_absolute": reports[0].smoothing.floor_absolute,
-            "delta_relative": reports[0].smoothing.floor_relative,
-        }
+            except FloatingPointError as exc:
+                raise ConfigurationError(
+                    f"values too large for the regret analysis ({exc})", ("value_model",)
+                ) from exc
         per_horizon.append(entry)
         last = (scen, envs, params, runs, reports)
 

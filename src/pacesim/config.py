@@ -252,8 +252,9 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
         target = parent = doc
         for part in path.split("."):
             key = int(part) if part.lstrip("-").isdigit() else part
+            members = target if isinstance(target, (dict, list)) else {}  # a scalar has none
             try:
-                target, parent = target[key], target
+                target, parent = members[key], target
             except (KeyError, IndexError, TypeError):
                 raise SchemaError(f"override path {path!r} not found at {part!r}")
         parent[key] = value

@@ -67,10 +67,20 @@ class AgentConfig:
     @property
     def stopping_bound_applicable(self) -> bool:
         """Whether the early-stopping bound's hypotheses hold for this config."""
-        return (
-            self.mu_cap >= self.value_cap / self.target_rate - 1
-            and self.learning_rate * self.value_cap <= 1
-        )
+        return _stopping_rule(self.learning_rate, self.mu_cap, self.target_rate, self.value_cap)
+
+
+def _stopping_rule(learning_rate, mu_cap, target_rate, value_cap) -> bool:
+    """The early-stopping bound's hypotheses: mu_cap >= value_cap/target_rate
+    - 1 and learning_rate * value_cap <= 1 (False if a parameter is NaN)."""
+    return mu_cap >= value_cap / target_rate - 1 and learning_rate * value_cap <= 1
+
+
+def _stopping_bound(learning_rate, mu_cap, target_rate, value_cap) -> int:
+    """The early-stopping bound itself: at most
+    ceil(mu_cap/(learning_rate * target_rate) + value_cap/target_rate)
+    rounds are missed when _stopping_rule holds."""
+    return math.ceil(mu_cap / (learning_rate * target_rate) + value_cap / target_rate)
 
 
 @dataclass(frozen=True)
@@ -145,9 +155,8 @@ def stopping_time_bound(config: AgentConfig) -> int:
             "need mu_cap >= value_cap/target_rate - 1 and "
             "learning_rate * value_cap <= 1"
         )
-    rho = config.target_rate
-    return math.ceil(
-        config.mu_cap / (config.learning_rate * rho) + config.value_cap / rho
+    return _stopping_bound(
+        config.learning_rate, config.mu_cap, config.target_rate, config.value_cap
     )
 
 

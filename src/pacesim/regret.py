@@ -18,6 +18,7 @@ probabilities involved).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,7 +28,7 @@ import numpy as np
 from .auctions import FIRST_PRICE, SECOND_PRICE, Mechanism, SingleSlot, outcomes
 from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
-from .simulation import _RECORD_ROUNDS, _Lockstep, atom_indices
+from .simulation import _RECORD_ROUNDS, ValueModel, _check_number, _Lockstep, atom_indices
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
@@ -95,10 +96,14 @@ class _NoisedMax:
 class EnvironmentStep:
     """One round's environment: joint atoms over (own value, competing bids).
 
-    eta > 0 adds independent U[0, eta] noise to every competing bid, which
-    smooths the expected-spend curve; it is supported for single-slot
-    first-price and second-price mechanisms (GSP curves are exact but
-    unsmoothed).  agent_index fixes deterministic tie-breaking at eta = 0.
+    The atoms are kept as a ValueModel over joint bid profiles, the focal
+    agent's value in column agent_index and the competing bids in the
+    others, so they obey its rules; probs, values and competing_bids are
+    read-only arrays taken from it.  eta > 0 adds independent U[0, eta]
+    noise to every competing bid, which smooths the expected-spend curve;
+    it is supported for single-slot first-price and second-price
+    mechanisms (GSP curves are exact but unsmoothed).  agent_index fixes
+    deterministic tie-breaking at eta = 0.
     """
 
     mechanism: Mechanism
@@ -109,21 +114,20 @@ class EnvironmentStep:
     agent_index: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64).copy()
-        values = np.asarray(self.values, dtype=np.float64) + 0.0  # -0.0 -> 0.0
-        comp = np.atleast_2d(np.asarray(self.competing_bids, dtype=np.float64)) + 0.0
-        if len(values) != len(probs):
-            raise ConfigurationError("one value per atom required")
-        if comp.shape[0] == 1 and len(probs) > 1 and comp.size == 0:
-            comp = np.zeros((len(probs), 0))
-        if comp.shape[0] != len(probs):
-            comp = np.broadcast_to(comp, (len(probs), comp.shape[1])).copy()
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("atom probabilities must sum to 1")
-        if np.any(values < 0) or np.any(comp < 0):
-            raise ConfigurationError("values and bids must be non-negative")
-        if self.eta < 0:
-            raise ConfigurationError("noise width must be non-negative")
+        k = self.agent_index
+        comp = np.atleast_2d(np.asarray(self.competing_bids, dtype=np.float64))
+        if not 0 <= k <= comp.shape[-1]:
+            raise ConfigurationError("agent_index out of range")
+        others = np.arange(comp.shape[-1] + 1) != k
+        profiles = np.empty((len(self.values), len(others)))
+        try:
+            profiles[:, k] = self.values
+            profiles[:, others] = comp
+        except ValueError:
+            raise ConfigurationError(
+                "need one value and one row of competing bids (or one shared row) per atom"
+            ) from None
+        _check_number(self, "eta")
         if self.eta > 0 and not (
             isinstance(self.mechanism.feasible, SingleSlot)
             and self.mechanism.kind in (FIRST_PRICE, SECOND_PRICE)
@@ -132,15 +136,14 @@ class EnvironmentStep:
                 "bid-noise smoothing is supported for single-slot "
                 "first-price and second-price only"
             )
-        n_opp = comp.shape[1]
-        if not 0 <= self.agent_index <= n_opp:
-            raise ConfigurationError("agent_index out of range")
-        for arr in (probs, values, comp):
-            arr.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "values", values)
+        model = ValueModel(self.probs, profiles)
+        comp = model.profiles[:, others]
+        comp.flags.writeable = False
+        object.__setattr__(self, "_model", model)
+        object.__setattr__(self, "_others", others)
+        object.__setattr__(self, "probs", model.probs)
+        object.__setattr__(self, "values", model.profiles[:, k])
         object.__setattr__(self, "competing_bids", comp)
-        object.__setattr__(self, "_noised", {})
 
     @property
     def n_atoms(self) -> int:
@@ -154,23 +157,18 @@ class EnvironmentStep:
     def value_cap(self) -> float:
         return max(1.0, float(self.values.max(initial=0.0)))
 
-    def _noised_max(self, s: int) -> _NoisedMax:
-        cache = self.__dict__.get("_noised") or {}
-        if s not in cache:
-            cache[s] = _NoisedMax(self.competing_bids[s], self.eta)
-            object.__setattr__(self, "_noised", cache)
-        return cache[s]
+    @functools.cached_property
+    def _noised(self) -> list[_NoisedMax]:
+        """Each atom's largest competing bid under the noise."""
+        return [_NoisedMax(comp, self.eta) for comp in self.competing_bids]
 
     def spend_value(self, mu) -> tuple[np.ndarray, np.ndarray]:
         """Exact expected payment and expected value at each multiplier."""
         mu_arr = np.atleast_1d(np.asarray(mu, dtype=np.float64))
         if np.any(mu_arr < 0):
             raise PreconditionError("multipliers must be non-negative")
-        if self.eta > 0:
-            z, v = self._curves_noised(mu_arr)
-        else:
-            z, v = self._curves_exact(mu_arr)
-        return z, v
+        curves = self._curves_noised if self.eta > 0 else self._curves_exact
+        return curves(mu_arr)
 
     def spend(self, mu):
         return self.spend_value(mu)[0]
@@ -193,13 +191,13 @@ class EnvironmentStep:
             z = np.zeros_like(mu_arr)
             if self.n_opponents > 0:
                 for s in range(self.n_atoms):
-                    pay = self._noised_max(s).expected_below(bids[s])
+                    pay = self._noised[s].expected_below(bids[s])
                     z += self.probs[s] * pay * (bids[s] > 0)
         return z, v
 
     def _curves_exact(self, mu_arr: np.ndarray):
         bids = self.values[:, None] / (1.0 + mu_arr[None, :])  # (S, M)
-        x, pay = _focal_outcome(self, bids, self.competing_bids[:, None, :])
+        x, pay = _focal_outcome(self, self._model.profiles[:, None, :], bids)
         z = np.zeros_like(mu_arr)
         v = np.zeros_like(mu_arr)
         for s in range(self.n_atoms):  # atom by atom, as the scalar sums run
@@ -215,21 +213,18 @@ class EnvironmentStep:
             edges.append(self.competing_bids + self.eta)
         pts = []
         for edge in edges:
-            with np.errstate(divide="ignore"):
-                m = self.values[:, None] / np.where(edge > 0, edge, np.inf) - 1.0
+            m = self.values[:, None] / np.where(edge > 0, edge, np.inf) - 1.0
             pts.append(m[(m > 0) & (m < mu_max)])
-        out = np.unique(np.concatenate(pts)) if pts else np.empty(0)
-        return out
+        return np.unique(np.concatenate(pts))
 
-    def draw(self, rng: np.random.Generator, rounds: int, replications: int):
-        """Sample (values, noised competing bids) arrays of shape
-        (replications, rounds[, opponents])."""
+    def draw(self, rng: np.random.Generator, rounds: int, replications: int) -> np.ndarray:
+        """Sample joint profiles, competing bids noised, of shape
+        (replications, rounds, opponents + 1)."""
         idx = atom_indices(self.probs, rng.random((replications, rounds)))
-        vals = self.values[idx]
-        comp = self.competing_bids[idx]
+        profiles = self._model.profiles[idx]
         if self.eta > 0 and self.n_opponents > 0:
-            comp = comp + self.eta * rng.random(comp.shape)
-        return vals, comp
+            profiles[..., self._others] += self.eta * rng.random(idx.shape + (self.n_opponents,))
+        return profiles
 
 
 def expected_curves(env: EnvironmentStep, mu):
@@ -396,12 +391,7 @@ def surrogate_objective(
     the pacing update, so the pacing algorithm is projected SGD on this
     objective.
     """
-    if mu < 0:
-        raise PreconditionError("mu must be non-negative")
-    if mu == 0:
-        return 0.0
-    cum = _spend_integrals(env, np.array([0.0, float(mu)]), tol)
-    return rho * mu - float(cum[1])
+    return float(objective_values(env, rho, np.array([mu], dtype=np.float64), tol)[0])
 
 
 def objective_values(
@@ -511,16 +501,14 @@ def _as_env_list(envs, horizon: int | None) -> list[EnvironmentStep]:
     return envs
 
 
-def _focal_outcome(env: EnvironmentStep, bids: np.ndarray, comp: np.ndarray):
-    """The focal agent's allocation and payment.  The focal bids (any
-    shape) join the competing bids (that shape, or one broadcasting to it,
-    plus an opponent axis) at agent_index, and each profile goes through
-    the core auction kernel."""
+def _focal_outcome(env: EnvironmentStep, profiles: np.ndarray, bids: np.ndarray):
+    """The focal agent's allocation and payment when it bids `bids` (any
+    shape) in the joint profiles (that shape, or one broadcasting to it,
+    plus an agent axis): a copy of the profiles takes the bids in column
+    agent_index, and each profile goes through the core auction kernel."""
     k = env.agent_index
-    profile = np.empty(bids.shape + (comp.shape[-1] + 1,))
-    profile[..., :k] = comp[..., :k]
+    profile = np.broadcast_to(profiles, bids.shape + profiles.shape[-1:]).copy()
     profile[..., k] = bids
-    profile[..., k + 1 :] = comp[..., k:]
     x, z = outcomes(env.mechanism, profile.reshape(-1, profile.shape[-1]))
     return x[:, k].reshape(bids.shape), z[:, k].reshape(bids.shape)
 
@@ -575,18 +563,18 @@ def simulate_pacing(
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
     params[:, k] = 1.0, budget, learning_rate, budget / T, mu_cap
     game = _Lockstep(R, T, params[0] == 1.0, *params[1:])
-    # A record block of all columns: the agent's values (in every column)
-    # and the opponents' bids around it in; multipliers, budgets, b, x, z out.
+    # A record block of all columns: joint profiles in (the agent's value in
+    # column k, the opponents' bids around it), which play reads as both the
+    # values and the bids; multipliers, budgets, b, x, z out.
     B = min(_RECORD_ROUNDS, T)
-    vals, others = np.empty((2, B, R, n_opp + 1))
+    profiles = np.empty((B, R, n_opp + 1))
     mus, rems = np.empty((2, B + 1, R, n_opp + 1))
     played = np.empty((3, B, R, n_opp + 1))  # bids, x, z
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + B, T)
-        vals[: t1 - t0] = values[:, t0:t1].T[:, :, None]
-        others[: t1 - t0, :, :k] = comp[:, t0:t1, :k].transpose(1, 0, 2)
-        others[: t1 - t0, :, k + 1 :] = comp[:, t0:t1, k:].transpose(1, 0, 2)
-        game.play(t0, first.mechanism, vals[: t1 - t0], others, mus, rems, *played)
+        profiles[: t1 - t0, :, k] = values[:, t0:t1].T
+        profiles[: t1 - t0, :, first._others] = comp[:, t0:t1].transpose(1, 0, 2)
+        game.play(t0, first.mechanism, profiles[: t1 - t0], profiles, mus, rems, *played)
         record[0, :, t0:t1] = mus[: t1 - t0, :, k].T
         record[2:, :, t0:t1] = played[:, : t1 - t0, :, k].transpose(0, 2, 1)
     for r in range(R):
@@ -704,7 +692,7 @@ def dynamic_regret_batch(
     for env, rounds_arr in groups:
         mu_star = perfect.multipliers[rounds_arr[0]]
         zs, vs = env.spend_value(np.array([mu_star]))
-        hs = surrogate_objective(env, rho, float(mu_star), tol)
+        hs = objective_values(env, rho, np.array([mu_star]), tol)[0]
         v_star[rounds_arr] = vs[0]
         h_star[rounds_arr] = hs
         for i, run in enumerate(runs):
@@ -778,9 +766,9 @@ def stochastic_value(
     if budget <= 0 or horizon == 0:
         return 0.0, 0.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    vals, comp = env.draw(rng, horizon, replications)
-    bids = vals / (1.0 + mu)
-    x, z = _focal_outcome(env, bids, comp)
+    profiles = env.draw(rng, horizon, replications)
+    vals = profiles[..., env.agent_index]
+    x, z = _focal_outcome(env, profiles, vals / (1.0 + mu))
     gained = x * vals
     spend_cum = np.cumsum(z, axis=1)
     alive = np.concatenate(

@@ -40,7 +40,7 @@ import numpy as np
 
 from .auctions import Mechanism, _kernel
 from .errors import ConfigurationError
-from .pacing import EXHAUSTION_FRACTION, AgentConfig
+from .pacing import EXHAUSTION_FRACTION, AgentConfig, _stopping_bound, _stopping_rule
 
 EPOCH_TOL = 1e-9
 
@@ -683,17 +683,11 @@ def check_stopping_bound(trace: Trace) -> list[StoppingBoundReport]:
     for k in range(trace.n_agents):
         if trace.agent_kinds[k] != "paced":
             continue
-        eps = float(trace.learning_rates[k])
-        cap = float(trace.mu_caps[k])
-        rho = float(trace.target_rates[k])
-        applicable = cap >= v / rho - 1 and eps * v <= 1
+        params = (trace.learning_rates[k], trace.mu_caps[k], trace.target_rates[k], v)
+        applicable = _stopping_rule(*map(float, params))
+        bound = _stopping_bound(*map(float, params)) if applicable else None
         missed = max(0, T - int(trace.stop_rounds[k]) + 1)
-        if applicable:
-            bound = math.ceil(cap / (eps * rho) + v / rho)
-            passed = missed <= bound
-        else:
-            bound = None
-            passed = True
+        passed = bound is None or missed <= bound
         reports.append(StoppingBoundReport(k, applicable, bound, missed, passed))
     return reports
 

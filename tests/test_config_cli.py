@@ -87,6 +87,8 @@ class TestSchema:
             apply_overrides(doc, ["agents.7.budget=1"])
         with pytest.raises(SchemaError):
             apply_overrides(doc, ["no_such_key=1"])
+        with pytest.raises(SchemaError, match="override path 'mechanism.type.0' not found at '0'"):
+            apply_overrides(doc, ["mechanism.type.0=x"])  # a string has no members
 
 
 class TestBundled:
@@ -451,6 +453,7 @@ _ANNOTATED = (
         "agents.0.learning_rate=-0.5",
         "agents.0.mu_cap=-1",
         "agents.0.budget=5e-324",  # underflows to zero per round
+        "mechanism.type.0=x",  # an override walks into objects and lists only
     ],
 )
 def test_bad_scenario_input_exits_2_with_a_line_anchor(tmp_path, capsys, override):
@@ -692,3 +695,20 @@ def test_regret_refusals_are_anchored_at_the_entry_at_fault(tmp_path, capsys, ov
     err = capsys.readouterr().err
     assert code == 2, err
     assert err == f"error: {cfg}:4: {message}\n"
+
+
+def test_regret_values_too_large_to_analyse_exit_2_with_a_line_anchor(tmp_path, capsys):
+    # A value of sqrt(float max) overflows the relative spend floor: the
+    # value model (line 7) is at fault, and no number is reported.
+    cfg = tmp_path / "regret.json"
+    cfg.write_text(scenario_text("regret_switching"))
+    out = tmp_path / "regret-out.json"
+    code = main(["regret", str(cfg), "-R", "2", "--set", "horizon=20", "--set",
+                 "value_model.support.0.values.0=1.3407807929942597e+154", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith(
+        f"error: {cfg}:7: values too large for the regret analysis (overflow"
+    ), captured.err
+    assert captured.out == ""
+    assert not out.exists()

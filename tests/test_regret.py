@@ -376,7 +376,7 @@ def test_env_outcome_matches_core_mechanism():
             rng.uniform(0, 2)
         )
         env = EnvironmentStep(mech, [1.0], [2.0], [comp], agent_index=agent_index)
-        x, p = _focal_outcome(env, np.array([bid]), comp[None, :])
+        x, p = _focal_outcome(env, env._model.profiles, np.array([bid]))
         profile = list(comp)
         profile.insert(agent_index, bid)
         out = allocate(mech, profile)
@@ -547,6 +547,23 @@ def test_simulate_pacing_rejects_mixed_environments(other):
     envs = [uniform_opponent_env()] * 5 + [other] * 5
     with pytest.raises(ConfigurationError, match="must share"):
         simulate_pacing(envs, budget=2.5, learning_rate=0.1, mu_cap=4.0)
+
+
+@pytest.mark.parametrize(
+    "probs, values, comp, eta",
+    [
+        ([math.nan, 1.0], [1.0, 1.0], [[0.2], [0.8]], 0.0),
+        ([0.5, 0.5], [1.0, math.nan], [[0.2], [0.8]], 0.0),
+        ([0.5, 0.5], [math.inf, 1.0], [[0.2], [0.8]], 0.0),
+        ([0.5, 0.5], [1.0, 1.0], [[0.2], [math.inf]], 0.0),
+        ([1.0], [1.0], [[0.2]], math.nan),
+        ([1.0], [1.0], [[0.2]], math.inf),
+    ],
+    ids=["nan-prob", "nan-value", "inf-value", "inf-bid", "nan-eta", "inf-eta"],
+)
+def test_environment_rejects_non_finite_atoms_and_noise(probs, values, comp, eta):
+    with pytest.raises(ConfigurationError, match="finite"):
+        EnvironmentStep(second_price(), probs, values, comp, eta=eta)
 
 
 def test_negative_zero_environment_runs_like_positive_zero():
