@@ -280,44 +280,44 @@ def cmd_regret(args) -> int:
     per_horizon = []
     last = None
     for T in horizons:
-        # Regret's own refusals of the scenario, at the line at fault; an
-        # overflow or invalid operation means values too large to analyse.
-        with anchored(text), np.errstate(over="raise", invalid="raise"):
+        # Regret's own refusals of the scenario, at the line at fault.
+        with anchored(text):
             scen = _at_horizon(scenario, T, text)
             try:
                 agent, envs, params = scenarios.regret_environment(scen)
             except EnvironmentError_ as exc:
                 raise CliError(EXIT_ENV, str(exc))
             eps = params["learning_rate"] if len(horizons) == 1 else 1.0 / math.sqrt(T)
+            # A huge learning rate can overflow the multiplier step, which the
+            # projection onto [0, mu_cap] clips, so only the analysis is
+            # guarded: there an overflow means values too large to analyse.
+            runs = simulate_pacing(
+                envs, budget=params["budget"], learning_rate=eps, mu_cap=params["mu_cap"],
+                seed=scen.config.seed, replications=reps)
             try:
-                runs = simulate_pacing(
-                    envs,
-                    budget=params["budget"],
-                    learning_rate=eps,
-                    mu_cap=params["mu_cap"],
-                    seed=scen.config.seed,
-                    replications=reps,
-                )
-                reports = dynamic_regret_batch(runs, envs, params["target_rate"], params["mu_cap"])
-                value_regrets = np.array([r.value_regret for r in reports])
-                sgd_regrets = np.array([r.sgd_regret for r in reports])
-                entry = {
-                    "horizon": T,
-                    "replications": reps,
-                    "learning_rate": eps,
-                    "value_regret_mean": float(value_regrets.mean()),
-                    "value_regret_stderr": float(value_regrets.std(ddof=1) / math.sqrt(reps))
-                    if reps > 1
-                    else 0.0,
-                    "sgd_regret_mean": float(sgd_regrets.mean()),
-                    "sgd_regret_max": float(sgd_regrets.max()),
-                    "sgd_bound": reports[0].sgd_bound,
-                    "value_bound": reports[0].value_bound,
-                    "path_length": reports[0].path_length,
-                    "lambda": reports[0].smoothing.lipschitz,
-                    "delta_absolute": reports[0].smoothing.floor_absolute,
-                    "delta_relative": reports[0].smoothing.floor_relative,
-                }
+                with np.errstate(over="raise", invalid="raise"):
+                    reports = dynamic_regret_batch(
+                        runs, envs, params["target_rate"], params["mu_cap"]
+                    )
+                    value_regrets = np.array([r.value_regret for r in reports])
+                    sgd_regrets = np.array([r.sgd_regret for r in reports])
+                    entry = {
+                        "horizon": T,
+                        "replications": reps,
+                        "learning_rate": eps,
+                        "value_regret_mean": float(value_regrets.mean()),
+                        "value_regret_stderr": float(value_regrets.std(ddof=1) / math.sqrt(reps))
+                        if reps > 1
+                        else 0.0,
+                        "sgd_regret_mean": float(sgd_regrets.mean()),
+                        "sgd_regret_max": float(sgd_regrets.max()),
+                        "sgd_bound": reports[0].sgd_bound,
+                        "value_bound": reports[0].value_bound,
+                        "path_length": reports[0].path_length,
+                        "lambda": reports[0].smoothing.lipschitz,
+                        "delta_absolute": reports[0].smoothing.floor_absolute,
+                        "delta_relative": reports[0].smoothing.floor_relative,
+                    }
             except SmoothingRequiredError as exc:  # the spend curve steps: smoothing.eta is short
                 raise ConfigurationError(str(exc), ("smoothing", "eta")) from exc
             except FloatingPointError as exc:

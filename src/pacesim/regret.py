@@ -61,7 +61,8 @@ class _NoisedMax:
             self.cum[i + 1] = self.cum[i] + piece[0]
 
     def cdf(self, u: np.ndarray) -> np.ndarray:
-        g = np.clip((u[..., None] - self.comp) / self.eta, 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a gap over a tiny eta saturates the clip
+            g = np.clip((u[..., None] - self.comp) / self.eta, 0.0, 1.0)
         return g.prod(axis=-1)
 
     def integral_cdf(self, b: np.ndarray) -> np.ndarray:
@@ -178,11 +179,9 @@ class EnvironmentStep:
         if self.n_opponents == 0:
             win = (bids > 0).astype(np.float64)
         else:
-            g = np.clip(
-                (bids[:, :, None] - self.competing_bids[:, None, :]) / self.eta,
-                0.0,
-                1.0,
-            )
+            gap = bids[:, :, None] - self.competing_bids[:, None, :]
+            with np.errstate(over="ignore"):  # a gap over a tiny eta saturates the clip
+                g = np.clip(gap / self.eta, 0.0, 1.0)
             win = g.prod(axis=2) * (bids > 0)
         v = (self.probs[:, None] * self.values[:, None] * win).sum(axis=0)
         if self.mechanism.kind == FIRST_PRICE:

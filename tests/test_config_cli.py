@@ -712,3 +712,35 @@ def test_regret_values_too_large_to_analyse_exit_2_with_a_line_anchor(tmp_path, 
     ), captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_regret_overflows_that_saturate_still_report(tmp_path, capsys):
+    # A learning rate of 1e308 overflows the multiplier step to -inf, which
+    # the projection clips to 0 as it does the step of 1e300; a tiny eta
+    # overflows the noise CDF's argument, which its clip saturates, as with
+    # eta = 1e-300.  Neither is blamed on the value model.
+    doc = json.loads(scenario_text("regret_switching"))
+    doc["agents"][0].update(learning_rate=0.05, mu_cap=20.0)
+    cfg = tmp_path / "regret.json"
+    cfg.write_text(json.dumps(doc, indent=2))
+
+    def report(*overrides):
+        out = tmp_path / "regret-out.json"
+        args = ["regret", str(cfg), "-R", "2", "--set", "horizon=20", "-o", str(out)]
+        for override in overrides:
+            args += ["--set", override]
+        code = main(args)
+        assert code == 0, capsys.readouterr().err
+        return json.loads(out.read_text())
+
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the multiplier step's, unguarded
+        huge = report("agents.0.learning_rate=1e308")
+    large = report("agents.0.learning_rate=1e300")
+    assert [e.pop("learning_rate") for e in huge["per_horizon"] + large["per_horizon"]] == [
+        1e308, 1e300]
+    assert huge == large
+    bids = ("mechanism.type=second_price", "agents.1.script.schedule.0.0=1",
+            "agents.1.script.schedule.0.1=0.5")
+    for mechanism in ("first_price", "second_price"):
+        bids = (f"mechanism.type={mechanism}",) + bids[1:]
+        assert report(*bids, "smoothing.eta=5e-324") == report(*bids, "smoothing.eta=1e-300")
