@@ -82,23 +82,14 @@ EXIT_ENV = 5
 EXIT_INTERNAL = 6
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _read_config_text(path: str) -> str:
     if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                return fh.read()
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot read {path}: {exc}")
+        with open(path) as fh:
+            return fh.read()
     try:
         return scenarios.scenario_text(path)
     except ConfigurationError:
-        raise CliError(EXIT_IO, f"no such config file or bundled scenario: {path}")
+        raise FileNotFoundError(f"no such config file or bundled scenario: {path}")
 
 
 def _load_scenario(path: str, overrides: list[str]) -> tuple[Scenario, str]:
@@ -109,13 +100,9 @@ def _load_scenario(path: str, overrides: list[str]) -> tuple[Scenario, str]:
 
 def _write_json(path: str | None, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None:
-        return
-    try:
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc}")
 
 
 def _replications(args, scenario: Scenario, default: int) -> int:
@@ -123,9 +110,7 @@ def _replications(args, scenario: Scenario, default: int) -> int:
     if args.replications is None:
         return scenario.replications if scenario.replications is not None else default
     if args.replications < 1:
-        raise CliError(
-            EXIT_SCHEMA, f"-R/--replications must be at least 1, got {args.replications}"
-        )
+        raise ConfigurationError(f"-R/--replications must be at least 1, got {args.replications}")
     return args.replications
 
 
@@ -137,18 +122,12 @@ def cmd_run(args) -> int:
     scenario, _text = _load_scenario(args.config, args.set)
     config = scenario.config
     reps = _replications(args, scenario, 1)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot create {args.out}: {exc}")
+    os.makedirs(args.out, exist_ok=True)
 
     def reduce(trace, index):
         if not args.summary_only:
             stem = os.path.join(args.out, f"trace_{index + 1:04d}")
-            try:
-                save_trace(trace, stem + ".csv", stem + ".json", config_doc=scenario.doc)
-            except OSError as exc:
-                raise CliError(EXIT_IO, f"cannot write trace files: {exc}")
+            save_trace(trace, stem + ".csv", stem + ".json", config_doc=scenario.doc)
         report = liquid_welfare(trace)
         return report.spends, report.liquid_values
 
@@ -190,36 +169,30 @@ def cmd_welfare(args) -> int:
     config = scenario.config
     reps = _replications(args, scenario, 200)
     if reps < 2:
-        raise CliError(EXIT_SCHEMA, "welfare needs at least 2 replications")
+        raise ConfigurationError("welfare needs at least 2 replications")
     # The bound needs horizon >= 1; check it before the solve and the runs.
     welfare_bound_slack(config.n_agents, config.value_model.value_cap, config.horizon)
 
-    try:
-        rule = solve_ex_ante_optimum(
-            config.value_model,
-            config.mechanism.feasible,
-            [a.budget for a in config.agents],
-            config.horizon,
-        )
-    except CapacityError as exc:
-        raise CliError(EXIT_CAPACITY, str(exc))
+    rule = solve_ex_ante_optimum(
+        config.value_model,
+        config.mechanism.feasible,
+        [a.budget for a in config.agents],
+        config.horizon,
+    )
 
     results = replicate(
         config, reps, lambda trace, _i: (liquid_welfare(trace).total, trace.payments.sum())
     )
     samples = np.array([w for w, _ in results])
     spends = np.array([p for _, p in results])
-    try:
-        report = verify_welfare_bound(
-            samples,
-            rule.value,
-            config.n_agents,
-            config.value_model.value_cap,
-            config.horizon,
-            min_replications=2,
-        )
-    except StatisticsError as exc:
-        raise CliError(EXIT_SCHEMA, str(exc))
+    report = verify_welfare_bound(
+        samples,
+        rule.value,
+        config.n_agents,
+        config.value_model.value_cap,
+        config.horizon,
+        min_replications=2,
+    )
 
     payload = report.as_dict()
     payload["mean_total_spend"] = float(spends.mean())
@@ -228,10 +201,7 @@ def cmd_welfare(args) -> int:
     )
     payload["optimum_rule"] = rule.allocations.tolist()
     if args.rule_csv:
-        try:
-            rule_to_csv(rule.allocations, args.rule_csv)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write {args.rule_csv}: {exc}")
+        rule_to_csv(rule.allocations, args.rule_csv)
     _write_json(args.out, payload)
     print(f"expected welfare {report.mean:.6g} +- {report.stderr:.3g} over {reps} reps")
     print(f"ex-ante optimum {report.optimum:.6g}, ratio {report.ratio:.4f}")
@@ -266,9 +236,9 @@ def _parse_horizons(raw: str | None, default: int) -> list[int]:
     try:
         horizons = [int(part) for part in raw.split(",") if part]
     except ValueError:
-        raise CliError(EXIT_SCHEMA, f"bad --horizons value {raw!r}")
+        raise ConfigurationError(f"bad --horizons value {raw!r}")
     if not horizons or any(h < 1 for h in horizons):
-        raise CliError(EXIT_SCHEMA, "horizons must be positive integers")
+        raise ConfigurationError("horizons must be positive integers")
     return horizons
 
 
@@ -283,10 +253,7 @@ def cmd_regret(args) -> int:
         # Regret's own refusals of the scenario, at the line at fault.
         with anchored(text):
             scen = _at_horizon(scenario, T, text)
-            try:
-                agent, envs, params = scenarios.regret_environment(scen)
-            except EnvironmentError_ as exc:
-                raise CliError(EXIT_ENV, str(exc))
+            agent, envs, params = scenarios.regret_environment(scen)
             eps = params["learning_rate"] if len(horizons) == 1 else 1.0 / math.sqrt(T)
             # A huge learning rate can overflow the multiplier step, which the
             # projection onto [0, mu_cap] clips, so only the analysis is
@@ -368,18 +335,15 @@ def _dump_curves(path: str, envs, params) -> None:
 
     mu_cap = params["mu_cap"]
     grid = np.linspace(0.0, mu_cap, 201)
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["segment", "mu", "Z", "V", "H", "W"])
-            for i, (env, _rounds) in enumerate(_distinct(envs)):
-                z, v = env.spend_value(grid)
-                h = objective_values(env, params["target_rate"], grid)
-                w = throttled_value_curve(env, params["target_rate"], grid)
-                for row in zip(grid, z, v, h, w):
-                    writer.writerow([i, *(format(c, ".17g") for c in row)])
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc}")
+    with open(path, "w", newline="") as fh:
+        writer = _csv.writer(fh)
+        writer.writerow(["segment", "mu", "Z", "V", "H", "W"])
+        for i, (env, _rounds) in enumerate(_distinct(envs)):
+            z, v = env.spend_value(grid)
+            h = objective_values(env, params["target_rate"], grid)
+            w = throttled_value_curve(env, params["target_rate"], grid)
+            for row in zip(grid, z, v, h, w):
+                writer.writerow([i, *(format(c, ".17g") for c in row)])
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +489,13 @@ def cmd_verify(args) -> int:
         names = [s for s in _SUITES if not (args.negative and s in _WITHOUT_NEGATIVE)]
     for name in names:
         if name not in _SUITES:
-            raise CliError(EXIT_SCHEMA, f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+            raise ConfigurationError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
         if args.negative and name in _WITHOUT_NEGATIVE:
-            raise CliError(EXIT_SCHEMA, f"{name} has no negative control")
+            raise ConfigurationError(f"{name} has no negative control")
     if args.trials < 1:
-        raise CliError(EXIT_SCHEMA, f"--trials must be at least 1, got {args.trials}")
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
-        raise CliError(EXIT_SCHEMA, f"--seed must be non-negative, got {args.seed}")
+        raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     # Every suite takes `traces`, which simulates the verification traces
     # on its first call and hands the same list to later suites of this
     # invocation.
@@ -630,9 +594,6 @@ def main(argv=None) -> int:
     except (UnboundedError, IterationLimitError, InvariantViolationError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except SchemaError as exc:  # raised for the scenario file alone
         print(f"error: {args.config}:{exc.line or 1}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -650,6 +611,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OSError as exc:  # any file a command reads or writes
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

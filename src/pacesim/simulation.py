@@ -412,25 +412,30 @@ class _Lockstep:
         eps, rho, mu_cap, thresh, step, newly = (
             self.eps, self.rho, self.mu_cap, self.thresh, self.step, self.newly)
         bids, unpaced = (bids, self.unpaced) if self.any_unpaced else (None, None)
-        for j in range(nb):
-            mu, mu_next, rem, rem_next, bj, zj = mus[j], mus[j + 1], rems[j], rems[j + 1], b[j], z[j]
-            add(mu, 1.0, out=bj)
-            divide(values[j], bj, out=bj)
-            if bids is not None:
-                copyto(bj, bids[j], where=unpaced)
-            minimum(bj, rem, out=bj)
-            kernel(bj, x[j], zj)
-            # mu <- clip(mu - eps * (rho - z), 0, mu_cap)
-            subtract(rho, zj, out=step)
-            multiply(eps, step, out=step)
-            subtract(mu, step, out=mu_next)
-            maximum(mu_next, 0.0, out=mu_next)
-            minimum(mu_next, mu_cap, out=mu_next)
-            subtract(rem, zj, out=rem_next)
-            if count(less(rem_next, thresh, out=newly)):
-                self.stop_round[newly] = t0 + j + 2
-                rem_next[newly] = 0.0
-                thresh[newly] = -np.inf
+        # A huge learning rate can overflow eps * (rho - z) to +-inf, which the
+        # projection onto [0, mu_cap] saturates to the right multiplier, so
+        # the overflow is no error; one errstate covers the whole block.
+        with np.errstate(over="ignore"):
+            for j in range(nb):
+                mu, mu_next, rem, rem_next = mus[j], mus[j + 1], rems[j], rems[j + 1]
+                bj, zj = b[j], z[j]
+                add(mu, 1.0, out=bj)
+                divide(values[j], bj, out=bj)
+                if bids is not None:
+                    copyto(bj, bids[j], where=unpaced)
+                minimum(bj, rem, out=bj)
+                kernel(bj, x[j], zj)
+                # mu <- clip(mu - eps * (rho - z), 0, mu_cap)
+                subtract(rho, zj, out=step)
+                multiply(eps, step, out=step)
+                subtract(mu, step, out=mu_next)
+                maximum(mu_next, 0.0, out=mu_next)
+                minimum(mu_next, mu_cap, out=mu_next)
+                subtract(rem, zj, out=rem_next)
+                if count(less(rem_next, thresh, out=newly)):
+                    self.stop_round[newly] = t0 + j + 2
+                    rem_next[newly] = 0.0
+                    thresh[newly] = -np.inf
 
 
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:

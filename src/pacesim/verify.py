@@ -20,7 +20,7 @@ import numpy as np
 from . import auctions
 from .constants import MC_SIGMA, SGD_BOUND_CONSTANT, SURE_TOL
 from .errors import ConfigurationError, InvariantViolationError, PreconditionError
-from .simulation import Trace
+from .simulation import Trace, ValueModel, _check_number
 
 # ---------------------------------------------------------------------------
 # Concentration of predictably-selected bounded sums
@@ -28,8 +28,16 @@ from .simulation import Trace
 
 @dataclass(frozen=True)
 class UniformValues:
+    """Values uniform on [low, high], finite and non-negative."""
+
     low: float
     high: float
+
+    def __post_init__(self):
+        _check_number(self, "low")
+        _check_number(self, "high")
+        if self.low > self.high:
+            raise ConfigurationError(f"low must be at most high, got {self.low} > {self.high}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, n)
@@ -45,12 +53,13 @@ class UniformValues:
 
 @dataclass(frozen=True)
 class DiscreteValues:
+    """Values drawn from a finite support, under ValueModel's rules."""
+
     values: tuple[float, ...]
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        if abs(sum(self.probs) - 1.0) > 1e-12 or any(p < 0 for p in self.probs):
-            raise ConfigurationError("probabilities must be a distribution")
+        ValueModel(self.probs, np.reshape(self.values, (-1, 1)))
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(self.values, size=n, p=self.probs)

@@ -340,8 +340,8 @@ def counterexample_scenario(mu_cap: float, horizon: int) -> SimulationConfig:
     budget, a 1/(1 + mu_cap) fraction of the welfare of handing every item
     to agent 2.
     """
-    if mu_cap < 0:
-        raise ConfigurationError("mu_cap must be non-negative")
+    if not 0 <= mu_cap < math.inf:  # NaN fails both
+        raise ConfigurationError(f"mu_cap must be finite and non-negative, got {mu_cap}")
     if horizon < 1:
         raise ConfigurationError("horizon must be positive")
     model = ValueModel(probs=[1.0], profiles=[[2.0, 1.0]])

@@ -209,6 +209,46 @@ class TestCliExitCodes:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "-o", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "run welfare_symmetric_second_price -R 2 --summary-only -o {file}/out",
+            "run welfare_symmetric_second_price -R 2 --set horizon=50 -o {tmp}/traces",
+            "run welfare_symmetric_second_price -R 2 --summary-only -o {tmp}/summary",
+            "welfare {welfare} -o {missing}/w.json",
+            "welfare {welfare} --rule-csv {missing}/rule.csv",
+            "regret {regret} -o {missing}/r.json",
+            "regret {regret} --curves {missing}/curves.csv",
+            "regret {regret} --svg {missing}/path.svg",
+            "verify gsp-core --trials 10 -o {missing}/v.json",
+            "counterexample --horizon 10 -o {missing}/c.json",
+            "run {tmp} -o {tmp}/out",
+        ],
+        ids=["run-out", "run-trace-files", "run-summary", "welfare-out", "welfare-rule-csv",
+             "regret-out", "regret-curves", "regret-svg", "verify-out", "counterexample-out",
+             "config-is-a-directory"],
+    )
+    def test_every_unreadable_or_unwritable_file_exits_3(self, tmp_path, capsys, args):
+        # The first trace file and summary.json are directories, so opening
+        # them for writing fails; {file} is a regular file, {missing} absent.
+        (tmp_path / "traces" / "trace_0001.csv").mkdir(parents=True)
+        (tmp_path / "summary" / "summary.json").mkdir(parents=True)
+        (tmp_path / "file").write_text("")
+        fast = "-R 2 --set horizon=50"
+        argv = args.format(
+            tmp=tmp_path, file=tmp_path / "file", missing=tmp_path / "missing",
+            welfare=f"welfare_symmetric_second_price {fast}",
+            regret=f"regret_first_price_uniform {fast}",
+        ).split()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("mu_cap", ["nan", "inf", "-1"])
+    def test_counterexample_bad_mu_cap_exits_2(self, capsys, mu_cap):
+        assert main(["counterexample", f"--mu-cap={mu_cap}", "--horizon", "10"]) == 2
+        assert "mu_cap must be finite and non-negative" in capsys.readouterr().err
+
     def test_capacity_exits_4(self, tmp_path):
         # 420 support points x 12 agents x 2 slots = 10,080 share columns.
         agents = ",\n".join('{"budget": 10.0}' for _ in range(12))
@@ -733,8 +773,7 @@ def test_regret_overflows_that_saturate_still_report(tmp_path, capsys):
         assert code == 0, capsys.readouterr().err
         return json.loads(out.read_text())
 
-    with pytest.warns(RuntimeWarning, match="overflow"):  # the multiplier step's, unguarded
-        huge = report("agents.0.learning_rate=1e308")
+    huge = report("agents.0.learning_rate=1e308")
     large = report("agents.0.learning_rate=1e300")
     assert [e.pop("learning_rate") for e in huge["per_horizon"] + large["per_horizon"]] == [
         1e308, 1e300]
@@ -744,3 +783,22 @@ def test_regret_overflows_that_saturate_still_report(tmp_path, capsys):
     for mechanism in ("first_price", "second_price"):
         bids = (f"mechanism.type={mechanism}",) + bids[1:]
         assert report(*bids, "smoothing.eta=5e-324") == report(*bids, "smoothing.eta=1e-300")
+
+
+def test_run_multiplier_step_overflow_saturates_without_a_warning(tmp_path, capsys):
+    # A learning rate of 1e308 overflows the multiplier step, which the
+    # projection saturates as it does the step of 1e300; under the
+    # error::RuntimeWarning filter a warning would fail the run.
+    doc = json.loads(scenario_text("welfare_symmetric_second_price"))
+    cfg = tmp_path / "huge.json"
+
+    def summary(learning_rate):
+        doc["agents"][0]["learning_rate"] = learning_rate
+        cfg.write_text(json.dumps(doc, indent=2))
+        out = tmp_path / str(learning_rate)
+        code = main(["run", str(cfg), "-R", "2", "--summary-only", "--set", "horizon=50",
+                     "-o", str(out)])
+        assert code == 0, capsys.readouterr().err
+        return json.loads((out / "summary.json").read_text())
+
+    assert summary(1e308) == summary(1e300)

@@ -71,6 +71,25 @@ class TestConcentration:
         report = concentration_check(setup, theta=math.sqrt(150) * 0.5, trials=10000, seed=4)
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiscreteValues((math.nan, 2.0), (0.75, 0.25)),
+            lambda: DiscreteValues((0.0, 2.0), (math.nan, 0.25)),
+            lambda: DiscreteValues((0.0, -2.0), (0.75, 0.25)),
+            lambda: DiscreteValues((0.0, 2.0), (0.75, 0.5)),
+            lambda: UniformValues(math.nan, 1.0),
+            lambda: UniformValues(0.0, math.inf),
+            lambda: UniformValues(-1.0, 1.0),
+            lambda: UniformValues(2.0, 0.0),
+        ],
+        ids=["nan-value", "nan-prob", "negative-value", "not-a-distribution", "nan-low",
+             "inf-high", "negative-low", "low-above-high"],
+    )
+    def test_bad_value_distribution_refused_at_construction(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
+
     def test_predictability_shape_enforced(self):
         with pytest.raises(ConfigurationError):
             MartingaleSetup(UniformValues(0.0, 3.0), "always", 10, 2.0, 0.5)
