@@ -3,10 +3,10 @@
 The oracle tests check that the vectorized engine agrees with the scalar
 pacing rule and `allocate`.  These pin the engine's output itself: the
 sha256 over every trace array and stop round of each bundled scenario at
-a short horizon, and over a few `simulate_pacing` runs.  A change to any
-bit of any of them fails here.  If a change to the traces is deliberate,
-recompute the digests with `_trace_digest` / `_pacing_digest` and declare
-the change.
+a short horizon, over a few `simulate_pacing` runs, and over the JSON
+that `pacesim verify all` writes.  A change to any bit of any of them
+fails here.  If a change to the traces is deliberate, recompute the
+digests with `_trace_digest` / `_pacing_digest` and declare the change.
 """
 
 import copy
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pacesim import gsp, replicate, simulate_pacing, uniform_opponent_env
+from pacesim.cli import main
 from pacesim.config import validate_scenario
 from pacesim.regret import EnvironmentStep
 from pacesim.scenarios import BUNDLED, load_scenario, regret_environment
@@ -106,3 +107,25 @@ def test_simulate_pacing_runs_are_pinned(case):
     envs, budget, learning_rate, mu_cap = PACING_CASES[case]()
     runs = simulate_pacing(envs, budget, learning_rate, mu_cap, seed=17, replications=REPLICATIONS)
     assert _pacing_digest(runs) == PACING_DIGESTS[case]
+
+
+VERIFY_DIGESTS = {
+    # name: (extra `verify all` arguments, exit code, sha256 of the JSON it writes)
+    "default": ((), 0, "18784da05e71c973aa2e7069dfd31ab76d07f90eb5d6a40480184be637fc528d"),
+    # One trial makes every batched checker run on one-row batches.
+    "one-trial": (
+        ("--trials", "1"), 0, "a084654d92fcc6759f8c72be40135b6bf6384b5d27bfaacb4ce92930622e4399"
+    ),
+    "negative": (
+        ("--negative",), 1, "a65b3f6500cec45e5f0c126b31e31d85db0a616bfc80ced65edc0e963cb0a74d"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_DIGESTS)
+def test_verify_all_reports_are_pinned(case, tmp_path, capsys):
+    extra, code, digest = VERIFY_DIGESTS[case]
+    out = tmp_path / "verify.json"
+    assert main(["verify", "all", "--seed", "0", *extra, "-o", str(out)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
