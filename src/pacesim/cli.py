@@ -62,6 +62,7 @@ from .verify import (
     gsp_core_slack,
     gsp_exhaustive_core_fuzz,
     lipschitz_integral_check,
+    lipschitz_integral_fuzz,
     sgd_regret_check,
 )
 from .welfare import (
@@ -392,21 +393,10 @@ def _suite_lipschitz_integral(trials, seed, negative, traces):
     if negative:
         jump = PiecewiseLinear([0.0, 1e-9, 1.0], [0.0, 1.0, 1.0])
         return [lipschitz_integral_check(jump, 1e-9, 1.0, validate=False)]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    reports = [lipschitz_integral_check(PiecewiseLinear([0.0, 2.0], [0.0, 6.0]), 2.0, 3.0)]
-    failures = 0
-    count = min(trials, 5000)
-    for _ in range(count):
-        k = int(rng.integers(2, 8))
-        xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, k))])
-        slopes = rng.uniform(0.0, 2.0, k)
-        ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
-        lam = float(slopes.max()) if slopes.max() > 0 else 1.0
-        x = float(rng.uniform(0.0, xs[-1]))
-        if not lipschitz_integral_check(PiecewiseLinear(xs, ys), x, lam).passed:
-            failures += 1
-    reports.append(CheckReport("lipschitz_integral_fuzz", count, float(failures), 0.0, failures == 0))
-    return reports
+    return [
+        lipschitz_integral_check(PiecewiseLinear([0.0, 2.0], [0.0, 6.0]), 2.0, 3.0),
+        lipschitz_integral_fuzz(min(trials, 5000), seed),
+    ]
 
 
 def _suite_gsp_core(trials, seed, negative, traces):

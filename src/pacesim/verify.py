@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import auctions
 from .constants import MC_SIGMA, SGD_BOUND_CONSTANT, SURE_TOL
 from .errors import ConfigurationError, InvariantViolationError, PreconditionError
-from .simulation import Trace, ValueModel, _check_number
+from .simulation import Trace, ValueModel, _check_number, atom_indices
 
 # ---------------------------------------------------------------------------
 # Concentration of predictably-selected bounded sums
@@ -39,8 +40,12 @@ class UniformValues:
         if self.low > self.high:
             raise ConfigurationError(f"low must be at most high, got {self.low} > {self.high}")
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, n)
+    def draw(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n draws, into out if given, by the formula of `rng.uniform`."""
+        u = rng.random(n, out=out)
+        u *= self.high - self.low
+        u += self.low
+        return u
 
     @property
     def mean(self) -> float:
@@ -59,10 +64,15 @@ class DiscreteValues:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        ValueModel(self.probs, np.reshape(self.values, (-1, 1)))
+        model = ValueModel(self.probs, np.reshape(self.values, (-1, 1)))
+        object.__setattr__(self, "_model", model)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.values, size=n, p=self.probs)
+    def draw(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n draws, into out if given, through the engine's inverse-CDF
+        lookup; the same bits as `rng.choice` when the cumulative
+        probabilities end at exactly 1.0."""
+        u = rng.random(n, out=out)
+        return np.take(self._model.profiles[:, 0], atom_indices(self._model.probs, u), out=u)
 
     @property
     def mean(self) -> float:
@@ -103,6 +113,9 @@ class MartingaleSetup:
     rho: float
 
     def __post_init__(self):
+        _check_number(self, "horizon", positive=True, integer=True)
+        _check_number(self, "v_max", positive=True)
+        _check_number(self, "rho")
         if self.y_dist.max > self.v_max + 1e-12:
             raise ConfigurationError("value distribution exceeds v_max")
 
@@ -139,13 +152,25 @@ def concentration_check(
     standard errors.  Feeding a value distribution with mean above rho is
     the negative control: the bound no longer applies and the check fails.
     """
+    # The tail bound is stated for theta >= 0; below 0 it fails on values
+    # whose mean is exactly rho.
+    run = SimpleNamespace(theta=theta, trials=trials)
+    _check_number(run, "theta")
+    _check_number(run, "trials", positive=True, integer=True)
+    trials = run.trials
     select = _selector(setup.selector)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     stat = np.zeros(trials)
+    x, y = np.empty(trials), np.empty(trials)
     for t in range(setup.horizon):
-        x = np.clip(select(t, stat, setup.rho), 0.0, 1.0)
-        y = setup.y_dist.draw(rng, trials)
-        stat += x * y + (1.0 - x) * setup.rho
+        # stat += x * y + (1 - x) * rho, evaluated in that order in place.
+        np.clip(select(t, stat, setup.rho), 0.0, 1.0, out=x)
+        setup.y_dist.draw(rng, trials, out=y)
+        y *= x
+        np.subtract(1.0, x, out=x)
+        x *= setup.rho
+        y += x
+        stat += y
     threshold = setup.rho * setup.horizon + theta
     freq = float((stat >= threshold).mean())
     bound = math.exp(-2.0 * theta**2 / (setup.horizon * setup.v_max**2))
@@ -181,6 +206,7 @@ class SGDTestProblem:
     trials: int = 100
 
     def __post_init__(self):
+        _check_number(self, "trials", positive=True, integer=True)
         lo, hi = self.domain
         m = np.asarray(self.minimizers, dtype=np.float64).copy()
         if hi <= lo:
@@ -329,6 +355,92 @@ def lipschitz_integral_check(
     return CheckReport(
         "lipschitz_integral", 1, abs(fx), bound, passed, {"x": x, "integral": r, "lambda": lam}
     )
+
+
+#: Most linear pieces of a fuzzed function.
+_MAX_PIECES = 7
+
+
+def _lipschitz_draws(rng: np.random.Generator, count: int):
+    """`count` random increasing piecewise-linear functions as padded rows
+    (xs, ys, k, lam, x): k in 2.._MAX_PIECES pieces on breakpoints
+    xs[:, :k + 1] from 0, widths uniform on [0.05, 1), slopes uniform on
+    [0, 2), lam the largest slope (1 if all are 0), and x uniform on
+    [0, xs[k]).
+
+    Each instance takes k, then one uniform per width, one per slope and
+    one for x from the stream, in that order; rng.uniform(lo, hi) is
+    lo + (hi - lo) times such a uniform, so the rows hold the bits that
+    drawing each part with rng.uniform gives."""
+    k = np.empty(count, dtype=np.int64)
+    u = np.zeros((count, 2 * _MAX_PIECES + 1))
+    for i in range(count):
+        k[i] = pieces = int(rng.integers(2, _MAX_PIECES + 1))
+        rng.random(out=u[i, : 2 * pieces + 1])
+    cols = np.arange(_MAX_PIECES)
+    piece = cols < k[:, None]
+    widths = np.where(piece, 0.05 + (1.0 - 0.05) * u[:, :_MAX_PIECES], 0.0)
+    slopes = np.where(piece, 2.0 * np.take_along_axis(u, k[:, None] + cols, 1), 0.0)
+    xs = np.zeros((count, _MAX_PIECES + 1))
+    np.cumsum(widths, axis=1, out=xs[:, 1:])
+    ys = np.zeros_like(xs)
+    np.cumsum(slopes * np.diff(xs, axis=1), axis=1, out=ys[:, 1:])
+    lam = slopes.max(axis=1)
+    lam[lam == 0.0] = 1.0
+    rows = np.arange(count)
+    return xs, ys, k, lam, xs[rows, k] * u[rows, 2 * k]
+
+
+def _lipschitz_rows(xs, ys, k, lam, x, tol: float = SURE_TOL):
+    """`lipschitz_integral_check` with validation, one instance per row:
+    f interpolates (xs[r, :k[r] + 1], ys[r, :k[r] + 1]) with xs[r, 0] = 0,
+    and 0 <= x[r].  Returns |f(x)|, the bound and the verdict per row, with
+    the scalar check's arithmetic: np.interp's formula for f(x), and the
+    trapezoid terms of the exact integral added in order.  A row that
+    breaks a precondition raises InvariantViolationError."""
+    rows = np.arange(len(k))
+    cols = np.arange(xs.shape[1] - 1)
+    piece = cols < k[:, None]
+    dx, dy = np.diff(xs, axis=1), np.diff(ys, axis=1)
+    slope = np.divide(np.abs(dy), dx, out=np.zeros_like(dx), where=piece)
+    if not np.all(
+        (k >= 1)
+        & np.all(~piece | ((dx > 0) & (dy >= -1e-12)), axis=1)
+        & (slope.max(axis=1) <= lam + 1e-12)
+        & (np.abs(ys[:, 0]) <= 1e-12)
+        & (xs[:, 0] == 0.0)
+        & (0.0 <= x)
+        & (x <= xs[rows, k])
+    ):
+        raise InvariantViolationError("a Lipschitz fuzz row breaks the check's preconditions")
+    # np.interp: ys[j] when x is breakpoint j, else the line of the piece
+    # from breakpoint j, the last one at or below x.
+    j = np.count_nonzero((xs[:, 1:] <= x[:, None]) & piece, axis=1)
+    at = np.minimum(j, k - 1)
+    xj, yj = xs[rows, j], ys[rows, j]
+    fx = np.where(x == xj, yj, dy[rows, at] / dx[rows, at] * (x - xj) + yj)
+    # Trapezoids over 0, the m breakpoints strictly inside (0, x), and x.
+    m = np.count_nonzero((xs[:, 1:] < x[:, None]) & piece, axis=1)
+    last = (x - xs[rows, m]) * (fx + ys[rows, m]) / 2.0
+    inner = dx * (ys[:, 1:] + ys[:, :-1]) / 2.0
+    terms = np.where(cols < m[:, None], inner, np.where(cols == m[:, None], last[:, None], 0.0))
+    integral = terms[:, 0].copy()
+    for c in cols[1:]:
+        integral += terms[:, c]
+    statistic = np.abs(fx)
+    bound = np.sqrt(np.maximum(2.0 * lam * integral, 0.0))
+    return statistic, bound, statistic <= bound + tol
+
+
+def lipschitz_integral_fuzz(instances: int = 5_000, seed: int = 0) -> CheckReport:
+    """|f(x)| <= sqrt(2 lam * integral_0^x f) on random increasing
+    lam-Lipschitz piecewise-linear f with f(0) = 0 (see _lipschitz_draws),
+    evaluated as row predicates.  Statistic is the violation count; the
+    bound is zero."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    _, _, passed = _lipschitz_rows(*_lipschitz_draws(rng, instances))
+    failures = instances - int(np.count_nonzero(passed))
+    return CheckReport("lipschitz_integral_fuzz", instances, float(failures), 0.0, failures == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,25 +758,56 @@ def _fuzz(instances: int, seed: int, max_agents: int, outcome) -> list[CheckRepo
     return reports
 
 
+def _gsp_core_slacks(click_rates: np.ndarray, bids: np.ndarray) -> np.ndarray:
+    """`gsp_core_slack` of each row of bids (rows, n) under the click rates
+    in the same row of click_rates (rows, m), bit for bit: every subset's
+    terms are added in the scalar loop's order (a non-member adds 0.0)."""
+    n = bids.shape[1]
+    b = -np.sort(-bids, axis=1)
+    alpha = np.zeros_like(b)
+    alpha[:, : click_rates.shape[1]] = click_rates[:, :n]
+    b_next = np.zeros_like(b)
+    b_next[:, :-1] = b[:, 1:]
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # (masks, n)
+    rank = np.cumsum(member, axis=1) - 1  # sigma(i) = rank of i within the subset
+    outside = np.zeros((len(b), 1 << n))
+    inside = np.zeros_like(outside)
+    rhs = np.zeros_like(outside)
+    for i in range(n):
+        outside += np.where(member[:, i], 0.0, (b_next[:, i] * alpha[:, i])[:, None])
+        inside += np.where(member[:, i], (b[:, i] * alpha[:, i])[:, None], 0.0)
+        rhs += np.where(member[:, i], b[:, i, None] * alpha[:, rank[:, i]], 0.0)
+    return ((outside + inside) - rhs).min(axis=1)
+
+
 def gsp_exhaustive_core_fuzz(instances: int = 2_000, seed: int = 0) -> CheckReport:
-    """Random GSP instances with n, m <= 5, every agent subset enumerated."""
+    """Random GSP instances with n, m <= 5, every agent subset enumerated,
+    as array operations over the instances of each agent count.
+
+    Each instance takes n and m, then m uniforms for the click rates (in
+    descending order) and n for the bids, which are uniform on [0, 3) as
+    rng.uniform(0, 3) draws them."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    worst = math.inf
-    violations = 0
-    for _ in range(instances):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        rates = np.sort(rng.random(m))[::-1]
-        bids = rng.uniform(0.0, 3.0, n)
-        slack = gsp_core_slack(tuple(rates), bids.tolist())
-        worst = min(worst, slack)
-        if slack < -SURE_TOL:
-            violations += 1
+    agents = np.empty(instances, dtype=np.int64)
+    rates = np.zeros((instances, 5))
+    bids = np.zeros((instances, 5))
+    for i in range(instances):
+        n, m = rng.integers(1, 6, 2)
+        draw = rng.random(m + n)
+        agents[i] = n
+        rates[i, :m] = draw[:m]
+        bids[i, :n] = 3.0 * draw[m:]
+    rates = -np.sort(-rates, axis=1)
+    slack = np.empty(instances)
+    for n in range(1, 6):
+        rows = agents == n
+        slack[rows] = _gsp_core_slacks(rates[rows], bids[rows, :n])
+    violations = int(np.count_nonzero(slack < -SURE_TOL))
     return CheckReport(
         "gsp_core_exhaustive",
         instances,
         float(violations),
         0.0,
         violations == 0,
-        {"min_slack": worst},
+        {"min_slack": float(slack.min(initial=math.inf))},
     )

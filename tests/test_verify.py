@@ -2,6 +2,7 @@
 Lipschitz-integral link, the GSP subset-core inequality, and the benchmark
 diagnostic, each with a working negative control."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from pacesim import (
     solve_ex_ante_optimum,
 )
 from pacesim import auctions, verify
+from pacesim.constants import MC_SIGMA, SURE_TOL
 from pacesim.errors import ConfigurationError, InvariantViolationError, PreconditionError
 from pacesim.verify import fuzz_mechanisms, gsp_exhaustive_core_fuzz
 from pacesim.welfare import counterexample_scenario
@@ -97,6 +99,83 @@ class TestConcentration:
             concentration_check(
                 MartingaleSetup(UniformValues(0.0, 1.0), "sneaky", 10, 1.0, 0.5), 1.0, 10
             )
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            MartingaleSetup(UniformValues(0.0, 1.0), "always", 60, 1.0, 0.5),
+            MartingaleSetup(DiscreteValues((0.0, 2.0), (0.75, 0.25)), "always", 60, 2.0, 0.5),
+            MartingaleSetup(
+                DiscreteValues((0.0, 1.0, 3.0), (0.5, 0.25, 0.25)), "always", 60, 3.0, 0.5
+            ),
+            MartingaleSetup(UniformValues(0.0, 1.0), "adversarial", 60, 1.0, 0.5),
+            MartingaleSetup(UniformValues(0.0, 1.0), "never", 60, 1.0, 0.5),
+            # Fractional selections and rho round in the update's last bit.
+            MartingaleSetup(
+                UniformValues(0.0, 1.0),
+                lambda t, stat, rho: np.where(stat > rho * t, 0.7, 1.5),
+                60, 1.0, 0.45,
+            ),
+        ],
+        ids=["uniform", "two-atoms", "three-atoms", "adversarial", "never", "callable"],
+    )
+    def test_reports_equal_the_reference_loop(self, setup):
+        for theta, trials, seed in ((2.0, 3_000, 0), (0.5, 1, 9)):
+            report = concentration_check(setup, theta, trials, seed)
+            assert report == _reference_concentration(setup, theta, trials, seed)
+        # Every running sum, bit for bit, as the selector sees it each round.
+        runs = []
+        for check in (concentration_check, _reference_concentration):
+            seen = []
+            select = verify._selector(setup.selector)
+
+            def recording(t, stat, rho, seen=seen, select=select):
+                seen.append(stat.tobytes())
+                return select(t, stat, rho)
+
+            check(dataclasses.replace(setup, selector=recording), 2.0, 500, 2)
+            runs.append(seen)
+        assert runs[0] == runs[1]
+
+    def test_draws_equal_numpys_samplers(self):
+        seeds = np.random.SeedSequence(3)
+        a, b = (np.random.Generator(np.random.Philox(seeds)) for _ in range(2))
+        two = DiscreteValues((0.0, 2.0), (0.75, 0.25))
+        uniform = UniformValues(0.25, 1.75)
+        for n in (1, 1_000, 10_000):
+            assert two.draw(a, n).tobytes() == b.choice(two.values, size=n, p=two.probs).tobytes()
+            assert uniform.draw(a, n).tobytes() == b.uniform(0.25, 1.75, n).tobytes()
+        out = np.empty(500)
+        assert two.draw(a, 500, out=out) is out
+        assert out.tobytes() == b.choice(two.values, size=500, p=two.probs).tobytes()
+        assert uniform.draw(a, 500, out=out) is out
+        assert out.tobytes() == b.uniform(0.25, 1.75, 500).tobytes()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: MartingaleSetup(UniformValues(0.0, 1.0), "always", 0, 1.0, 0.5),
+            lambda: MartingaleSetup(UniformValues(0.0, 1.0), "always", -3, 1.0, 0.5),
+            lambda: MartingaleSetup(UniformValues(0.0, 1.0), "always", 2.5, 1.0, 0.5),
+            lambda: MartingaleSetup(UniformValues(0.0, 0.0), "always", 10, 0.0, 0.5),
+            lambda: MartingaleSetup(UniformValues(0.0, 1.0), "always", 10, math.inf, 0.5),
+            lambda: MartingaleSetup(UniformValues(0.0, 1.0), "always", 10, 1.0, math.nan),
+            lambda: MartingaleSetup(UniformValues(0.0, 1.0), "always", 10, 1.0, -0.5),
+            lambda: concentration_check(_SMALL_SETUP, 1.0, trials=0),
+            lambda: concentration_check(_SMALL_SETUP, 1.0, trials=2.5),
+            lambda: concentration_check(_SMALL_SETUP, math.nan, trials=10),
+            lambda: concentration_check(_SMALL_SETUP, -math.inf, trials=10),
+            lambda: concentration_check(_SMALL_SETUP, -10.0, trials=10),
+            lambda: SGDTestProblem((0.0, 1.0), np.full(10, 0.5), trials=0),
+            lambda: SGDTestProblem((0.0, 1.0), np.full(10, 0.5), trials=1.5),
+        ],
+        ids=["horizon-0", "horizon-negative", "horizon-fractional", "v_max-0", "v_max-inf",
+             "rho-nan", "rho-negative", "trials-0", "trials-fractional", "theta-nan",
+             "theta-inf", "theta-negative", "sgd-trials-0", "sgd-trials-fractional"],
+    )
+    def test_inputs_that_cannot_be_checked_are_refused(self, run):
+        with pytest.raises(ConfigurationError):
+            run()
 
 
 class TestSGD:
@@ -167,6 +246,66 @@ class TestLipschitzIntegral:
         jump = PiecewiseLinear([0.0, 1e-9, 1.0], [0.0, 1.0, 1.0])
         assert not lipschitz_integral_check(jump, 1e-9, lam=1.0, validate=False).passed
 
+    @pytest.mark.parametrize("seed", [0, 1, 77])
+    def test_fuzz_rows_equal_the_scalar_check(self, seed):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        xs, ys, k, lam, x = verify._lipschitz_draws(rng, 5_000)
+        statistic, bound, passed = verify._lipschitz_rows(xs, ys, k, lam, x)
+        for r, (f, x_ref, lam_ref) in enumerate(_reference_lipschitz_instances(seed, 5_000)):
+            assert xs[r, : k[r] + 1].tobytes() == f.xs.tobytes()
+            assert ys[r, : k[r] + 1].tobytes() == f.ys.tobytes()
+            assert (x[r], lam[r]) == (x_ref, lam_ref)
+            report = lipschitz_integral_check(f, x_ref, lam_ref)
+            assert (statistic[r], bound[r], passed[r]) == (
+                report.statistic, report.bound, report.passed
+            ), r
+        assert set(k.tolist()) == set(range(2, 8))
+
+    def test_hand_made_rows_equal_the_scalar_check(self):
+        cases = [
+            # (breakpoints, values, lam, x)
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], 2.0, 0.0),  # x = 0
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], 2.0, 1.0),  # x on a breakpoint
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], 2.0, 2.0),  # x the last breakpoint
+            ([0.0, 2.0, 3.0], [0.0, 6.0, 6.5], 3.0, 1.0),  # tight: f = lam x on the first piece
+            ([0.0, 2.0, 3.0], [0.0, 6.0, 6.5], 3.0, 2.0),
+            ([0.0, 0.5, 1.5], [0.0, 0.0, 0.25], 1.0, 1.2),  # k = 2, flat first piece
+            (np.cumsum([0.0, 0.3, 0.2, 0.9, 0.1, 0.4, 0.6, 0.5]),
+             np.cumsum([0.0, 0.1, 0.2, 0.0, 0.05, 0.7, 0.3, 0.45]), 1.75, 2.95),  # k = 7
+            (np.cumsum([0.0, 0.3, 0.2, 0.9, 0.1, 0.4, 0.6, 0.5]),
+             np.cumsum([0.0, 0.1, 0.2, 0.0, 0.05, 0.7, 0.3, 0.45]), 1.75, 3.0),
+        ]
+        for tol in (SURE_TOL, -1e-9):  # a negative tol fails the tight rows
+            statistic, bound, passed = verify._lipschitz_rows(*_padded_rows(cases), tol=tol)
+            for r, (xs, ys, lam, x) in enumerate(cases):
+                report = lipschitz_integral_check(PiecewiseLinear(xs, ys), x, lam, tol=tol)
+                assert (statistic[r], bound[r], passed[r]) == (
+                    report.statistic, report.bound, report.passed
+                ), (tol, r)
+            assert passed.all() == (tol > 0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ([0.0, 1.0], [0.0, -1.0], 2.0, 0.5),  # decreasing
+            ([0.0, 1.0], [0.0, 5.0], 1.0, 0.5),  # steeper than lam
+            ([0.0, 1.0], [0.5, 1.0], 1.0, 0.5),  # f(0) != 0
+            ([0.0, 1.0], [0.0, 1.0], 1.0, 1.5),  # x past the last breakpoint
+        ],
+        ids=["decreasing", "steep", "f0", "x-outside"],
+    )
+    def test_rows_breaking_a_precondition_raise(self, case):
+        with pytest.raises(PreconditionError):
+            lipschitz_integral_check(PiecewiseLinear(case[0], case[1]), case[3], case[2])
+        with pytest.raises(InvariantViolationError):
+            verify._lipschitz_rows(*_padded_rows([case]))
+
+    def test_fuzz_counts_every_instance(self):
+        report = verify.lipschitz_integral_fuzz(300, seed=4)
+        assert (report.checker, report.trials, report.statistic, report.passed) == (
+            "lipschitz_integral_fuzz", 300, 0.0, True
+        )
+
 
 class TestGspCore:
     def test_worked_example(self):
@@ -189,6 +328,21 @@ class TestGspCore:
     def test_size_guard(self):
         with pytest.raises(PreconditionError):
             gsp_core_slack([1.0] * 9, [1.0] * 9)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_batched_slacks_equal_the_scalar_slack(self, n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(n)))
+        for m in range(1, 6):
+            rates = -np.sort(-rng.random((200, m)), axis=1)
+            bids = rng.uniform(0.0, 3.0, (200, n)) * (rng.random((200, n)) > 0.2)
+            bids[::3, 0] = bids[::3, -1]  # ties
+            scalar = [gsp_core_slack(tuple(a), b.tolist()) for a, b in zip(rates, bids)]
+            assert np.array_equal(verify._gsp_core_slacks(rates, bids), scalar), m
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fuzz_report_equals_the_reference_loop(self, seed):
+        assert gsp_exhaustive_core_fuzz(400, seed) == _reference_gsp_fuzz(400, seed)
+        assert gsp_exhaustive_core_fuzz(1, seed) == _reference_gsp_fuzz(1, seed)
 
 
 KINDS = ("first_price", "second_price", "gsp")
@@ -381,3 +535,73 @@ class TestBenchmarkValueDiagnostic:
                 if benchmark_value_diagnostic(trace, rule.allocations, k) > ceiling:
                     violations += 1
         assert violations == 0
+
+
+# ---------------------------------------------------------------------------
+# References: the per-instance loops the batched checkers replaced, kept as
+# their oracles.
+
+_SMALL_SETUP = MartingaleSetup(UniformValues(0.0, 1.0), "always", 10, 1.0, 0.5)
+
+
+def _reference_concentration(setup, theta, trials, seed):
+    """concentration_check as a fresh-array loop drawing with rng.uniform
+    and rng.choice."""
+    select = verify._selector(setup.selector)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    dist = setup.y_dist
+    stat = np.zeros(trials)
+    for t in range(setup.horizon):
+        x = np.clip(select(t, stat, setup.rho), 0.0, 1.0)
+        if isinstance(dist, UniformValues):
+            y = rng.uniform(dist.low, dist.high, trials)
+        else:
+            y = rng.choice(dist.values, size=trials, p=dist.probs)
+        stat += x * y + (1.0 - x) * setup.rho
+    freq = float((stat >= setup.rho * setup.horizon + theta).mean())
+    bound = math.exp(-2.0 * theta**2 / (setup.horizon * setup.v_max**2))
+    stderr = math.sqrt(max(freq * (1 - freq), 0.0) / trials)
+    return verify.CheckReport(
+        "concentration", trials, freq, bound, freq <= bound + MC_SIGMA * stderr,
+        {"theta": theta, "stderr": stderr, "mean_y": dist.mean},
+    )
+
+
+def _reference_lipschitz_instances(seed, count):
+    """The Lipschitz fuzz's instances (f, x, lam), drawn one at a time."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    for _ in range(count):
+        k = int(rng.integers(2, 8))
+        xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, k))])
+        slopes = rng.uniform(0.0, 2.0, k)
+        ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+        lam = float(slopes.max()) if slopes.max() > 0 else 1.0
+        yield PiecewiseLinear(xs, ys), float(rng.uniform(0.0, xs[-1])), lam
+
+
+def _padded_rows(cases):
+    """(xs, ys, k, lam, x) rows for _lipschitz_rows from (xs, ys, lam, x)
+    cases, each padded past its last breakpoint."""
+    xs = np.zeros((len(cases), 8))
+    ys = np.zeros((len(cases), 8))
+    k = np.array([len(c[0]) - 1 for c in cases])
+    for r, (bx, by, _, _) in enumerate(cases):
+        xs[r], ys[r] = np.pad(bx, (0, 8 - len(bx)), "edge"), np.pad(by, (0, 8 - len(by)), "edge")
+    return xs, ys, k, np.array([c[2] for c in cases]), np.array([c[3] for c in cases])
+
+
+def _reference_gsp_fuzz(instances, seed):
+    """gsp_exhaustive_core_fuzz, one scalar gsp_core_slack per instance."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    worst, violations = math.inf, 0
+    for _ in range(instances):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        rates = np.sort(rng.random(m))[::-1]
+        slack = gsp_core_slack(tuple(rates), rng.uniform(0.0, 3.0, n).tolist())
+        worst = min(worst, slack)
+        violations += slack < -SURE_TOL
+    return verify.CheckReport(
+        "gsp_core_exhaustive", instances, float(violations), 0.0, violations == 0,
+        {"min_slack": worst},
+    )
