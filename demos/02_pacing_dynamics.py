@@ -14,7 +14,6 @@ from pacesim import (
     PacedAgent,
     SimulationConfig,
     ValueModel,
-    extract_epochs,
     liquid_welfare,
     run_simulation,
     second_price,
@@ -50,13 +49,13 @@ print(f"liquid welfare realized: {report.total:g} "
 print()
 print("== epochs: maximal stretches starting from an unshaded round ==")
 for k in range(2):
-    epochs = extract_epochs(trace, k)
+    bound = verify_epoch_value_bound(trace, k)
+    epochs = bound.epochs
     lengths = [e.length for e in epochs]
     print(
         f"agent {k}: {len(epochs)} epochs, longest {max(lengths)}, "
         f"trivial (length-1) {sum(1 for n in lengths if n == 1)}"
     )
-    bound = verify_epoch_value_bound(trace, k)
     print(
         f"   per-epoch value floor: {bound.n_checked} checked, "
         f"{len(bound.violations)} violations, min slack {bound.min_slack:.3e}, "

@@ -39,7 +39,6 @@ from .simulation import (
     SimulationConfig,
     Trace,
     ValueModel,
-    extract_epochs,
     load_trace,
     replicate,
     run_simulation,
@@ -47,10 +46,8 @@ from .simulation import (
     verify_epoch_value_bound,
 )
 from .welfare import (
-    CollapsedRule,
     ExAnteRule,
     LiquidWelfareReport,
-    collapse_sequence_rule,
     counterexample_report,
     counterexample_scenario,
     ex_ante_grid_oracle,
@@ -66,7 +63,6 @@ from .regret import (
     RegretReport,
     SmoothingSpec,
     surrogate_objective,
-    dynamic_regret,
     dynamic_regret_batch,
     expected_curves,
     fit_growth_exponent,
@@ -86,7 +82,6 @@ from .verify import (
     SGDTestProblem,
     UniformValues,
     concentration_check,
-    gsp_core_check,
     gsp_core_slack,
     lipschitz_integral_check,
     benchmark_value_ceiling,

@@ -26,11 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .constants import SURE_TOL
 from .errors import ConfigurationError, PreconditionError
-
-#: Tolerance for every deterministic predicate check in money units.
-#: Chosen for double precision sums over horizons up to 1e6 rounds.
-PREDICATE_TOL = 1e-9
 
 FIRST_PRICE = "first_price"
 SECOND_PRICE = "second_price"
@@ -67,16 +64,16 @@ class Polymatroid:
         out[:m] = self.click_rates[:m]
         return out
 
-    def contains(self, profile: Sequence[float], tol: float = PREDICATE_TOL) -> bool:
+    def contains(self, profile: Sequence[float]) -> bool:
         xs = sorted((float(x) for x in profile), reverse=True)
-        if xs and xs[-1] < -tol:
+        if xs and xs[-1] < -SURE_TOL:
             return False
         cap = 0.0
         total = 0.0
         for j, x in enumerate(xs):
             cap += self.click_rates[j] if j < len(self.click_rates) else 0.0
             total += x
-            if total > cap + tol:
+            if total > cap + SURE_TOL:
                 return False
         return True
 
@@ -237,13 +234,13 @@ def outcomes(
     return x, z
 
 
-def check_ir(outcome: AuctionOutcome, bids: Sequence[float], tol: float = PREDICATE_TOL) -> bool:
+def check_ir(outcome: AuctionOutcome, bids: Sequence[float]) -> bool:
     """Payment never exceeds declared welfare: p_k <= b_k * x_k for every k."""
     bs = _clean_bids(bids)
     if len(bs) != len(outcome.allocations) or len(bs) != len(outcome.payments):
         raise ConfigurationError("outcome and bid profile dimensions differ")
     return all(
-        pk <= bk * xk + tol
+        pk <= bk * xk + SURE_TOL
         for pk, bk, xk in zip(outcome.payments, bs, outcome.allocations)
     )
 
@@ -253,7 +250,6 @@ def check_core(
     bids: Sequence[float],
     subset: Iterable[int],
     deviation: Sequence[float],
-    tol: float = PREDICATE_TOL,
 ) -> bool:
     """Check the coalition condition for one candidate deviation.
 
@@ -276,7 +272,7 @@ def check_core(
     lhs = sum(out.payments[k] for k in range(len(bs)) if k not in members)
     lhs += sum(bs[k] * out.allocations[k] for k in members)
     rhs = sum(bs[k] * ys[k] for k in members)
-    return lhs >= rhs - tol
+    return lhs >= rhs - SURE_TOL
 
 
 def check_mbb(
@@ -285,7 +281,6 @@ def check_mbb(
     b_low: float,
     b_high: float,
     others: Sequence[float],
-    tol: float = PREDICATE_TOL,
 ) -> bool:
     """Monotone bang-per-buck between two bids of one agent.
 
@@ -301,7 +296,7 @@ def check_mbb(
     out_hi = allocate(mechanism, hi)
     dp = out_hi.payments[agent] - out_lo.payments[agent]
     dx = out_hi.allocations[agent] - out_lo.allocations[agent]
-    return dp >= b_low * dx - tol
+    return dp >= b_low * dx - SURE_TOL
 
 
 def _insert_bid(others: Sequence[float], agent: int, bid: float) -> list[float]:

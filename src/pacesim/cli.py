@@ -28,7 +28,7 @@ import numpy as np
 
 from . import scenarios, verify
 from .config import Scenario, SchemaError, anchored, apply_overrides, decode_json, validate_scenario
-from .constants import Z99
+from .constants import SURE_TOL, Z99
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -99,8 +99,17 @@ def _load_scenario(path: str, overrides: list[str]) -> tuple[Scenario, str]:
     return validate_scenario(apply_overrides(decode_json(text), overrides), text), text
 
 
+def _finite(obj):
+    """obj with each non-finite float as None: JSON (RFC 8259) has no Infinity or NaN."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: str | None, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -240,6 +249,8 @@ def _parse_horizons(raw: str | None, default: int) -> list[int]:
         raise ConfigurationError(f"bad --horizons value {raw!r}")
     if not horizons or any(h < 1 for h in horizons):
         raise ConfigurationError("horizons must be positive integers")
+    if len(set(horizons)) < len(horizons):
+        raise ConfigurationError(f"--horizons repeats a horizon: {raw!r}")
     return horizons
 
 
@@ -254,7 +265,7 @@ def cmd_regret(args) -> int:
         # Regret's own refusals of the scenario, at the line at fault.
         with anchored(text):
             scen = _at_horizon(scenario, T, text)
-            agent, envs, params = scenarios.regret_environment(scen)
+            _agent, envs, params = scenarios.regret_environment(scen)
             eps = params["learning_rate"] if len(horizons) == 1 else 1.0 / math.sqrt(T)
             # A huge learning rate can overflow the multiplier step, which the
             # projection onto [0, mu_cap] clips, so only the analysis is
@@ -403,11 +414,11 @@ def _suite_gsp_core(trials, seed, negative, traces):
     if negative:
         slack = gsp_core_slack([1.0, 0.5, 0.0], [5.0, 1.0, 10.0], assume_sorted=True)
         return [
-            CheckReport("gsp_core_negative", 1, slack, 0.0, slack >= -1e-9)
+            CheckReport("gsp_core_negative", 1, slack, 0.0, slack >= -SURE_TOL)
         ]
     example = gsp_core_slack([1.0, 0.5], [3.0, 2.0, 1.0])
     return [
-        CheckReport("gsp_core_example", 1, example, 0.0, example >= -1e-9),
+        CheckReport("gsp_core_example", 1, example, 0.0, example >= -SURE_TOL),
         gsp_exhaustive_core_fuzz(min(trials, 2000), seed),
     ]
 

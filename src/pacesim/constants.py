@@ -18,7 +18,9 @@ SGD_BOUND_CONSTANT = 4.0
 #: Standard-error slack for Monte Carlo pass criteria.
 MC_SIGMA = 3.0
 
-#: Tolerance for sure inequalities (money sums in double precision).
+#: Tolerance of every sure inequality in money units (auction predicates,
+#: pacing conformance, epoch and budget checks, verify's checkers), for
+#: double-precision sums over horizons up to 1e6 rounds.
 SURE_TOL = 1e-9
 
 #: Two-sided 99% normal quantile for replication confidence intervals.

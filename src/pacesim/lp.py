@@ -25,14 +25,14 @@ class LPSolution:
     iterations: int
 
 
-def solve_lp_max(c, A, b, tol: float = _TOL, max_iterations: int = 50_000) -> LPSolution:
+def solve_lp_max(c, A, b, max_iterations: int = 50_000) -> LPSolution:
     c = np.asarray(c, dtype=np.float64)
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ConfigurationError("inconsistent LP dimensions")
-    if np.any(b < -tol):
+    if np.any(b < -_TOL):
         raise ConfigurationError("this solver requires b >= 0 (slack basis start)")
 
     # Tableau: [A | I | b] with the reduced-cost row [-c | 0 | 0] at the bottom.
@@ -48,22 +48,22 @@ def solve_lp_max(c, A, b, tol: float = _TOL, max_iterations: int = 50_000) -> LP
         costs = tab[m, :-1]
         if it < bland_after:
             enter = int(np.argmin(costs))
-            if costs[enter] >= -tol:
+            if costs[enter] >= -_TOL:
                 break
         else:
-            candidates = np.flatnonzero(costs < -tol)
+            candidates = np.flatnonzero(costs < -_TOL)
             if len(candidates) == 0:
                 break
             enter = int(candidates[0])
 
         col = tab[:m, enter]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > _TOL)
         if len(rows) == 0:
             raise UnboundedError("objective unbounded along entering variable")
         ratios = tab[rows, -1] / col[rows]
         best = ratios.min()
         # Lowest basis index among the tied rows (Bland-compatible tie-break).
-        tied = rows[ratios <= best + tol * (1 + abs(best))]
+        tied = rows[ratios <= best + _TOL * (1 + abs(best))]
         leave = int(min(tied, key=lambda r: basis[r]))
 
         pivot = tab[leave, enter]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from .constants import SURE_TOL
 from .errors import (
     BoundInapplicableError,
     ConfigurationError,
@@ -178,7 +179,6 @@ def check_generalized_pacing(
     spends: Sequence[float],
     multipliers: Sequence[float],
     config: AgentConfig,
-    tol: float = 1e-9,
 ) -> ConformanceReport:
     """Validate a recorded trace against the generalized-pacing contract.
 
@@ -200,12 +200,12 @@ def check_generalized_pacing(
     remaining = float(config.budget)
     rho = config.target_rate
     for t in range(T):
-        if bids[t] > values[t] + tol:
+        if bids[t] > values[t] + SURE_TOL:
             no_over = False
             first = first or f"round {t + 1}: bid {bids[t]} exceeds value {values[t]}"
         if multipliers[t] == 0.0:
             expected = min(values[t], remaining)
-            if abs(bids[t] - expected) > tol:
+            if abs(bids[t] - expected) > SURE_TOL:
                 no_unnec = False
                 first = first or (
                     f"round {t + 1}: multiplier 0 but bid {bids[t]} != {expected}"

@@ -266,12 +266,7 @@ def _distinct(envs: Sequence[EnvironmentStep]) -> list[tuple[EnvironmentStep, np
 # Perfect pacing multipliers
 
 
-def perfect_multiplier(
-    env: EnvironmentStep,
-    rho: float,
-    mu_cap: float,
-    tol: float = BISECTION_TOL,
-) -> float:
+def perfect_multiplier(env: EnvironmentStep, rho: float, mu_cap: float) -> float:
     """Bisect the non-increasing spend curve for Z(mu) = rho on [0, mu_cap].
 
     Returns 0 when even unshaded bidding spends below the target.  A step
@@ -285,13 +280,13 @@ def perfect_multiplier(
     z0 = float(env.spend(np.array([0.0]))[0])
     if z0 < rho:
         return 0.0
-    if abs(z0 - rho) <= tol:
+    if abs(z0 - rho) <= BISECTION_TOL:
         return 0.0
     lo, hi = 0.0, float(mu_cap)
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         zm = float(env.spend(np.array([mid]))[0])
-        if abs(zm - rho) <= tol:
+        if abs(zm - rho) <= BISECTION_TOL:
             return mid
         if zm > rho:
             lo = mid
@@ -316,17 +311,14 @@ class PerfectPacingSequence:
 
 
 def perfect_sequence(
-    envs: Sequence[EnvironmentStep],
-    rho: float,
-    mu_cap: float,
-    tol: float = BISECTION_TOL,
+    envs: Sequence[EnvironmentStep], rho: float, mu_cap: float
 ) -> PerfectPacingSequence:
     """Perfect multiplier per round; repeated env objects are solved (and
     their residual evaluated) once."""
     mus = np.empty(len(envs))
     res = np.empty(len(envs))
     for env, rounds in _distinct(envs):
-        mu = perfect_multiplier(env, rho, mu_cap, tol)
+        mu = perfect_multiplier(env, rho, mu_cap)
         mus[rounds] = mu
         res[rounds] = abs(float(env.spend(np.array([mu]))[0]) - rho)
     return PerfectPacingSequence(mus, res)
@@ -432,15 +424,13 @@ class SmoothingSpec:
     floor_relative: float
 
 
-def measure_smoothing(
-    env_or_envs, mu_cap: float, grid_points: int = 2001
-) -> SmoothingSpec:
+def measure_smoothing(env_or_envs, mu_cap: float) -> SmoothingSpec:
     envs = [env_or_envs] if isinstance(env_or_envs, EnvironmentStep) else list(env_or_envs)
     lam = 0.0
     floor_abs = math.inf
     floor_rel = math.inf
     eta = 0.0
-    mus = np.linspace(0.0, mu_cap, grid_points)
+    mus = np.linspace(0.0, mu_cap, 2001)
     for env, _rounds in _distinct(envs):
         z, v = env.spend_value(mus)
         slopes = np.abs(np.diff(z)) / np.diff(mus)
@@ -643,22 +633,11 @@ def regret_bounds(
     return sgd_bound, value_bound
 
 
-def dynamic_regret(
-    run: PacingRun,
-    envs,
-    rho: float | None = None,
-    mu_cap: float | None = None,
-    tol: float = QUADRATURE_TOL,
-) -> RegretReport:
-    return dynamic_regret_batch([run], envs, rho, mu_cap, tol)[0]
-
-
 def dynamic_regret_batch(
     runs: Sequence[PacingRun],
     envs,
     rho: float | None = None,
     mu_cap: float | None = None,
-    tol: float = QUADRATURE_TOL,
 ) -> list[RegretReport]:
     """Dynamic regret reports for runs that faced the same environment
     sequence; perfect multipliers and curve integrals are computed once.
@@ -691,7 +670,7 @@ def dynamic_regret_batch(
     for env, rounds_arr in groups:
         mu_star = perfect.multipliers[rounds_arr[0]]
         zs, vs = env.spend_value(np.array([mu_star]))
-        hs = objective_values(env, rho, np.array([mu_star]), tol)[0]
+        hs = objective_values(env, rho, np.array([mu_star]))[0]
         v_star[rounds_arr] = vs[0]
         h_star[rounds_arr] = hs
         for i, run in enumerate(runs):
@@ -700,12 +679,12 @@ def dynamic_regret_batch(
             if len(mus) == 0:
                 continue
             _, vv = env.spend_value(mus)
-            hh = objective_values(env, rho, mus, tol)
+            hh = objective_values(env, rho, mus)
             v_run[i][rounds_arr[mask]] = vv
             h_run[i][rounds_arr[mask]] = hh
 
     sgd_bound, value_bound = regret_bounds(
-        perfect.path_length, mu_cap, rho, smoothing_value_cap(distinct), T, smoothing
+        perfect.path_length, mu_cap, rho, max(env.value_cap for env in distinct), T, smoothing
     )
     reports = []
     for i, run in enumerate(runs):
@@ -728,14 +707,12 @@ def dynamic_regret_batch(
     return reports
 
 
-def smoothing_value_cap(env_list: Sequence[EnvironmentStep]) -> float:
-    return max(env.value_cap for env in env_list)
-
-
 def fit_growth_exponent(horizons: Sequence[int], regrets: Sequence[float]) -> float:
     """Least-squares slope of log regret against log horizon."""
     h = np.asarray(horizons, dtype=np.float64)
     r = np.asarray(regrets, dtype=np.float64)
+    if len(np.unique(h)) < 2:
+        raise PreconditionError("a growth exponent needs at least two distinct horizons")
     if np.any(r <= 0):
         raise PreconditionError("regrets must be positive for a log-log fit")
     slope = np.polyfit(np.log(h), np.log(r), 1)[0]

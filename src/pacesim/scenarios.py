@@ -99,11 +99,9 @@ def regret_environment(scenario: Scenario) -> tuple[int, list[EnvironmentStep], 
             ("agents", agent, "mu_cap"),
         )
     params = {
-        "agent": agent,
         "budget": spec.budget,
         "learning_rate": cfg.learning_rate,
         "mu_cap": cfg.mu_cap,
         "target_rate": cfg.target_rate,
-        "value_cap": cfg.value_cap,
     }
     return agent, envs, params

@@ -39,10 +39,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .auctions import Mechanism, _kernel
+from .constants import SURE_TOL
 from .errors import ConfigurationError
 from .pacing import EXHAUSTION_FRACTION, AgentConfig, _stopping_bound, _stopping_rule
-
-EPOCH_TOL = 1e-9
 
 
 def atom_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -566,19 +565,12 @@ def _live_rounds(trace: Trace, agent: int) -> int:
     return min(int(trace.stop_rounds[agent]) - 1, trace.horizon)
 
 
-def extract_epochs(trace: Trace, agent: int) -> list[Epoch]:
-    """Partition the agent's live rounds [1, stop) into maximal epochs."""
-    starts, ends, _checked, _slacks = _epoch_bound_arrays(trace, agent)
-    return [Epoch(int(a), int(b), agent) for a, b in zip(starts, ends)]
-
-
 @dataclass(frozen=True)
 class EpochBoundReport:
     agent: int
     epochs: tuple[Epoch, ...]
     checked: tuple[bool, ...]
     slacks: tuple[float, ...]
-    tol: float = EPOCH_TOL
 
     @property
     def n_checked(self) -> int:
@@ -598,7 +590,7 @@ class EpochBoundReport:
         return [
             e
             for e, s, c in zip(self.epochs, self.slacks, self.checked)
-            if c and s < -self.tol
+            if c and s < -SURE_TOL
         ]
 
     @property
@@ -633,14 +625,14 @@ def _epoch_bound_arrays(trace: Trace, agent: int):
     return starts, ends, checked, totals - needs
 
 
-def epoch_bound_stats(trace: Trace, agent: int, tol: float = EPOCH_TOL):
+def epoch_bound_stats(trace: Trace, agent: int):
     """(epochs checked, violations, min slack) without materializing epoch
     objects; the fast path for sweeping thousands of replications."""
     _starts, _ends, checked, slacks = _epoch_bound_arrays(trace, agent)
     if not checked.any():
         return 0, 0, math.inf
     used = slacks[checked]
-    return int(checked.sum()), int((used < -tol).sum()), float(used.min())
+    return int(checked.sum()), int((used < -SURE_TOL).sum()), float(used.min())
 
 
 def verify_epoch_value_bound(trace: Trace, agent: int) -> EpochBoundReport:

@@ -483,12 +483,6 @@ def gsp_core_slack(
     return worst
 
 
-def gsp_core_check(
-    click_rates: Sequence[float], bids: Sequence[float], tol: float = SURE_TOL
-) -> bool:
-    return gsp_core_slack(click_rates, bids) >= -tol
-
-
 # ---------------------------------------------------------------------------
 # The R_k diagnostic from the welfare proof
 
@@ -565,13 +559,13 @@ def _random_mechanism(rng: np.random.Generator, kind: str):
     return auctions.Mechanism(kind, auctions.Polymatroid(tuple(rates)))
 
 
-def _feasible_rows(feasible, profiles: np.ndarray, tol: float) -> np.ndarray:
+def _feasible_rows(feasible, profiles: np.ndarray) -> np.ndarray:
     """Vectorized `feasible.contains`, one verdict per row: no entry below
-    -tol, and each prefix sum of the descending-sorted row at most the sum
-    of as many largest slot rates, plus tol."""
+    -SURE_TOL, and each prefix sum of the descending-sorted row at most the
+    sum of as many largest slot rates, plus SURE_TOL."""
     caps = np.cumsum(feasible.rates(profiles.shape[1]))
     prefix = np.cumsum(-np.sort(-profiles, axis=1), axis=1)
-    return (profiles.min(axis=1) >= -tol) & np.all(prefix <= caps + tol, axis=1)
+    return (profiles.min(axis=1) >= -SURE_TOL) & np.all(prefix <= caps + SURE_TOL, axis=1)
 
 
 def _feasible_deviations(rng: np.random.Generator, feasible, rows: int, n: int) -> np.ndarray:
@@ -618,9 +612,9 @@ def _fuzz_block(
 ) -> _FuzzBlock:
     """Draw one block of instances and evaluate every property through
     the outcome kernel (`auctions.outcomes` unless given), with the scalar
-    checkers' inequalities and PREDICATE_TOL."""
+    checkers' inequalities and SURE_TOL."""
     outcome = outcome or auctions.outcomes
-    tol = auctions.PREDICATE_TOL
+    tol = SURE_TOL
     n = int(rng.integers(2, max_agents + 1))
     mech = _random_mechanism(rng, kind)
     r = np.arange(rows)
@@ -649,7 +643,7 @@ def _fuzz_block(
     rank = np.argsort(np.argsort(rng.random((rows, n)), axis=1), axis=1)
     coalition = rank < size[:, None]  # a uniform random subset of that size
     deviation = _feasible_deviations(rng, mech.feasible, rows, n)
-    if not np.all(_feasible_rows(mech.feasible, deviation, tol)):
+    if not np.all(_feasible_rows(mech.feasible, deviation)):
         raise InvariantViolationError("fuzz drew a deviation outside the feasible set")
     # Row sums over at most a few agents run in index order, as check_core's do.
     lhs = np.where(coalition, 0.0, z).sum(axis=1) + np.where(coalition, bids * x, 0.0).sum(axis=1)
@@ -666,7 +660,7 @@ def _oracle_agrees(block: _FuzzBlock, row: int) -> bool:
     """Replay one row through scalar `allocate` and the `check_*`
     predicates: both outcomes must equal the kernel's bit for bit, and
     every verdict the batched one."""
-    tol = auctions.PREDICATE_TOL
+    tol = SURE_TOL
     mech = block.mechanism
     bids = block.bids[row].tolist()
     k = int(block.agent[row])

@@ -16,15 +16,14 @@ so the LP has n * m share columns and m + n rows per scenario.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .auctions import Polymatroid, second_price
-from .constants import WELFARE_BOUND_CONSTANT, Z99
+from .constants import SURE_TOL, WELFARE_BOUND_CONSTANT, Z99
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -52,7 +51,7 @@ class LiquidWelfareReport:
     budgets: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.spends > self.budgets + 1e-9):
+        if np.any(self.spends > self.budgets + SURE_TOL):
             raise InvariantViolationError("agent spend exceeds its budget")
 
     @property
@@ -212,61 +211,6 @@ def rule_to_csv(allocations: np.ndarray, path) -> None:
         writer.writerow(["scenario"] + [f"agent_{k}" for k in range(y.shape[1])])
         for s in range(y.shape[0]):
             writer.writerow([s] + [format(v, ".17g") for v in y[s]])
-
-
-@dataclass(frozen=True)
-class CollapsedRule:
-    allocations: np.ndarray  # (support, agents)
-    approximate: bool
-    stderr: np.ndarray | None = None
-
-
-def collapse_sequence_rule(
-    seq_rule: Callable[[tuple[int, ...]], np.ndarray],
-    model: ValueModel,
-    horizon: int,
-    max_enumeration: int = 1_000_000,
-    mc_samples: int = 20_000,
-    seed: int = 0,
-) -> CollapsedRule:
-    """Average a sequence rule into one single-round rule with the same
-    ex-ante liquid welfare.
-
-    seq_rule maps a tuple of support indices (one per round) to a (horizon,
-    agents) allocation array.  When the support^horizon product is small
-    the conditional expectations are enumerated exactly; otherwise they are
-    Monte Carlo estimates flagged approximate, with a standard error per
-    (scenario, agent) entry.
-    """
-    S, n = model.support_size, model.n_agents
-    if horizon < 1:
-        raise ConfigurationError("horizon must be positive")
-    q = model.probs
-
-    if S**horizon <= max_enumeration:
-        cond = np.zeros((horizon, S, n))  # E[alloc_t 1{v_t = s}]
-        for seq in itertools.product(range(S), repeat=horizon):
-            p = float(np.prod(q[list(seq)]))
-            y = np.asarray(seq_rule(seq), dtype=np.float64)
-            if y.shape != (horizon, n):
-                raise ConfigurationError("sequence rule returned a bad shape")
-            for t, s in enumerate(seq):
-                cond[t, s] += p * y[t]
-        cond /= q[None, :, None]
-        return CollapsedRule(cond.mean(axis=0), approximate=False)
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    per_sample = np.empty((mc_samples, S, n))
-    for i in range(mc_samples):
-        seq = tuple(int(s) for s in model.sample_indices(rng, horizon))
-        y = np.asarray(seq_rule(seq), dtype=np.float64)
-        h = np.zeros((S, n))
-        for t, s in enumerate(seq):
-            h[s] += y[t] / q[s]
-        per_sample[i] = h / horizon
-    mean = per_sample.mean(axis=0)
-    stderr = per_sample.std(axis=0, ddof=1) / math.sqrt(mc_samples)
-    return CollapsedRule(mean, approximate=True, stderr=stderr)
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,15 @@ class TestCliExitCodes:
         assert code == 2
         assert "regret needs a horizon of at least 1, got 0" in capsys.readouterr().err
 
+    def test_regret_repeated_horizon_exits_2_before_any_work(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated although no exponent can be fitted")
+
+        monkeypatch.setattr("pacesim.cli.simulate_pacing", refuse)
+        code = main(["regret", "regret_first_price_uniform", "--horizons", "200,200", "-R", "2"])
+        assert code == 2
+        assert "--horizons repeats a horizon: '200,200'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("error", [UnboundedError, IterationLimitError])
     def test_lp_failure_exits_internal(self, monkeypatch, capsys, error):
         def fail(*args, **kwargs):
@@ -709,12 +718,13 @@ def test_mutated_regret_scenarios_run_or_exit_2_with_a_line_anchor(case):
 @pytest.mark.parametrize("override", ["agents.0.mu_cap=1e200", "agents.0.budget=1e300"])
 def test_regret_bounds_too_large_for_a_float_are_inf(tmp_path, capsys, override):
     # mu_cap**2 or (rho + value_cap)**2 overflows: the bound is vacuous, not a crash.
+    # JSON has no Infinity, so the report writes it as null.
     out = tmp_path / "regret.json"
     code = main(["regret", "regret_first_price_uniform", "-R", "2", "--set", "horizon=50",
                  "--set", override, "-o", str(out)])
     assert code == 0, capsys.readouterr().err
     (entry,) = json.loads(out.read_text())["per_horizon"]
-    assert entry["sgd_bound"] == entry["value_bound"] == float("inf")
+    assert entry["sgd_bound"] is entry["value_bound"] is None
     assert "(bound inf)" in capsys.readouterr().out
 
 
@@ -802,3 +812,31 @@ def test_run_multiplier_step_overflow_saturates_without_a_warning(tmp_path, caps
         return json.loads((out / "summary.json").read_text())
 
     assert summary(1e308) == summary(1e300)
+
+
+def _strict_json(path):
+    """The JSON at path, parsed with Infinity and NaN refused (RFC 8259)."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
+    # Zero values make the welfare ratio (0/0, reported as inf), the relative
+    # spend floor and the value bound non-finite: stdout prints them, JSON
+    # gets null.
+    welfare = tmp_path / "w.json"
+    assert main(["welfare", "welfare_symmetric_second_price", "-R", "2", "--set", "horizon=50",
+                 "--set", "value_model.support.0.values=[0,0]",
+                 "--set", "value_model.support.1.values=[0,0]", "-o", str(welfare)]) == 0
+    assert "ratio inf" in capsys.readouterr().out
+    assert _strict_json(welfare)["ratio"] is None
+
+    regret = tmp_path / "z.json"
+    assert main(["regret", "regret_first_price_uniform", "-R", "2", "--set", "horizon=200",
+                 "--set", "value_model.support.0.values=[0,0.5]", "-o", str(regret)]) == 0
+    capsys.readouterr()
+    (entry,) = _strict_json(regret)["per_horizon"]
+    assert entry["delta_relative"] is entry["value_bound"] is None

@@ -3,9 +3,10 @@
 The oracle tests check that the vectorized engine agrees with the scalar
 pacing rule and `allocate`.  These pin the engine's output itself: the
 sha256 over every trace array and stop round of each bundled scenario at
-a short horizon, over a few `simulate_pacing` runs, and over the JSON
-that `pacesim verify all` writes.  A change to any bit of any of them
-fails here.  If a change to the traces is deliberate, recompute the
+a short horizon, over a few `simulate_pacing` runs, over the JSON that
+`pacesim verify all` writes, and over every file that short runs of
+`welfare`, `regret`, `run` and `counterexample` write.  A change to any
+bit of any of them fails here.  If a change to the traces is deliberate, recompute the
 digests with `_trace_digest` / `_pacing_digest` and declare the change.
 """
 
@@ -129,3 +130,45 @@ def test_verify_all_reports_are_pinned(case, tmp_path, capsys):
     assert main(["verify", "all", "--seed", "0", *extra, "-o", str(out)]) == code
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+COMMAND_DIGESTS = {
+    # name: (command, {output file: sha256}); every output is written under tmp_path.
+    "welfare": (
+        ["welfare", "welfare_gsp_five", "-R", "4", "--set", "horizon=2000",
+         "-o", "{out}/w.json", "--rule-csv", "{out}/w.csv"],
+        {
+            "w.json": "099c77e805be21a9c689809c8781efb9aaf3e0495d3c648dce87d5bf1dd955c6",
+            "w.csv": "4897e6d6fd6d51f4f88b5ae799aa14338694db4764fdc77be03a68ca5fcd389d",
+        },
+    ),
+    "regret": (
+        ["regret", "regret_switching", "-R", "4", "--horizons", "200,400",
+         "-o", "{out}/r.json", "--curves", "{out}/r.csv"],
+        {
+            "r.json": "ba98dc5e7c8d39292092d0359c72a2b964f47e61cb7c6c4f59e68be710bab8e9",
+            "r.csv": "e51822f51187690a5e14619d719bfc4a33e4c842a3a3c7bc5c93526e5bcd1c15",
+        },
+    ),
+    "run": (
+        ["run", "welfare_first_price_three", "-R", "3", "--set", "horizon=300", "-o", "{out}"],
+        {
+            "summary.json": "570b19ad1accaf471f82acfa6ac943e945130a205955e742bd264c6709c29196",
+            "trace_0001.csv": "70c7866ad15c45dc1b81dffed1bbc3e69bfedb5e4adeddacdfe37a27d224fb70",
+            "trace_0001.json": "53e5b33850ccaf1a5fdf23c5e6c87e53e8b860afdcc032c0e436948609479391",
+        },
+    ),
+    "counterexample": (
+        ["counterexample", "-o", "{out}/c.json"],
+        {"c.json": "6975049824848d4d7b926749f6a40d99d544d5179ed35a31b0aad0083610ff4f"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_DIGESTS)
+def test_command_outputs_are_pinned(case, tmp_path, capsys):
+    argv, digests = COMMAND_DIGESTS[case]
+    assert main([arg.format(out=tmp_path) for arg in argv]) == 0
+    capsys.readouterr()
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

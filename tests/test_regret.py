@@ -12,7 +12,6 @@ from pacesim import (
     Polymatroid,
     allocate,
     surrogate_objective,
-    dynamic_regret,
     dynamic_regret_batch,
     expected_curves,
     first_price,
@@ -277,7 +276,7 @@ class TestDynamicRegret:
         runs = simulate_pacing(env, budget=rho * 50, learning_rate=0.1, mu_cap=1.0,
                                horizon=50, seed=0, replications=3)
         for run in runs:
-            report = dynamic_regret(run, env, rho, 1.0)
+            [report] = dynamic_regret_batch([run], env, rho, 1.0)
             assert report.value_regret == pytest.approx(0.0, abs=1e-9)
             assert report.sgd_regret == pytest.approx(0.0, abs=1e-9)
             assert np.all(run.multipliers == 0.0)
@@ -434,6 +433,9 @@ def test_fit_growth_exponent():
     assert fit_growth_exponent(horizons, regrets) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(PreconditionError):
         fit_growth_exponent([10, 100], [1.0, -2.0])
+    for horizons in ([200, 200], [400]):  # no slope to fit
+        with pytest.raises(PreconditionError, match="two distinct horizons"):
+            fit_growth_exponent(horizons, [1.0] * len(horizons))
 
 
 def _pacing_reference(envs, budget, learning_rate, mu_cap, seed, replications):

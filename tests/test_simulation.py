@@ -20,7 +20,6 @@ from pacesim import (
     Trace,
     ValueModel,
     counterexample_scenario,
-    extract_epochs,
     first_price,
     gsp,
     load_trace,
@@ -340,18 +339,22 @@ class TestEpochs:
 
     def test_epoch_extraction_examples(self):
         trace = self._trace_with_multipliers([0.0, 0.0, 0.1, 0.2, 0.0])
-        assert extract_epochs(trace, 0) == [Epoch(1, 2, 0), Epoch(2, 5, 0), Epoch(5, 6, 0)]
+        assert list(verify_epoch_value_bound(trace, 0).epochs) == [
+            Epoch(1, 2, 0), Epoch(2, 5, 0), Epoch(5, 6, 0)
+        ]
 
         trivial = self._trace_with_multipliers([0.0, 0.0, 0.0])
-        assert extract_epochs(trivial, 0) == [Epoch(1, 2, 0), Epoch(2, 3, 0), Epoch(3, 4, 0)]
+        assert list(verify_epoch_value_bound(trivial, 0).epochs) == [
+            Epoch(1, 2, 0), Epoch(2, 3, 0), Epoch(3, 4, 0)
+        ]
 
         single = self._trace_with_multipliers([0.0, 0.3, 0.3, 0.2])
-        assert extract_epochs(single, 0) == [Epoch(1, 5, 0)]
+        assert list(verify_epoch_value_bound(single, 0).epochs) == [Epoch(1, 5, 0)]
 
     def test_scripted_agent_has_no_epochs(self):
         trace = run_simulation(counterexample_scenario(9.0, 20))
         with pytest.raises(ConfigurationError):
-            extract_epochs(trace, 0)
+            verify_epoch_value_bound(trace, 0)
 
     def test_trivial_epoch_slack_is_first_round_spend(self):
         trace = self._trace_with_multipliers([0.0, 0.0], xv=[0.4, 0.4], z=[0.25, 0.0])
@@ -378,7 +381,7 @@ class TestEpochs:
                 for k in range(trace.n_agents):
                     report = verify_epoch_value_bound(trace, k)
                     assert not report.violations
-                    epochs = extract_epochs(trace, k)
+                    epochs = report.epochs
                     # epochs partition the live rounds
                     assert epochs[0].start == 1
                     for a, b in zip(epochs, epochs[1:]):

@@ -1,5 +1,5 @@
 """Liquid welfare reports, the exact ex-ante program against its grid
-oracle, sequence-rule collapsing, and the counterexample scenario."""
+oracle, and the counterexample scenario."""
 
 import itertools
 import math
@@ -14,7 +14,6 @@ from pacesim import (
     SimulationConfig,
     SingleSlot,
     ValueModel,
-    collapse_sequence_rule,
     counterexample_report,
     counterexample_scenario,
     ex_ante_grid_oracle,
@@ -183,80 +182,6 @@ class TestExAnteOptimum:
         poly_model = ValueModel([1.0 / 100] * 100, np.ones((100, 40)) * 0.5)
         with pytest.raises(CapacityError):
             solve_ex_ante_optimum(poly_model, Polymatroid((1.0, 0.6, 0.3)), [1.0] * 40, 10)
-
-
-class TestCollapseSequenceRule:
-    def test_time_invariant_rule_is_fixed_point(self):
-        model = ValueModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
-        fixed = np.array([[0.7, 0.0], [0.0, 0.7]])
-
-        rule = collapse_sequence_rule(lambda seq: fixed[list(seq)], model, horizon=3)
-        assert not rule.approximate
-        assert rule.allocations == pytest.approx(fixed)
-
-    def test_alternating_rule_averages(self):
-        model = ValueModel([1.0], [[1.0, 1.0]])
-
-        def odd_even(seq):
-            out = np.zeros((len(seq), 2))
-            out[::2, 0] = 1.0
-            out[1::2, 1] = 1.0
-            return out
-
-        rule = collapse_sequence_rule(odd_even, model, horizon=4)
-        assert rule.allocations == pytest.approx(np.array([[0.5, 0.5]]))
-
-    def test_history_dependent_rule_matches_hand_enumeration(self):
-        # Two scenarios, two rounds: allocate to agent 1 in round 2 only if
-        # round 1 drew scenario 0.
-        model = ValueModel([0.25, 0.75], [[1.0, 0.0], [0.0, 1.0]])
-
-        def rule_fn(seq):
-            out = np.zeros((2, 2))
-            out[0, 0] = 1.0
-            out[1, 0] = 1.0 if seq[0] == 0 else 0.0
-            return out
-
-        rule = collapse_sequence_rule(rule_fn, model, horizon=2)
-        # Round 1: y_1 = 1 under both scenarios.  Round 2 conditional on the
-        # round-2 scenario draw: E[y_1 | s2] = P(s1 = 0) = 0.25 either way.
-        assert rule.allocations[:, 0] == pytest.approx([0.625, 0.625])
-        assert rule.allocations[:, 1] == pytest.approx([0.0, 0.0])
-
-    def test_collapse_preserves_ex_ante_welfare(self):
-        model = ValueModel([0.25, 0.75], [[1.0, 0.3], [0.4, 1.0]])
-        budgets = [1.2, 1.5]
-        T = 3
-        rng = np.random.default_rng(3)
-        tables = rng.uniform(0, 0.5, size=(T, 2, 2))
-
-        def seq_rule(seq):
-            return np.array([tables[t, s] for t, s in enumerate(seq)])
-
-        rule = collapse_sequence_rule(seq_rule, model, horizon=T)
-        collapsed_value = ex_ante_value(rule.allocations, model, budgets, T)
-
-        # direct enumeration of the sequence rule's expected per-agent value
-        import itertools
-
-        totals = np.zeros(2)
-        for seq in itertools.product(range(2), repeat=T):
-            p = np.prod([model.probs[s] for s in seq])
-            y = seq_rule(seq)
-            totals += p * (y * model.profiles[list(seq)]).sum(axis=0)
-        direct_value = float(np.minimum(budgets, totals).sum())
-        assert collapsed_value == pytest.approx(direct_value, abs=1e-12)
-
-    def test_monte_carlo_fallback_flags_approximate(self):
-        model = ValueModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
-        fixed = np.array([[0.4, 0.0], [0.0, 0.4]])
-        rule = collapse_sequence_rule(
-            lambda seq: fixed[list(seq)], model, horizon=40,
-            max_enumeration=1000, mc_samples=4000, seed=9,
-        )
-        assert rule.approximate
-        assert rule.stderr is not None
-        assert rule.allocations == pytest.approx(fixed, abs=0.05)
 
 
 class TestWelfareBound:
