@@ -532,7 +532,8 @@ def simulate_pacing(
     # Rows in PacingRun's field order: multipliers, values, bids, allocations
     # and payments.  Per replication's substream one uniform per round picks
     # the atom, then one per round and competing bid realizes the noise;
-    # each is overwritten by the value or bid it draws.
+    # each is overwritten by the value or bid it draws, one replication row
+    # at a time so that no temporary is (R, T)-sized.
     record = np.empty((5, R, T))
     values = record[1]
     comp = np.empty((R, T, n_opp))
@@ -541,12 +542,13 @@ def simulate_pacing(
         values[r] = rng.random(T)
         comp[r] = rng.random((T, n_opp))
     for env, rounds in groups:
-        idx = atom_indices(env.probs, values[:, rounds])
-        values[:, rounds] = env.values[idx]
-        drawn = env.competing_bids[idx]
-        if env.eta > 0:
-            drawn += env.eta * comp[:, rounds]
-        comp[:, rounds] = drawn
+        for row, noise in zip(values, comp):
+            idx = atom_indices(env.probs, row[rounds])
+            row[rounds] = env.values[idx]
+            drawn = env.competing_bids[idx]
+            if env.eta > 0:
+                drawn += env.eta * noise[rounds]
+            noise[rounds] = drawn
 
     # Per column: paced, budget, learning rate, target rate, mu_cap.
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])

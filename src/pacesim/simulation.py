@@ -4,10 +4,11 @@ Value profiles are drawn i.i.d. across rounds from a finite-support joint
 distribution, every agent submits a bid, the mechanism allocates and
 charges, and each pacing agent updates its multiplier.  The full per-round
 record (values, multipliers, bids, allocations, payments, remaining
-budgets) is a Trace.  The engine records values, multipliers, allocations
-and payments; bids and remaining budgets are exact functions of those, so
-each trace derives them on first read, with the round's own ufuncs in the
-round's order.
+budgets) is a Trace.  The engine records multipliers, allocations and
+payments, and each round's scenario index; values are the profiles at
+those indices, and bids and remaining budgets are exact functions of the
+record, so each trace derives all three on first read, bids and budgets
+with the round's own ufuncs in the round's order.
 
 Replications run in lockstep as rows of vectorized state arrays, one
 counter-based RNG substream per replication, so a batch of runs of any
@@ -19,12 +20,11 @@ block of _RECORD_ROUNDS rounds, time-major, into buffers its caller owns;
 the state lives in the block's B + 1 rows of multipliers and opening
 budgets, round j reading row j and writing row j + 1, and x and z are
 zeroed once a block.  Each replication's recorded arrays are allocated up
-front; its values are taken from the profiles in one call, and its
-multipliers, allocations and payments are filled from the block, so a
-chunk holds its record once; replicate sizes its chunks from the
-_CHUNK_BYTES memory budget.  The block holds multipliers unmasked; each
-trace then gets, once, NaN multipliers in the scripted columns and, in
-each paced agent's column, from its stop on.
+front and filled from the block, so a chunk holds its record once;
+replicate sizes its chunks from the _CHUNK_BYTES memory budget and, with
+a reducer, lets go of each trace once it is reduced.  The block holds
+multipliers unmasked; each trace then gets, once, NaN multipliers in the
+scripted columns and, in each paced agent's column, from its stop on.
 """
 
 from __future__ import annotations
@@ -44,10 +44,28 @@ from .errors import ConfigurationError
 from .pacing import EXHAUSTION_FRACTION, AgentConfig, _stopping_bound, _stopping_rule
 
 
+#: Supports of up to this many atoms are looked up by counting comparisons,
+#: larger ones by binary search.  Measured (numpy 2.4.6, 2 vCPUs): at 10^4
+#: uniforms comparisons win up to about 48 atoms (2-7x at 2-8 atoms), at
+#: 10^3 only up to about 4; at 16 they win 1.8x at 10^4 and lose at most
+#: about 30 us a call on small inputs.
+_COMPARE_ATOMS = 16
+
+
 def atom_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF lookup: the support point each uniform in u selects
-    under the finite distribution probs (any shape of u)."""
-    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)
+    under the finite distribution probs (any shape of u).
+
+    That is searchsorted(cdf, u, "right") clamped to the last atom.  As the
+    cdf never decreases, it equals the count of the cdf's entries but the
+    last that are <= u, which small supports compute directly."""
+    cdf = np.cumsum(probs)
+    if len(cdf) > _COMPARE_ATOMS:
+        return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    out = np.zeros(np.shape(u), dtype=np.intp)
+    for c in cdf[:-1]:
+        out += u >= c
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,15 +290,17 @@ class Trace:
     agent's budget at the start of the round.  stop_rounds is the first
     round an agent could no longer bid (horizon + 1 if it never ran out).
 
-    values, multipliers, allocations and payments are recorded.  bids and
+    multipliers, allocations and payments are recorded.  values, bids and
     remaining_budgets may be given as arrays (load_trace does) or, as the
     engine gives them, as functions of the trace, computed on first read
-    and cached: remaining_budgets from budgets and payments
-    (_opening_budgets), bids from values, multipliers, remaining_budgets
-    and stop_rounds plus the scripted agents' bids (_derived_bids).
+    and cached: values from the profiles at the scenario indices, captured
+    when the trace is built (_taken_values), remaining_budgets from budgets
+    and payments (_opening_budgets), bids from values, multipliers,
+    remaining_budgets and stop_rounds plus the scripted agents' bids
+    (_derived_bids).
     """
 
-    values: np.ndarray
+    values: np.ndarray = _Derived()
     multipliers: np.ndarray
     bids: np.ndarray = _Derived()
     allocations: np.ndarray
@@ -297,18 +317,23 @@ class Trace:
 
     @property
     def horizon(self) -> int:
-        return self.values.shape[0]
+        return self.multipliers.shape[0]
 
     @property
     def n_agents(self) -> int:
-        return self.values.shape[1]
+        return self.multipliers.shape[1]
 
 
 #: The Trace's per-round (T, n) arrays, in the order of the CSV's value columns.
 _TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
-#: The fields the engine copies out of each record block; values come from
-#: the profiles and the other two fields are derived.
+#: The fields the engine copies out of each record block; the other three
+#: are derived.
 _RECORDED = ("multipliers", "allocations", "payments")
+
+
+def _taken_values(profiles: np.ndarray, indices: np.ndarray, _trace: Trace) -> np.ndarray:
+    """Each round's value profile: the profiles at the round's scenario index."""
+    return profiles.take(indices, axis=0)
 
 
 def _opening_budgets(trace: Trace) -> np.ndarray:
@@ -455,10 +480,9 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
 
     game = _Lockstep(rc, T, paced, budgets, eps, rho, mu_cap)
 
-    # Each replication owns its (T, n) arrays: values taken from the
-    # profiles, and the _RECORDED fields copied out of each record block.
+    # Each replication owns its _RECORDED (T, n) arrays, copied out of each
+    # record block.
     profiles = config.value_model.profiles
-    taken = [profiles.take(i, axis=0) for i in idx]
     records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]
     B = min(_RECORD_ROUNDS, T)
     values, b, x, z = np.empty((4, B, rc, n))
@@ -486,7 +510,7 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
     bids = functools.partial(_derived_bids, script_bids)
     return [
         Trace(
-            values=taken[r],
+            values=functools.partial(_taken_values, profiles, idx[r]),
             **dict(zip(_RECORDED, arrays)),
             bids=bids,
             remaining_budgets=_opening_budgets,
@@ -521,9 +545,10 @@ def replicate(
     are bit-identical for any chunk size.  Replications run in lockstep
     chunks of chunk_size rows; by default as many as keep one chunk's
     traces within _CHUNK_BYTES (at least one).  reducer(trace, rep_index)
-    is applied per replication and each chunk's traces are dropped before
-    the next chunk runs, keeping memory flat; by default the traces
-    themselves are returned.
+    is applied per replication in order, and replicate lets go of each
+    trace as soon as its reducer returns, so a chunk holds only the record
+    of the traces not yet reduced (plus whatever a reducer keeps); by
+    default the traces themselves are returned.
     """
     if replications < 0:
         raise ConfigurationError("replications must be non-negative")
@@ -535,11 +560,12 @@ def replicate(
     results: list = []
     for start in range(0, replications, chunk_size):
         traces = _simulate_chunk(config, children[start : start + chunk_size])
-        results.extend(
-            trace if reducer is None else reducer(trace, start + j)
-            for j, trace in enumerate(traces)
-        )
-        del traces  # free this chunk before the next one is simulated
+        if reducer is None:
+            results.extend(traces)
+            continue
+        traces.reverse()  # pop in replication order; only the list holds a trace
+        for j in range(len(traces)):
+            results.append(reducer(traces.pop(), start + j))
     return results
 
 

@@ -256,7 +256,8 @@ def verify_welfare_bound(
     """Check the half-of-optimum guarantee on replicated welfare samples.
 
     Passes when the sample mean, minus its 99% Monte Carlo error, is at
-    least optimum/2 minus the additive implementation slack.
+    least optimum/2 minus the additive implementation slack.  The ratio is
+    mean / optimum, nan when both are 0.
     """
     samples = np.asarray(welfare_samples, dtype=np.float64)
     if len(samples) < max(2, min_replications):
@@ -268,7 +269,10 @@ def verify_welfare_bound(
     slack = welfare_bound_slack(n_agents, value_cap, horizon)
     rhs = optimum / 2.0 - slack
     passed = mean - Z99 * stderr >= rhs
-    ratio = mean / optimum if optimum > 0 else math.inf
+    if optimum > 0:
+        ratio = mean / optimum
+    else:
+        ratio = math.nan if mean == 0 else math.inf
     return WelfareBoundReport(
         mean, stderr, optimum, ratio, slack, rhs, passed, len(samples)
     )

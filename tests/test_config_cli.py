@@ -1,5 +1,5 @@
 """Scenario-file validation and the command-line surface: schemas, dotted
-overrides, exit codes, and byte-identical outputs across worker counts."""
+overrides, exit codes, and byte-identical outputs across chunk sizes."""
 
 import contextlib
 import io
@@ -23,6 +23,7 @@ from pacesim.scenarios import (
     regret_environment,
     scenario_text,
 )
+from pacesim import simulation
 from pacesim.simulation import PacedAgent, ScriptedAgent
 
 GOOD = """{
@@ -404,20 +405,34 @@ class TestCliExitCodes:
 
 
 class TestDeterministicOutputs:
-    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_run_output_byte_identical_across_chunk_sizes(self, tmp_path, monkeypatch):
+        # One default chunk of six rows, then six one-row chunks: every saved
+        # trace, envelope and the summary must match byte for byte.
+        sizes = []
+        inner = simulation._simulate_chunk
+
+        def spy(config, children):
+            sizes.append(len(children))
+            return inner(config, children)
+
+        monkeypatch.setattr(simulation, "_simulate_chunk", spy)
         outs = []
-        for threads, sub in (("1", "a"), ("4", "b")):
-            monkeypatch.setenv("PACESIM_THREADS", threads)
+        for sub in ("default", "one_row"):
+            if sub == "one_row":
+                monkeypatch.setattr(simulation, "_CHUNK_BYTES", 1)
             out = tmp_path / sub
             assert main(["run", "welfare_symmetric_second_price", "-o", str(out),
                          "-R", "6", "--set", "horizon=200",
                          "--set", "agents.0.budget=50",
                          "--set", "agents.1.budget=50"]) == 0
             outs.append(out)
-        for name in sorted(os.listdir(outs[0])):
+        assert sizes == [6] + [1] * 6
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and len(names) == 13
+        for name in names:
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
-            assert a == b, f"{name} differs across worker counts"
+            assert a == b, f"{name} differs across chunk sizes"
 
     def test_regret_cli_switching_scenario(self, tmp_path):
         out = tmp_path / "sw.json"
@@ -824,14 +839,14 @@ def _strict_json(path):
 
 
 def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
-    # Zero values make the welfare ratio (0/0, reported as inf), the relative
+    # Zero values make the welfare ratio (0/0, undefined: nan), the relative
     # spend floor and the value bound non-finite: stdout prints them, JSON
     # gets null.
     welfare = tmp_path / "w.json"
     assert main(["welfare", "welfare_symmetric_second_price", "-R", "2", "--set", "horizon=50",
                  "--set", "value_model.support.0.values=[0,0]",
                  "--set", "value_model.support.1.values=[0,0]", "-o", str(welfare)]) == 0
-    assert "ratio inf" in capsys.readouterr().out
+    assert "ratio nan" in capsys.readouterr().out
     assert _strict_json(welfare)["ratio"] is None
 
     regret = tmp_path / "z.json"

@@ -6,7 +6,9 @@ import dataclasses
 import io
 import itertools
 import json
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +156,92 @@ class TestChunking:
         config = load_scenario("welfare_gsp_five").config
         assert (config.horizon, config.n_agents) == (10**4, 5)
         assert simulation._chunk_rows(config) >= 64
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1.0],
+        [0.3, 0.7],
+        [0.0, 0.25, 0.0, 0.5, 0.25, 0.0],  # zero-probability atoms, first and last too
+        [0.1] * 10,  # the cdf ends at 0.9999999999999999
+        np.full(simulation._COMPARE_ATOMS, 1 / simulation._COMPARE_ATOMS),
+        np.full(simulation._COMPARE_ATOMS + 1, 1 / (simulation._COMPARE_ATOMS + 1)),
+        np.random.default_rng(3).dirichlet(np.ones(40)),
+    ],
+    ids=lambda p: f"{len(p)}-atoms",
+)
+def test_atom_indices_match_clamped_searchsorted(probs):
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = np.cumsum(probs)
+    on = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
+    u = np.concatenate([[0.0], on[on < 1.0], np.random.default_rng(4).random(2000)])
+    for shaped in (u, u[:2000].reshape(40, 50)):
+        reference = np.minimum(np.searchsorted(cdf, shaped, side="right"), len(probs) - 1)
+        got = simulation.atom_indices(probs, shaped)
+        assert got.dtype == reference.dtype and got.shape == reference.shape
+        assert np.array_equal(got, reference)
+    if cdf[-1] < 1.0:  # uniforms past the cdf's end take the last atom
+        tail = np.array([cdf[-1], 1 - 2**-53])
+        assert np.all(simulation.atom_indices(probs, tail) == len(probs) - 1)
+
+
+class TestReducedChunks:
+    def test_derived_values_are_the_profiles_at_the_indices(self):
+        config = _block_edge_config(300)
+        trace = run_simulation(config)
+        assert (trace.horizon, trace.n_agents) == (300, 3)
+        assert callable(trace.__dict__["values"])  # the shape did not derive them
+        # A copy without indices, made before the first read, still derives
+        # them: the indices were captured when the trace was built.
+        bare = Trace(**{**trace.__dict__, "scenario_indices": None})
+        expected = config.value_model.profiles.take(trace.scenario_indices, axis=0)
+        for t in (trace, bare):
+            assert t.values.dtype == expected.dtype
+            assert t.values.tobytes() == expected.tobytes()
+            assert t.values.flags.owndata and t.values.flags.writeable
+        assert not np.shares_memory(trace.values, bare.values)
+
+    def test_replicate_lets_go_of_each_reduced_trace(self):
+        # Six rows in one chunk; the odd replications' reducer keeps its trace.
+        config = _block_edge_config(300)
+        assert simulation._chunk_rows(config) >= 6
+        refs, kept = [], []
+
+        def reduce(trace, index):
+            alive = [ref() is not None for ref in refs]
+            refs.append(weakref.ref(trace))
+            if index % 2:
+                kept.append(trace)
+            return alive
+
+        for j, alive in enumerate(replicate(config, 6, reduce)):
+            assert alive == [i % 2 == 1 for i in range(j)], j
+        assert [ref() is not None for ref in refs] == [False, True] * 3
+
+    def test_reduced_chunk_peak_holds_the_record_not_the_values(self):
+        # A chunk holds each row's recorded fields and scenario indices plus
+        # the record block; one trace's values at a time come on top, so the
+        # peak stays short of the recorded fields plus a chunk of values.
+        config = _block_edge_config(2000)
+        rows, T, n, B = 16, 2000, 3, simulation._RECORD_ROUNDS
+        assert simulation._chunk_rows(config) >= rows
+        recorded = 8 * len(simulation._RECORDED) * rows * T * n
+        indices = 8 * rows * T
+        block = 8 * rows * n * (5 * B + 2 * (B + 1))  # values, b, x, z, scripts; mus, rems
+        values_chunk = 8 * rows * T * n
+
+        def reduce(trace, _index):
+            return float((trace.allocations * trace.values).sum())
+
+        replicate(config, 1, reduce)  # numpy.random imports some modules on first use
+        tracemalloc.start()
+        try:
+            replicate(config, rows, reduce)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < recorded + indices + block + values_chunk // 2
 
 
 def _dirty_empty(real_empty):
