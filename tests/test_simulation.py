@@ -165,8 +165,6 @@ class TestChunking:
         [0.3, 0.7],
         [0.0, 0.25, 0.0, 0.5, 0.25, 0.0],  # zero-probability atoms, first and last too
         [0.1] * 10,  # the cdf ends at 0.9999999999999999
-        np.full(simulation._COMPARE_ATOMS, 1 / simulation._COMPARE_ATOMS),
-        np.full(simulation._COMPARE_ATOMS + 1, 1 / (simulation._COMPARE_ATOMS + 1)),
         np.random.default_rng(3).dirichlet(np.ones(40)),
     ],
     ids=lambda p: f"{len(p)}-atoms",
