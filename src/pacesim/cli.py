@@ -260,7 +260,6 @@ def cmd_regret(args) -> int:
     reps = _replications(args, scenario, 20)
 
     per_horizon = []
-    last = None
     for T in horizons:
         # Regret's own refusals of the scenario, at the line at fault.
         with anchored(text):
@@ -304,7 +303,9 @@ def cmd_regret(args) -> int:
                     f"values too large for the regret analysis ({exc})", ("value_model",)
                 ) from exc
         per_horizon.append(entry)
-        last = (scen, envs, params, runs, reports)
+        if args.svg:  # copies: a run's row would keep the whole record alive
+            chart = (runs[0].multipliers.copy(), reports[0].perfect.multipliers.copy())
+        del runs, reports  # before the next horizon plays
 
     payload: dict = {"per_horizon": per_horizon}
     if len(horizons) > 1:
@@ -314,17 +315,16 @@ def cmd_regret(args) -> int:
         else:
             payload["exponent_fit"] = None
 
-    scen, envs, params, runs, reports = last
-    if args.curves:
+    if args.curves:  # the last horizon's environments
         _dump_curves(args.curves, envs, params)
     if args.svg:
-        run = runs[0]
-        rounds = list(range(1, run.horizon + 1))
+        played, perfect = chart
+        rounds = list(range(1, len(played) + 1))
         line_chart(
             args.svg,
             [
-                ("multiplier", rounds, np.nan_to_num(run.multipliers).tolist()),
-                ("perfect", rounds, reports[0].perfect.multipliers.tolist()),
+                ("multiplier", rounds, np.nan_to_num(played).tolist()),
+                ("perfect", rounds, perfect.tolist()),
             ],
             title="pacing multiplier vs perfect sequence",
             xlabel="round",

@@ -28,7 +28,17 @@ import numpy as np
 from .auctions import FIRST_PRICE, SECOND_PRICE, Mechanism, SingleSlot, outcomes
 from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
-from .simulation import _RECORD_ROUNDS, ValueModel, _check_number, _Lockstep, atom_indices
+from .simulation import (
+    _RECORD_ROUNDS,
+    ValueModel,
+    _budget_path,
+    _check_number,
+    _Derived,
+    _Lockstep,
+    _played_bids,
+    _taken_values,
+    atom_indices,
+)
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
@@ -451,12 +461,17 @@ class PacingRun:
     """Trace of one pacing agent against an environment sequence.
 
     multipliers are NaN from the stop round on; stop_round is horizon + 1
-    when the budget never ran out.
+    when the budget never ran out.  multipliers, allocations and payments
+    are recorded; values and bids may be given as arrays or, as
+    simulate_pacing gives them, as functions of the run, computed on first
+    read and cached (simulation._Derived): values from the environments'
+    values at the run's atom indices, bids by the market engine's rule
+    (_run_bids).
     """
 
     multipliers: np.ndarray
-    values: np.ndarray
-    bids: np.ndarray
+    values: np.ndarray = _Derived()
+    bids: np.ndarray = _Derived()
     allocations: np.ndarray
     payments: np.ndarray
     stop_round: int
@@ -466,7 +481,7 @@ class PacingRun:
 
     @property
     def horizon(self) -> int:
-        return len(self.values)
+        return len(self.multipliers)
 
     @property
     def target_rate(self) -> float:
@@ -475,6 +490,14 @@ class PacingRun:
     @property
     def live_rounds(self) -> int:
         return min(self.stop_round - 1, self.horizon)
+
+
+def _run_bids(run: PacingRun) -> np.ndarray:
+    """The bids the run made: value/(1 + mu) clamped to the budget left,
+    and 0 from the stop round on, as the market engine's trace derives
+    them (simulation._played_bids)."""
+    opening = _budget_path(run.budget, run.payments)
+    return _played_bids(run.values, run.multipliers, opening, [run.stop_round], [True])
 
 
 def _as_env_list(envs, horizon: int | None) -> list[EnvironmentStep]:
@@ -529,22 +552,26 @@ def simulate_pacing(
         raise ConfigurationError("environments must share mechanism, agent_index and n_opponents")
     T, R = len(env_list), replications
 
-    # Rows in PacingRun's field order: multipliers, values, bids, allocations
-    # and payments.  Per replication's substream one uniform per round picks
-    # the atom, then one per round and competing bid realizes the noise;
-    # each is overwritten by the value or bid it draws, one replication row
-    # at a time so that no temporary is (R, T)-sized.
-    record = np.empty((5, R, T))
-    values = record[1]
+    # Every distinct environment's values in one table, each group's atoms
+    # offset by the atoms of the groups before it; a run records one index
+    # into it a round, in the smallest unsigned dtype that holds them all.
+    # Per replication's substream one uniform per round picks the atom,
+    # then one per round and competing bid realizes the noise, which is
+    # overwritten by the bid it draws.  A group that covers every round
+    # (one environment) reads them through a slice, not a gather.
+    table = np.concatenate([env.values for env, _rounds in groups])
+    offsets = np.cumsum([0] + [env.n_atoms for env, _rounds in groups[:-1]])
+    spans = [slice(None) if len(rounds) == T else rounds for _env, rounds in groups]
+    atoms = np.empty((R, T), dtype=np.min_scalar_type(len(table) - 1))
     comp = np.empty((R, T, n_opp))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
         rng = np.random.Generator(np.random.Philox(child))
-        values[r] = rng.random(T)
+        uniforms = rng.random(T)
         comp[r] = rng.random((T, n_opp))
-    for env, rounds in groups:
-        for row, noise in zip(values, comp):
-            idx = atom_indices(env.probs, row[rounds])
-            row[rounds] = env.values[idx]
+        noise = comp[r]
+        for (env, _rounds), rounds, offset in zip(groups, spans, offsets):
+            idx = atom_indices(env.probs, uniforms[rounds])
+            atoms[r, rounds] = idx + offset
             drawn = env.competing_bids[idx]
             if env.eta > 0:
                 drawn += env.eta * noise[rounds]
@@ -556,22 +583,35 @@ def simulate_pacing(
     game = _Lockstep(R, T, params[0] == 1.0, *params[1:])
     # A record block of all columns: joint profiles in (the agent's value in
     # column k, the opponents' bids around it), which play reads as both the
-    # values and the bids; multipliers, budgets, b, x, z out.
+    # values and the bids; multipliers, budgets, b, x, z out.  The record
+    # keeps the agent's multipliers, allocations and payments.
     B = min(_RECORD_ROUNDS, T)
     profiles = np.empty((B, R, n_opp + 1))
     mus, rems = np.empty((2, B + 1, R, n_opp + 1))
     played = np.empty((3, B, R, n_opp + 1))  # bids, x, z
+    record = np.empty((3, R, T))
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + B, T)
-        profiles[: t1 - t0, :, k] = values[:, t0:t1].T
+        profiles[: t1 - t0, :, k] = table.take(atoms[:, t0:t1].T)
         profiles[: t1 - t0, :, first._others] = comp[:, t0:t1].transpose(1, 0, 2)
         game.play(t0, first.mechanism, profiles[: t1 - t0], profiles, mus, rems, *played)
         record[0, :, t0:t1] = mus[: t1 - t0, :, k].T
-        record[2:, :, t0:t1] = played[:, : t1 - t0, :, k].transpose(0, 2, 1)
+        record[1:, :, t0:t1] = played[1:, : t1 - t0, :, k].transpose(0, 2, 1)
+    multipliers, allocations, payments = record
     for r in range(R):
-        record[0, r, game.stop_round[r, k] - 1 :] = np.nan  # no multiplier once stopped
+        multipliers[r, game.stop_round[r, k] - 1 :] = np.nan  # no multiplier once stopped
     return [
-        PacingRun(*record[:, r], int(game.stop_round[r, k]), float(budget), learning_rate, mu_cap)
+        PacingRun(
+            multipliers=multipliers[r],
+            values=functools.partial(_taken_values, table, atoms[r]),
+            bids=_run_bids,
+            allocations=allocations[r],
+            payments=payments[r],
+            stop_round=int(game.stop_round[r, k]),
+            budget=float(budget),
+            learning_rate=learning_rate,
+            mu_cap=mu_cap,
+        )
         for r in range(R)
     ]
 
@@ -666,33 +706,33 @@ def dynamic_regret_batch(
 
     v_star = np.empty(T)
     h_star = np.empty(T)
-    v_run = [np.zeros(T) for _ in runs]
-    h_run = [np.zeros(T) for _ in runs]
-    live_mask = [~np.isnan(run.multipliers) for run in runs]
     for env, rounds_arr in groups:
         mu_star = perfect.multipliers[rounds_arr[0]]
         zs, vs = env.spend_value(np.array([mu_star]))
         hs = objective_values(env, rho, np.array([mu_star]))[0]
         v_star[rounds_arr] = vs[0]
         h_star[rounds_arr] = hs
-        for i, run in enumerate(runs):
-            mask = live_mask[i][rounds_arr]
-            mus = run.multipliers[rounds_arr[mask]]
-            if len(mus) == 0:
-                continue
-            _, vv = env.spend_value(mus)
-            hh = objective_values(env, rho, mus)
-            v_run[i][rounds_arr[mask]] = vv
-            h_run[i][rounds_arr[mask]] = hh
 
     sgd_bound, value_bound = regret_bounds(
         perfect.path_length, mu_cap, rho, max(env.value_cap for env in distinct), T, smoothing
     )
+    # One run at a time: its expected value and surrogate objective at the
+    # multipliers it played, written over its live rounds of two buffers
+    # every run reuses (only live rounds are read).
+    v_run = np.empty(T)
+    h_run = np.empty(T)
     reports = []
-    for i, run in enumerate(runs):
-        mask = live_mask[i]
-        value_regret = float(v_star.sum() - v_run[i][mask].sum())
-        sgd_regret = float((h_run[i][mask] - h_star[mask]).sum())
+    for run in runs:
+        live = ~np.isnan(run.multipliers)
+        for env, rounds_arr in groups:
+            played = rounds_arr[live[rounds_arr]]
+            if len(played) == 0:
+                continue
+            mus = run.multipliers[played]
+            v_run[played] = env.spend_value(mus)[1]
+            h_run[played] = objective_values(env, rho, mus)
+        value_regret = float(v_star.sum() - v_run[live].sum())
+        sgd_regret = float((h_run[live] - h_star[live]).sum())
         reports.append(
             RegretReport(
                 value_regret=value_regret,
@@ -702,7 +742,7 @@ def dynamic_regret_batch(
                 sgd_bound=sgd_bound,
                 smoothing=smoothing,
                 perfect=perfect,
-                live_rounds=int(mask.sum()),
+                live_rounds=int(live.sum()),
                 horizon=T,
             )
         )

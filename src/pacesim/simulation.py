@@ -115,7 +115,7 @@ class ValueModel:
         return max(1.0, float(self.profiles.max()))
 
     def sample_indices(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
-        return atom_indices(self.probs, rng.random(horizon)).astype(np.int64)
+        return atom_indices(self.probs, rng.random(horizon)).astype(np.int64, copy=False)
 
 
 def _check_number(spec, name: str, positive=False, integer=False, path=None) -> None:
@@ -256,24 +256,25 @@ class SimulationConfig:
 
 
 class _Derived:
-    """A Trace field that may be given as a function of the trace: the
-    first read calls it and caches the array in its place.  The value is
-    stored under the field's own name in the instance dict, so
-    Trace(**trace.__dict__) copies a trace whether or not it was read."""
+    """A record field (of a Trace or a regret.PacingRun) that may be given
+    as a function of the record: the first read calls it and caches the
+    array in its place.  The value is stored under the field's own name in
+    the instance dict, so Trace(**trace.__dict__) copies a trace whether or
+    not it was read."""
 
     def __set_name__(self, owner, name):
         self.name = name
 
-    def __get__(self, trace, owner=None):
-        if trace is None:
+    def __get__(self, record, owner=None):
+        if record is None:
             raise AttributeError(self.name)  # no class-level default: the field stays required
-        value = trace.__dict__[self.name]
+        value = record.__dict__[self.name]
         if callable(value):
-            value = trace.__dict__[self.name] = value(trace)
+            value = record.__dict__[self.name] = value(record)
         return value
 
-    def __set__(self, trace, value):
-        trace.__dict__[self.name] = value
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -326,35 +327,52 @@ _TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "re
 _RECORDED = ("multipliers", "allocations", "payments")
 
 
-def _taken_values(profiles: np.ndarray, indices: np.ndarray, _trace: Trace) -> np.ndarray:
+def _taken_values(profiles: np.ndarray, indices: np.ndarray, _record) -> np.ndarray:
     """Each round's value profile: the profiles at the round's scenario index."""
     return profiles.take(indices, axis=0)
 
 
-def _opening_budgets(trace: Trace) -> np.ndarray:
-    """Each agent's budget at the start of each round: the budget less the
-    payments before it, subtracted one round at a time as the round does
-    (a stopped agent pays +0.0, so its last budget carries forward)."""
-    out = np.empty(trace.payments.shape)
+def _budget_path(budgets, payments: np.ndarray) -> np.ndarray:
+    """The budget at the start of each round (axis 0 of payments): the
+    budget less the payments before it, subtracted one round at a time as
+    the round does (a stopped agent pays +0.0, so its last budget carries
+    forward)."""
+    out = np.empty(payments.shape)
     if len(out):
-        out[0] = trace.budgets
-        out[1:] = trace.payments[:-1]
+        out[0] = budgets
+        out[1:] = payments[:-1]
         np.subtract.accumulate(out, axis=0, out=out)
     return out
 
 
-def _derived_bids(script_bids: np.ndarray, trace: Trace) -> np.ndarray:
-    """The bids the round made: value/(1 + mu) for paced agents and the
-    script for the others (script_bids, (T, n), read in the scripted
-    columns), clamped to the opening budget; 0 from a paced agent's stop on."""
-    bids = np.add(trace.multipliers, 1.0)
-    np.divide(trace.values, bids, out=bids)
-    paced = np.array(trace.agent_kinds) == "paced"
-    bids[:, ~paced] = script_bids[:, ~paced]
-    np.minimum(bids, trace.remaining_budgets, out=bids)
+def _played_bids(values, multipliers, opening, stop_rounds, paced, script_bids=None):
+    """The bids the lockstep round made, (T, n), or (T,) for one paced
+    column: value/(1 + mu), or script_bids in the unpaced columns, clamped
+    to the opening budget; 0 from each paced column's stop round on."""
+    bids = np.add(multipliers, 1.0)
+    np.divide(values, bids, out=bids)
+    if script_bids is not None:
+        bids[:, ~paced] = script_bids[:, ~paced]
+    np.minimum(bids, opening, out=bids)
+    columns = bids.reshape(len(bids), len(paced))  # a view of bids
     for k in np.flatnonzero(paced):
-        bids[trace.stop_rounds[k] - 1 :, k] = 0.0
+        columns[stop_rounds[k] - 1 :, k] = 0.0
     return bids
+
+
+def _opening_budgets(trace: Trace) -> np.ndarray:
+    """Each agent's budget at the start of each round."""
+    return _budget_path(trace.budgets, trace.payments)
+
+
+def _derived_bids(script_bids: np.ndarray, trace: Trace) -> np.ndarray:
+    """The bids the round made, the scripted agents' from script_bids
+    ((T, n), read in the scripted columns)."""
+    paced = np.array(trace.agent_kinds) == "paced"
+    return _played_bids(
+        trace.values, trace.multipliers, trace.remaining_budgets, trace.stop_rounds, paced,
+        script_bids,
+    )
 
 
 def _resolve_params(config: SimulationConfig):

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pacesim.scenarios import (
     regret_environment,
     scenario_text,
 )
-from pacesim import simulation
+from pacesim import simulate_pacing, simulation
 from pacesim.simulation import PacedAgent, ScriptedAgent
 
 GOOD = """{
@@ -460,6 +461,25 @@ class TestDeterministicOutputs:
         assert svg.read_text().startswith("<svg")
         header = curves.read_text().splitlines()[0]
         assert header == "segment,mu,Z,V,H,W"
+
+
+def test_regret_lets_go_of_each_horizons_runs_before_the_next(tmp_path, monkeypatch):
+    # A weak reference to each horizon's first run and to the record it is
+    # a row of; the next horizon may not start while either is alive.
+    refs, alive = [], []
+
+    def spy(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        runs = simulate_pacing(*args, **kwargs)
+        refs.extend([weakref.ref(runs[0]), weakref.ref(runs[0].multipliers.base)])
+        return runs
+
+    monkeypatch.setattr("pacesim.cli.simulate_pacing", spy)
+    svg = tmp_path / "mu.svg"
+    assert main(["regret", "regret_switching", "-R", "2", "--horizons", "200,400",
+                 "--svg", str(svg), "--curves", str(tmp_path / "curves.csv")]) == 0
+    assert alive == [[], [False, False]]
+    assert svg.read_text().startswith("<svg")
 
 
 def test_regret_without_smoothing_on_atomic_environment_exits_2(tmp_path, capsys):

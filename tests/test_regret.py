@@ -2,6 +2,7 @@
 and dynamic regret of simulated pacing runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from pacesim.errors import (
 )
 from pacesim.pacing import AgentConfig, compute_bid, init_state
 from pacesim.pacing import update as pacing_update
-from pacesim.regret import objective_values
+from pacesim import regret
+from pacesim.regret import PacingRun, objective_values
 
 
 def two_atom_env():
@@ -513,6 +515,83 @@ def test_simulate_pacing_matches_scalar_reference(envs, budget, learning_rate, m
         assert run.stop_round == stop_round
     if runs_out:
         assert all(run.stop_round <= len(envs) for run in runs)
+
+
+_SWITCHING = (
+    [uniform_opponent_env(low=0.0, width=0.5)] * 100
+    + [EnvironmentStep(first_price(), [0.4, 0.6], [1.0, 0.7], [[0.3], [0.5]], eta=0.2)] * 100
+    + [uniform_opponent_env(low=0.0, width=0.5)] * 100
+)
+_RECORD_CASES = pytest.mark.parametrize(
+    "envs, budget, learning_rate, mu_cap, runs_out",
+    [
+        (_SWITCHING, 70.0, 0.1, 4.0, False),
+        # mu_cap 0.1 cannot shade bids enough: every run exhausts its budget.
+        ([uniform_opponent_env()] * 300, 120.0, 0.05, 0.1, True),
+        ([_GSP_TWO_OPPONENTS] * 300, 90.0, 0.06, 8.0, False),
+    ],
+    ids=["switching", "budget-runs-out", "gsp-two-opponents-index-1"],
+)
+
+
+@_RECORD_CASES
+def test_derived_values_and_bids_are_what_the_round_played(
+    monkeypatch, envs, budget, learning_rate, mu_cap, runs_out
+):
+    # Each block's agent column of the values and bids the lockstep round
+    # read and wrote, copied as it is played.
+    k = envs[0].agent_index
+    blocks = []
+    real_play = regret._Lockstep.play
+
+    def spy(game, t0, mechanism, values, bids, mus, rems, b, x, z):
+        real_play(game, t0, mechanism, values, bids, mus, rems, b, x, z)
+        blocks.append((values[:, :, k].T.copy(), b[: len(values), :, k].T.copy()))
+
+    monkeypatch.setattr(regret._Lockstep, "play", spy)
+    runs = simulate_pacing(envs, budget, learning_rate, mu_cap, seed=13, replications=3)
+    played_values, played_bids = (np.concatenate(cols, axis=1) for cols in zip(*blocks))
+    if runs_out:
+        assert all(run.stop_round <= len(envs) for run in runs)
+    for r, run in enumerate(runs):
+        assert callable(run.__dict__["values"]) and callable(run.__dict__["bids"])
+        assert run.values.tobytes() == played_values[r].tobytes()
+        assert run.bids.tobytes() == played_bids[r].tobytes()
+        assert run.values is run.values and run.bids is run.bids
+
+
+@_RECORD_CASES
+def test_a_copied_run_derives_the_same_bits(envs, budget, learning_rate, mu_cap, runs_out):
+    for run in simulate_pacing(envs, budget, learning_rate, mu_cap, seed=13, replications=2):
+        copy = PacingRun(**run.__dict__)  # before either derived a field
+        for field in ("values", "bids"):
+            assert getattr(copy, field).tobytes() == getattr(run, field).tobytes(), field
+            assert getattr(copy, field) is not getattr(run, field)
+
+
+def test_run_shape_and_rates_derive_nothing():
+    (run,) = simulate_pacing(uniform_opponent_env(), 120.0, 0.05, 0.1, horizon=300, seed=2)
+    assert (run.horizon, run.target_rate) == (300, 0.4)
+    assert run.live_rounds < 300
+    assert callable(run.__dict__["values"]) and callable(run.__dict__["bids"])
+
+
+def test_regret_analysis_holds_one_run_at_a_time():
+    # Ten times the runs may not raise the analysis's peak by one T-long
+    # float64 array per extra run: it reuses its buffers from run to run.
+    T = 4000
+    env = uniform_opponent_env()
+    runs = simulate_pacing(env, 0.25 * T, T**-0.5, 4.0, horizon=T, seed=5, replications=40)
+    dynamic_regret_batch(runs[:1], env, 0.25, 4.0)  # the environment's caches, warm
+    peaks = []
+    for count in (4, 40):
+        tracemalloc.start()
+        try:
+            dynamic_regret_batch(runs[:count], env, 0.25, 4.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < (40 - 4) * 8 * T
 
 
 def test_simulate_pacing_ignores_what_its_buffers_held(monkeypatch):

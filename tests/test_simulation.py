@@ -184,6 +184,14 @@ def test_atom_indices_match_clamped_searchsorted(probs):
         assert np.all(simulation.atom_indices(probs, tail) == len(probs) - 1)
 
 
+def test_sample_indices_are_the_atom_indices_as_int64():
+    model = ValueModel(probs=[0.2, 0.5, 0.3], profiles=[[1.0], [0.5], [0.2]])
+    got = model.sample_indices(np.random.default_rng(8), 1000)
+    expected = simulation.atom_indices(model.probs, np.random.default_rng(8).random(1000))
+    assert got.dtype == np.int64
+    assert got.tobytes() == expected.astype(np.int64).tobytes()
+
+
 class TestReducedChunks:
     def test_derived_values_are_the_profiles_at_the_indices(self):
         config = _block_edge_config(300)
