@@ -212,25 +212,18 @@ def _kernel(mechanism: Mechanism, rows: int, n: int):
     return greedy
 
 
-def outcomes(
-    mechanism: Mechanism, bids: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def outcomes(mechanism: Mechanism, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized `allocate`: allocations and payments, each (rows, n), for
     a (rows, n) bid matrix, one auction per row.
 
     Same rule, tie-breaking and bits as `allocate`, the scalar oracle it
     is tested against.  Bids must be finite and non-negative and carry no
     -0.0 (every source of values and bids turns it into 0.0), so the two
-    agree on the sign of every zero.  With out=(x, z), two (rows, n) float
-    arrays, whatever they held, the result goes into them and they are
-    returned.  The buffers are zeroed, then filled by the mechanism's
-    cached kernel (`_kernel`); the single slot has a faster one.
+    agree on the sign of every zero.  The mechanism's cached kernel
+    (`_kernel`) fills zeroed arrays; the single slot has a faster one.
     """
-    rows, n = bids.shape
-    x, z = out or (np.empty_like(bids), np.empty_like(bids))
-    x.fill(0.0)
-    z.fill(0.0)
-    _kernel(mechanism, rows, n)(bids, x, z)
+    x, z = np.zeros_like(bids), np.zeros_like(bids)
+    _kernel(mechanism, *bids.shape)(bids, x, z)
     return x, z
 
 

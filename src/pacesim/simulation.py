@@ -14,17 +14,15 @@ Replications run in lockstep as rows of vectorized state arrays, one
 counter-based RNG substream per replication, so a batch of runs of any
 chunk size is bit-identical to running each replication alone.  The
 lockstep round (bids, the auction, the projected multiplier update and
-budget exhaustion) is _Lockstep.play, which regret.simulate_pacing plays
-too, its agent the one paced column.  One play call runs a whole record
-block of _RECORD_ROUNDS rounds, time-major, into buffers its caller owns;
-the state lives in the block's B + 1 rows of multipliers and opening
-budgets, round j reading row j and writing row j + 1, and x and z are
-zeroed once a block.  Each replication's recorded arrays are allocated up
-front and filled from the block, so a chunk holds its record once;
-replicate sizes its chunks from the _CHUNK_BYTES memory budget and, with
-a reducer, lets go of each trace once it is reduced.  The block holds
-multipliers unmasked; each trace then gets, once, NaN multipliers in the
-scripted columns and, in each paced agent's column, from its stop on.
+budget exhaustion) is _Lockstep, which regret.simulate_pacing plays too,
+its agent the one paced column.  It owns a time-major record block of
+_RECORD_ROUNDS rounds and the round counter, and one play call runs the
+next block from the values and bids its caller filled; the multipliers
+it records are NaN in the scripted columns and in each paced column from
+its stop on.  Each replication's recorded arrays are allocated up front
+and filled from the block, so a chunk holds its record once; replicate
+sizes its chunks from the _CHUNK_BYTES memory budget and, with a
+reducer, lets go of each trace once it is reduced.
 """
 
 from __future__ import annotations
@@ -353,7 +351,7 @@ def _played_bids(values, multipliers, opening, stop_rounds, paced, script_bids=N
     np.divide(values, bids, out=bids)
     if script_bids is not None:
         bids[:, ~paced] = script_bids[:, ~paced]
-    np.minimum(bids, opening, out=bids)
+    np.fmin(bids, opening, out=bids)
     columns = bids.reshape(len(bids), len(paced))  # a view of bids
     for k in np.flatnonzero(paced):
         columns[stop_rounds[k] - 1 :, k] = 0.0
@@ -407,22 +405,33 @@ def _chunk_rows(config: SimulationConfig) -> int:
 
 
 class _Lockstep:
-    """Pacing state of `rows` runs of n agents in lockstep.  Each round,
-    paced agents bid value/(1 + mu) and unpaced ones their given bid,
-    clamped to the budget state; the mechanism runs; paced agents take the
-    projected multiplier step and stop once their budget falls below
-    EXHAUSTION_FRACTION of the start.
+    """Pacing state of `rows` runs of n agents in lockstep over a horizon.
+    Each round, paced agents bid value/(1 + mu) and unpaced ones their
+    given bid, clamped to the budget state; the mechanism runs; paced
+    agents take the projected multiplier step and stop once their budget
+    falls below EXHAUSTION_FRACTION of the start.
+
+    The round owns its record block: B + 1 rows of multipliers mus and
+    opening budgets rems, round j of a block reading row j and writing row
+    j + 1, and B rows of bids b, allocations x and payments z, where B is
+    _RECORD_ROUNDS or the horizon if shorter.  Its caller fills each
+    block's values and bids and copies out what it records.
 
     The per-agent parameters are (rows, n) arrays built once, so no operand
     of a round is broadcast; every cell takes the multiplier step, and the
-    stop threshold is -inf where no stop can come.  A stopping agent's
-    budget state becomes 0, so the clamp makes it bid 0 and pay 0.0 from
-    then on.  The caller writes NaN multipliers into the unpaced columns,
-    and into each paced column from round stop_round - 1 on (from 0)."""
+    stop threshold is -inf where no stop can come.  Multipliers are NaN in
+    the unpaced columns from row 0 and in each paced cell from its stop on,
+    when its budget state becomes 0; as the clamp takes the budget over a
+    NaN bid, a stopped agent bids 0 and pays 0.0 from then on."""
 
-    def __init__(self, rows, horizon, paced, budgets, eps, rho, mu_cap):
+    def __init__(self, rows, horizon, mechanism, paced, budgets, eps, rho, mu_cap):
         shape = (rows, len(budgets))
-        self.budgets, self.closed = budgets, 0
+        B = min(_RECORD_ROUNDS, horizon)
+        self.mus, self.rems = np.empty((2, B + 1, *shape))
+        self.b, self.x, self.z = np.empty((3, B, *shape))
+        self.mus[0], self.rems[0] = np.where(paced, 0.0, np.nan), budgets
+        self.kernel = _kernel(mechanism, *shape)
+        self.played = self.closed = 0  # rounds played; the row the last block closed on
         self.unpaced = np.tile(~paced, (rows, 1))
         self.any_unpaced = bool(self.unpaced.any())
         self.eps, self.rho, self.mu_cap = (np.tile(a, (rows, 1)) for a in (eps, rho, mu_cap))
@@ -430,24 +439,21 @@ class _Lockstep:
         self.stop_round = np.full(shape, horizon + 1, dtype=np.int64)
         self.step, self.newly = np.empty(shape), np.empty(shape, dtype=bool)
 
-    def play(self, t0, mechanism, values, bids, mus, rems, b, x, z) -> None:
-        """Rounds t0 ... t0 + nb - 1 (from 0), one record block, for values
-        (paced agents) and bids (unpaced ones, or None), each (nb, rows, n).
-        Round j reads row j of the multipliers mus and opening budgets rems
-        and writes row j + 1; row 0 is the start for t0 == 0, else the row
-        the last block closed on, so every block passes the same buffers.
-        Bids, allocations and payments go to row j of b, x and z."""
-        nb = len(values)
-        mus[0], rems[0] = (0.0, self.budgets) if t0 == 0 else (mus[self.closed], rems[self.closed])
-        self.closed = nb
+    def play(self, values, bids) -> None:
+        """The next nb rounds, one record block, for values (paced agents)
+        and bids (unpaced ones, or None), each (nb, rows, n).  Row 0 of mus
+        and rems is the row the last block closed on."""
+        nb, t0 = len(values), self.played
+        mus, rems, b, x, z = self.mus, self.rems, self.b, self.x, self.z
+        mus[0], rems[0] = mus[self.closed], rems[self.closed]
+        self.closed, self.played = nb, t0 + nb
         x[:nb] = 0.0
         z[:nb] = 0.0
-        kernel = _kernel(mechanism, *self.eps.shape)
-        add, divide, subtract, multiply, minimum, maximum, less, copyto, count = (
-            np.add, np.divide, np.subtract, np.multiply, np.minimum, np.maximum, np.less,
-            np.copyto, np.count_nonzero)
-        eps, rho, mu_cap, thresh, step, newly = (
-            self.eps, self.rho, self.mu_cap, self.thresh, self.step, self.newly)
+        add, divide, subtract, multiply, fmin, minimum, maximum, less, copyto, count = (
+            np.add, np.divide, np.subtract, np.multiply, np.fmin, np.minimum, np.maximum,
+            np.less, np.copyto, np.count_nonzero)
+        kernel, eps, rho, mu_cap, thresh, step, newly = (
+            self.kernel, self.eps, self.rho, self.mu_cap, self.thresh, self.step, self.newly)
         bids, unpaced = (bids, self.unpaced) if self.any_unpaced else (None, None)
         # A huge learning rate can overflow eps * (rho - z) to +-inf, which the
         # projection onto [0, mu_cap] saturates to the right multiplier, so
@@ -460,7 +466,7 @@ class _Lockstep:
                 divide(values[j], bj, out=bj)
                 if bids is not None:
                     copyto(bj, bids[j], where=unpaced)
-                minimum(bj, rem, out=bj)
+                fmin(bj, rem, out=bj)
                 kernel(bj, x[j], zj)
                 # mu <- clip(mu - eps * (rho - z), 0, mu_cap)
                 subtract(rho, zj, out=step)
@@ -471,6 +477,7 @@ class _Lockstep:
                 subtract(rem, zj, out=rem_next)
                 if count(less(rem_next, thresh, out=newly)):
                     self.stop_round[newly] = t0 + j + 2
+                    mu_next[newly] = np.nan
                     rem_next[newly] = 0.0
                     thresh[newly] = -np.inf
 
@@ -491,33 +498,26 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
         if isinstance(spec, ScriptedAgent):
             script_bids[:, k] = spec.bids_over(T)
 
-    game = _Lockstep(rc, T, paced, budgets, eps, rho, mu_cap)
+    game = _Lockstep(rc, T, config.mechanism, paced, budgets, eps, rho, mu_cap)
 
     # Each replication owns its _RECORDED (T, n) arrays, copied out of each
     # record block.
     profiles = config.value_model.profiles
     records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]
     B = min(_RECORD_ROUNDS, T)
-    values, b, x, z = np.empty((4, B, rc, n))
-    mus, rems = np.empty((2, B + 1, rc, n))
-    block = (mus, x, z)
+    values = np.empty((B, rc, n))
     scripts = np.empty((B, rc, n)) if game.any_unpaced else None  # the unpaced bids
+    block = (game.mus, game.x, game.z)
 
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + B, T)
         np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=values[: t1 - t0])
         if scripts is not None:
             scripts[: t1 - t0] = script_bids[t0:t1, None]
-        game.play(t0, config.mechanism, values[: t1 - t0], scripts, mus, rems, b, x, z)
+        game.play(values[: t1 - t0], scripts)
         for r, arrays in enumerate(records):
             for array, rows in zip(arrays, block):
                 array[t0:t1] = rows[: t1 - t0, r]
-
-    # Multipliers exist only for paced agents while they are live.
-    for r, (multipliers, _x, _z) in enumerate(records):
-        multipliers[:, ~paced] = np.nan
-        for k in np.flatnonzero(paced):
-            multipliers[game.stop_round[r, k] - 1 :, k] = np.nan
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
     bids = functools.partial(_derived_bids, script_bids)

@@ -283,6 +283,38 @@ def test_simulate_pacing_stop_on_a_block_edge_matches_scalar_replay(horizon, sto
                 assert _same_bits(getattr(one, field), expected), field
 
 
+def test_the_round_writes_its_own_stop_mask():
+    # One paced column that wins every round at the script's second-price
+    # 0.5 until its budget of 150 is spent, on round 300 of 600 (in the
+    # second of three record blocks), and one scripted column.
+    T, budget, learning_rate, mu_cap = 600, 150.0, 0.01, 0.5
+    values = np.random.default_rng(3).choice([1.0, 2.0], size=(T, 2, 2))
+    scripts = np.full((_RECORD_ROUNDS, 2, 2), 0.5)
+    game = simulation._Lockstep(
+        2, T, second_price(), np.array([True, False]), np.array([budget, 1e6]),
+        np.array([learning_rate, np.nan]), np.array([budget / T, np.nan]),
+        np.array([mu_cap, np.nan]),
+    )
+    mus, bids = np.empty((2, T, 2, 2))
+    for t0 in range(0, T, _RECORD_ROUNDS):
+        t1 = min(t0 + _RECORD_ROUNDS, T)
+        game.play(values[t0:t1], scripts)
+        mus[t0:t1], bids[t0:t1] = game.mus[: t1 - t0], game.b[: t1 - t0]
+    cfg = AgentConfig(budget=budget, horizon=T, learning_rate=learning_rate, mu_cap=mu_cap,
+                      value_cap=2.0)
+    for r in range(2):
+        assert game.stop_round[r, 0] == 301 and game.stop_round[r, 1] == T + 1
+        assert np.all(np.isnan(mus[:, r, 1]))  # the scripted column, from row 0
+        assert np.all(np.isnan(mus[300:, r, 0])) and np.all(bids[300:, r, 0] == 0.0)
+        state = init_state(cfg)
+        for t in range(300):
+            assert _same_bits(mus[t, r, 0], np.float64(state.multiplier)), (r, t)
+            bid = compute_bid(state, float(values[t, r, 0]))
+            assert bids[t, r, 0] == bid
+            state = update(state, allocate(second_price(), [bid, 0.5]).payments[0])
+        assert state.stopped and state.round == 301
+
+
 _MECHANISMS = [
     first_price(),
     first_price(Polymatroid((0.9, 0.4, 0.2))),
@@ -309,8 +341,7 @@ def test_cached_kernels_share_no_state():
             x, z = outcomes(mech, bids)
             assert x.tobytes() == x_ref.tobytes() and z.tobytes() == z_ref.tobytes()
         for mech, bids, x_ref, z_ref in reversed(cases):
-            buffers = (np.full(bids.shape, 7.0), np.full(bids.shape, -0.0))
-            x, z = outcomes(mech, bids, out=buffers)
+            x, z = outcomes(mech, bids)
             assert x.tobytes() == x_ref.tobytes() and z.tobytes() == z_ref.tobytes()
 
 

@@ -483,6 +483,38 @@ def _pacing_reference(envs, budget, learning_rate, mu_cap, seed, replications):
     return out
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+@pytest.mark.parametrize("comp", [[[0.2], [0.9], [0.5]], [[0.2, 0.7], [0.9, 0.1], [0.5, 0.5]]],
+                         ids=["one-opponent", "two-opponents"])
+@pytest.mark.parametrize("agent_index", [0, 1])
+def test_draw_matches_a_scalar_replay(eta, comp, agent_index):
+    # draw's rule, one profile at a time: the atom uniforms of every round
+    # and replication, then (with eta > 0) the noise uniforms; an atom by a
+    # cumulative-probability scan, each competing bid plus eta times its
+    # uniform.
+    env = EnvironmentStep(first_price(), [0.2, 0.5, 0.3], [1.0, 0.4, 0.8], comp, eta=eta,
+                          agent_index=agent_index)
+    drawn_by = np.random.default_rng(23)
+    got = env.draw(drawn_by, 40, 3)
+    rng = np.random.default_rng(23)
+    atom_u = rng.random((3, 40))
+    noise = np.zeros((3, 40, env.n_opponents))
+    if eta > 0:
+        noise = rng.random(noise.shape)
+    assert drawn_by.random() == rng.random()  # the same uniforms were drawn
+    assert got.shape == (3, 40, env.n_opponents + 1)
+    for r, t in np.ndindex(3, 40):
+        atom, cum = env.n_atoms - 1, 0.0
+        for s, p in enumerate(env.probs):
+            cum += p
+            if atom_u[r, t] < cum:
+                atom = s
+                break
+        bids = [float(c) + eta * float(u) for c, u in zip(env.competing_bids[atom], noise[r, t])]
+        bids.insert(agent_index, float(env.values[atom]))
+        assert got[r, t].tobytes() == np.array(bids).tobytes(), (r, t)
+
+
 _GSP_TWO_OPPONENTS = EnvironmentStep(
     gsp([1.0, 0.6]), [0.3, 0.45, 0.25], [1.0, 1.6, 0.4],
     [[0.5, 0.9], [1.2, 0.2], [0.4, 0.4]], agent_index=1,
@@ -544,9 +576,9 @@ def test_derived_values_and_bids_are_what_the_round_played(
     blocks = []
     real_play = regret._Lockstep.play
 
-    def spy(game, t0, mechanism, values, bids, mus, rems, b, x, z):
-        real_play(game, t0, mechanism, values, bids, mus, rems, b, x, z)
-        blocks.append((values[:, :, k].T.copy(), b[: len(values), :, k].T.copy()))
+    def spy(game, values, bids):
+        real_play(game, values, bids)
+        blocks.append((values[:, :, k].T.copy(), game.b[: len(values), :, k].T.copy()))
 
     monkeypatch.setattr(regret._Lockstep, "play", spy)
     runs = simulate_pacing(envs, budget, learning_rate, mu_cap, seed=13, replications=3)
