@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import math
 import os
 import sys
@@ -49,6 +48,7 @@ from .regret import (
     throttled_value_curve,
 )
 from .simulation import check_stopping_bound, epoch_bound_stats, replicate, save_trace
+from .simulation import _mean_stderr, _write_csv, _write_json
 from .svgplot import line_chart
 from .verify import (
     CheckReport,
@@ -99,22 +99,6 @@ def _load_scenario(path: str, overrides: list[str]) -> tuple[Scenario, str]:
     return validate_scenario(apply_overrides(decode_json(text), overrides), text), text
 
 
-def _finite(obj):
-    """obj with each non-finite float as None: JSON (RFC 8259) has no Infinity or NaN."""
-    if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
-
-
-def _write_json(path: str | None, payload) -> None:
-    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
-
 def _replications(args, scenario: Scenario, default: int) -> int:
     """-R if given (at least 1), else the scenario's count, else default."""
     if args.replications is None:
@@ -144,7 +128,7 @@ def cmd_run(args) -> int:
     results = replicate(config, reps, reduce)
     spends = np.array([s for s, _ in results])
     liquids = np.array([w for _, w in results])
-    welfare = liquids.sum(axis=1)
+    welfare_mean, welfare_stderr = _mean_stderr(liquids.sum(axis=1))
     summary = {
         "horizon": config.horizon,
         "seed": config.seed,
@@ -156,8 +140,8 @@ def cmd_run(args) -> int:
             }
             for k in range(config.n_agents)
         ],
-        "welfare_mean": float(welfare.mean()),
-        "welfare_stderr": float(welfare.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+        "welfare_mean": welfare_mean,
+        "welfare_stderr": welfare_stderr,
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
     print(f"ran {reps} replication(s) of horizon {config.horizon}")
@@ -277,24 +261,20 @@ def cmd_regret(args) -> int:
                     reports = dynamic_regret_batch(
                         runs, envs, params["target_rate"], params["mu_cap"]
                     )
-                    value_regrets = np.array([r.value_regret for r in reports])
+                    value_mean, value_stderr = _mean_stderr([r.value_regret for r in reports])
                     sgd_regrets = np.array([r.sgd_regret for r in reports])
+                    shared = reports[0].as_dict()  # the figures every run of T shares
                     entry = {
                         "horizon": T,
                         "replications": reps,
                         "learning_rate": eps,
-                        "value_regret_mean": float(value_regrets.mean()),
-                        "value_regret_stderr": float(value_regrets.std(ddof=1) / math.sqrt(reps))
-                        if reps > 1
-                        else 0.0,
+                        "value_regret_mean": value_mean,
+                        "value_regret_stderr": value_stderr,
                         "sgd_regret_mean": float(sgd_regrets.mean()),
                         "sgd_regret_max": float(sgd_regrets.max()),
-                        "sgd_bound": reports[0].sgd_bound,
-                        "value_bound": reports[0].value_bound,
-                        "path_length": reports[0].path_length,
-                        "lambda": reports[0].smoothing.lipschitz,
-                        "delta_absolute": reports[0].smoothing.floor_absolute,
-                        "delta_relative": reports[0].smoothing.floor_relative,
+                        **{key: shared[key] for key in (
+                            "sgd_bound", "value_bound", "path_length", "lambda",
+                            "delta_absolute", "delta_relative")},
                     }
             except SmoothingRequiredError as exc:  # the spend curve steps: smoothing.eta is short
                 raise ConfigurationError(str(exc), ("smoothing", "eta")) from exc
@@ -343,19 +323,16 @@ def cmd_regret(args) -> int:
 
 
 def _dump_curves(path: str, envs, params) -> None:
-    import csv as _csv
-
-    mu_cap = params["mu_cap"]
-    grid = np.linspace(0.0, mu_cap, 201)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["segment", "mu", "Z", "V", "H", "W"])
-        for i, (env, _rounds) in enumerate(_distinct(envs)):
-            z, v = env.spend_value(grid)
-            h = objective_values(env, params["target_rate"], grid)
-            w = throttled_value_curve(env, params["target_rate"], grid)
-            for row in zip(grid, z, v, h, w):
-                writer.writerow([i, *(format(c, ".17g") for c in row)])
+    grid = np.linspace(0.0, params["mu_cap"], 201)
+    rho = params["target_rate"]
+    segments = [
+        np.column_stack([
+            np.full(len(grid), i), grid, *env.spend_value(grid),
+            objective_values(env, rho, grid), throttled_value_curve(env, rho, grid),
+        ])
+        for i, (env, _rounds) in enumerate(_distinct(envs))
+    ]
+    _write_csv(path, ("segment", "mu", "Z", "V", "H", "W"), np.concatenate(segments), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -187,11 +187,13 @@ def _value_model(obj, n_agents: int, text: str) -> ValueModel:
         profiles.append([_real(v, vpath + (j,)) for j, v in enumerate(values)])
     labels = obj.get("labels")
     _need(labels is None or isinstance(labels, list), path + ("labels",), "must be a list")
+    for i, label in enumerate(labels or ()):
+        _need(isinstance(label, str), path + ("labels", i), "must be a string")
     with anchored(text, path):
         return ValueModel(
             probs=probs,
             profiles=profiles,
-            labels=None if labels is None else tuple(str(s) for s in labels),
+            labels=None if labels is None else tuple(labels),
         )
 
 

@@ -28,13 +28,16 @@ import numpy as np
 from .auctions import FIRST_PRICE, SECOND_PRICE, Mechanism, SingleSlot, outcomes
 from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
+from .pacing import AgentConfig
 from .simulation import (
     _RECORD_ROUNDS,
+    PacedAgent,
     ValueModel,
     _budget_path,
     _check_number,
     _Derived,
     _Lockstep,
+    _mean_stderr,
     _played_bids,
     _taken_values,
     atom_indices,
@@ -513,12 +516,13 @@ def _as_env_list(envs, horizon: int | None) -> list[EnvironmentStep]:
     if isinstance(envs, EnvironmentStep):
         if horizon is None:
             raise ConfigurationError("horizon required with a single environment")
-        return [envs] * horizon
-    envs = list(envs)
-    if horizon is not None and horizon != len(envs):
-        raise ConfigurationError("environment list length must equal the horizon")
+        envs = [envs] * horizon
+    else:
+        envs = list(envs)
+        if horizon is not None and horizon != len(envs):
+            raise ConfigurationError("environment list length must equal the horizon")
     if not envs:
-        raise ConfigurationError("empty environment sequence")
+        raise ConfigurationError(f"no rounds: the horizon must be positive, got {horizon}")
     return envs
 
 
@@ -552,8 +556,13 @@ def simulate_pacing(
     update arithmetic matches the scalar pacing state transition bit for
     bit.  Each block's joint profiles are noised by EnvironmentStep.draw's
     rule (_noised_profiles), from the substream's atom uniforms for every
-    round and then its noise uniforms for every round and opponent.
+    round and then its noise uniforms for every round and opponent.  The
+    agent's parameters obey PacedAgent's and AgentConfig's rules, and the
+    replication count and seed must be non-negative.
     """
+    for name, count in (("replications", replications), ("seed", seed)):
+        if count < 0:
+            raise ConfigurationError(f"{name} must be non-negative, got {count}")
     env_list = _as_env_list(envs, horizon)
     groups = _distinct(env_list)
     first = env_list[0]
@@ -562,6 +571,9 @@ def simulate_pacing(
     if any((e.mechanism, e.agent_index, e.n_opponents) != shape for e, _rounds in groups):
         raise ConfigurationError("environments must share mechanism, agent_index and n_opponents")
     T, R = len(env_list), replications
+    spec = PacedAgent(budget, learning_rate, mu_cap)
+    value_cap = max(env.value_cap for env, _rounds in groups)
+    cfg = AgentConfig(spec.budget, T, spec.learning_rate, spec.mu_cap, value_cap)
 
     # Every distinct environment's joint profiles in one table, each atom's
     # noise width beside it, each group's atoms offset by the atoms of the
@@ -583,7 +595,7 @@ def simulate_pacing(
 
     # Per column: paced, budget, learning rate, target rate, mu_cap.
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
-    params[:, k] = 1.0, budget, learning_rate, budget / T, mu_cap
+    params[:, k] = 1.0, cfg.budget, cfg.learning_rate, cfg.target_rate, cfg.mu_cap
     game = _Lockstep(R, T, first.mechanism, params[0] == 1.0, *params[1:])
     # Each block's joint profiles (the agent's value in column k, the
     # opponents' noised bids around it) are both the values and the bids
@@ -607,9 +619,9 @@ def simulate_pacing(
             allocations=allocations[r],
             payments=payments[r],
             stop_round=int(game.stop_round[r, k]),
-            budget=float(budget),
-            learning_rate=learning_rate,
-            mu_cap=mu_cap,
+            budget=float(cfg.budget),
+            learning_rate=cfg.learning_rate,
+            mu_cap=cfg.mu_cap,
         )
         for r in range(R)
     ]
@@ -791,7 +803,4 @@ def stochastic_value(
     alive = np.concatenate(
         [np.ones((replications, 1), dtype=bool), spend_cum[:, :-1] < budget], axis=1
     )
-    totals = (gained * alive).sum(axis=1)
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr((gained * alive).sum(axis=1))

@@ -582,6 +582,13 @@ def replicate(
     return results
 
 
+def _mean_stderr(samples) -> tuple[float, float]:
+    """The mean of replicated samples and its standard error (0.0 for one)."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = len(x)
+    return float(x.mean()), (float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Epochs
 
@@ -743,17 +750,44 @@ TRACE_COLUMNS = (
 )
 
 
-#: One CSV row: round, agent, then the six per-round cells at 17
-#: significant digits ('%.17g' % x == format(x, ".17g"), nan and -0 included),
-#: with the CRLF line end of the csv module's default dialect.
-_ROW_FORMAT = "%d,%d," + ",".join(["%.17g"] * 6) + "\r\n"
 #: Rows formatted per write and parsed per read.  Small blocks keep every
 #: temporary small; larger ones leave a fragmented heap and raise peak memory.
 _BLOCK_ROWS = 1024
 
 
-def save_trace(trace: Trace, csv_path, envelope_path=None, config_doc=None) -> None:
-    """Write the per-round CSV and (optionally) the JSON envelope.
+def _write_csv(path, header, table: np.ndarray, ints: int) -> None:
+    """Write the rows of table under header: the first `ints` columns as
+    integers, the rest at 17 significant digits ('%.17g' % x ==
+    format(x, ".17g"), nan and -0 included), with the CRLF line end of the
+    csv module's default dialect, _BLOCK_ROWS rows a write."""
+    row = ",".join(["%d"] * ints + ["%.17g"] * (table.shape[1] - ints)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _finite(obj):
+    """obj with each non-finite float as None: JSON (RFC 8259) has no Infinity or NaN."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _write_json(path, payload) -> None:
+    """Write payload as strict JSON (sorted keys, indent 2, each non-finite
+    float as null); with path None, only check that it serializes."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+
+
+def save_trace(trace: Trace, csv_path, envelope_path, config_doc=None) -> None:
+    """Write the per-round CSV and the JSON envelope.
 
     Rows run round by round, agents in order within a round.  Floats are
     serialized with 17 significant digits so a round-trip through
@@ -765,24 +799,16 @@ def save_trace(trace: Trace, csv_path, envelope_path=None, config_doc=None) -> N
     table[:, :, 1] = np.arange(n)
     for j, name in enumerate(_TRACE_FIELDS, start=2):
         table[:, :, j] = getattr(trace, name)
-    table = table.reshape(T * n, len(TRACE_COLUMNS))
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            fh.write((_ROW_FORMAT * len(block)) % tuple(block.ravel().tolist()))
-    if envelope_path is not None:
-        with open(envelope_path, "w") as fh:
-            json.dump(trace_envelope(trace, config_doc), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_csv(csv_path, TRACE_COLUMNS, table.reshape(T * n, len(TRACE_COLUMNS)), 2)
+    _write_json(envelope_path, trace_envelope(trace, config_doc))
 
 
 def trace_envelope(trace: Trace, config_doc=None) -> dict:
-    """JSON-serializable envelope: agent metadata plus a spend/welfare summary."""
-    liquid = [
-        min(float(b), float((trace.allocations[:, k] * trace.values[:, k]).sum()))
-        for k, b in enumerate(trace.budgets)
-    ]
+    """JSON-serializable envelope: agent metadata plus the spend and
+    liquid-welfare summary of welfare.liquid_welfare."""
+    from .welfare import liquid_welfare  # welfare imports this module
+
+    report = liquid_welfare(trace)
     env = {
         "horizon": trace.horizon,
         "value_cap": trace.value_cap,
@@ -790,27 +816,22 @@ def trace_envelope(trace: Trace, config_doc=None) -> dict:
             {
                 "kind": trace.agent_kinds[k],
                 "budget": float(trace.budgets[k]),
-                "target_rate": _nan_none(trace.target_rates[k]),
-                "learning_rate": _nan_none(trace.learning_rates[k]),
-                "mu_cap": _nan_none(trace.mu_caps[k]),
+                "target_rate": float(trace.target_rates[k]),
+                "learning_rate": float(trace.learning_rates[k]),
+                "mu_cap": float(trace.mu_caps[k]),
                 "stop_round": int(trace.stop_rounds[k]),
             }
             for k in range(trace.n_agents)
         ],
         "summary": {
-            "total_spend": [float(s) for s in trace.payments.sum(axis=0)],
-            "liquid_value": liquid,
-            "liquid_welfare": float(sum(liquid)),
+            "total_spend": report.spends.tolist(),
+            "liquid_value": report.liquid_values.tolist(),
+            "liquid_welfare": report.total,
         },
     }
     if config_doc is not None:
         env["config"] = config_doc
     return env
-
-
-def _nan_none(x: float):
-    x = float(x)
-    return None if math.isnan(x) else x
 
 
 def load_trace(csv_path, envelope_path) -> Trace:

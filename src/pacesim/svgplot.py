@@ -11,11 +11,12 @@ from typing import Sequence
 _COLORS = ("#1f6fb2", "#d1495b", "#3a7d44", "#8a5fbf", "#c97b1f", "#4d4d4d")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_chart(
@@ -24,10 +25,9 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 760,
-    height: int = 460,
 ) -> None:
-    """Write a standalone SVG with one polyline per (label, xs, ys) series."""
+    """Write a standalone 760 x 460 SVG with one polyline per (label, xs, ys) series."""
+    width, height = 760, 460
     left, right, top, bottom = 64, 16, 36, 48
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -491,28 +491,18 @@ def benchmark_value_diagnostic(
     trace: Trace,
     rule_allocations: np.ndarray,
     agent: int,
-    profiles: np.ndarray | None = None,
 ) -> float:
     """Benchmark value with paced rounds replaced by the target rate.
 
     Sums, over rounds, the benchmark rule's value for the agent whenever
     her multiplier was exactly zero and the target rate otherwise (stopped
     rounds count as paced).  The rule is indexed by the trace's scenario
-    indices, or matched against `profiles` rows when those were not kept.
+    indices, which a loaded trace does not have.
     """
     rule = np.asarray(rule_allocations, dtype=np.float64)
-    if trace.scenario_indices is not None:
-        idx = trace.scenario_indices
-    else:
-        if profiles is None:
-            raise ConfigurationError("need scenario indices or the support profiles")
-        prof = np.asarray(profiles, dtype=np.float64)
-        idx = np.empty(trace.horizon, dtype=np.int64)
-        for t in range(trace.horizon):
-            match = np.flatnonzero(np.all(np.abs(prof - trace.values[t]) < 1e-12, axis=1))
-            if len(match) == 0:
-                raise ConfigurationError(f"round {t + 1} value profile not in the rule support")
-            idx[t] = match[0]
+    idx = trace.scenario_indices
+    if idx is None:
+        raise ConfigurationError("need the trace's scenario indices")
     if np.any(idx >= len(rule)):
         raise ConfigurationError("scenario index outside the rule support")
     y = rule[idx, agent]

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .lp import solve_lp_max
 from .simulation import ScriptedAgent, SimulationConfig, Trace, ValueModel, run_simulation
+from .simulation import _mean_stderr, _write_csv
 
 #: Largest support_size * n * m (slot-share columns) the exact solver accepts.
 SOLVER_VARIABLE_CAP = 10_000
@@ -59,15 +60,15 @@ class LiquidWelfareReport:
         return float(self.liquid_values.sum())
 
 
-def liquid_welfare(trace: Trace, budgets: Sequence[float] | None = None) -> LiquidWelfareReport:
-    b = trace.budgets if budgets is None else np.asarray(budgets, dtype=np.float64)
-    if b.shape != (trace.n_agents,):
-        raise ConfigurationError("one budget per agent required")
+def liquid_welfare(trace: Trace) -> LiquidWelfareReport:
+    """The trace's liquid welfare: each agent's value won and spend as
+    running sums over the rounds (axis 0), the one formula behind every
+    liquid welfare pacesim reports."""
     totals = (trace.allocations * trace.values).sum(axis=0)
     return LiquidWelfareReport(
-        liquid_values=np.minimum(b, totals),
+        liquid_values=np.minimum(trace.budgets, totals),
         spends=trace.payments.sum(axis=0),
-        budgets=b.copy(),
+        budgets=trace.budgets.copy(),
     )
 
 
@@ -203,14 +204,9 @@ def ex_ante_grid_oracle(
 def rule_to_csv(allocations: np.ndarray, path) -> None:
     """Write a per-scenario allocation rule as CSV: scenario index followed
     by one allocation column per agent, 17 significant digits."""
-    import csv
-
     y = np.asarray(allocations, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario"] + [f"agent_{k}" for k in range(y.shape[1])])
-        for s in range(y.shape[0]):
-            writer.writerow([s] + [format(v, ".17g") for v in y[s]])
+    header = ["scenario"] + [f"agent_{k}" for k in range(y.shape[1])]
+    _write_csv(path, header, np.column_stack([np.arange(len(y)), y]), 1)
 
 
 @dataclass(frozen=True)
@@ -264,8 +260,7 @@ def verify_welfare_bound(
         raise StatisticsError(
             f"need at least {max(2, min_replications)} replications, got {len(samples)}"
         )
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(len(samples)))
+    mean, stderr = _mean_stderr(samples)
     slack = welfare_bound_slack(n_agents, value_cap, horizon)
     rhs = optimum / 2.0 - slack
     passed = mean - Z99 * stderr >= rhs

@@ -531,6 +531,7 @@ _ANNOTATED = (
         "value_model.support.0.values=[null,1]",
         "value_model.support.0.values=[true,1]",
         "value_model.labels=5",
+        'value_model.labels=[NaN,"high"]',  # json reads NaN; a label must be a string
         "seed=-3",
         "agents.1.script.schedule=[]",
         "agents.0.learning_rate=0",

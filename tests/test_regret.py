@@ -663,6 +663,27 @@ def test_simulate_pacing_rejects_mixed_environments(other):
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        {"budget": -5.0},
+        {"learning_rate": math.nan},
+        {"mu_cap": math.inf},
+        {"replications": -1},
+        {"seed": -1},
+        {"horizon": 0},
+    ],
+    ids=["negative-budget", "nan-learning-rate", "inf-mu-cap", "negative-replications",
+         "negative-seed", "zero-horizon"],
+)
+def test_simulate_pacing_refuses_what_the_market_engine_refuses(change):
+    # The agent goes through PacedAgent and AgentConfig, the market engine's
+    # validation layer, so it never plays NaN multipliers.
+    settings = dict(budget=2.5, learning_rate=0.1, mu_cap=4.0, horizon=10, seed=0, replications=2)
+    with pytest.raises(ConfigurationError):
+        simulate_pacing(uniform_opponent_env(), **{**settings, **change})
+
+
+@pytest.mark.parametrize(
     "probs, values, comp, eta",
     [
         ([math.nan, 1.0], [1.0, 1.0], [[0.2], [0.8]], 0.0),

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -24,6 +25,7 @@ from pacesim import (
     counterexample_scenario,
     first_price,
     gsp,
+    liquid_welfare,
     load_trace,
     replicate,
     run_simulation,
@@ -588,10 +590,36 @@ class TestPersistence:
     def test_seventeen_digit_cells(self, tmp_path):
         trace = run_simulation(_contested_config(horizon=5))
         csv_path = tmp_path / "t.csv"
-        save_trace(trace, csv_path)
+        save_trace(trace, csv_path, tmp_path / "t.json")
         body = csv_path.read_text().splitlines()
         assert body[0] == "round,agent,value,multiplier,bid,allocation,payment,remaining_budget"
         assert len(body) == 1 + 5 * 2
+
+    @pytest.mark.parametrize("name", ["welfare_gsp_five", "welfare_symmetric_second_price"])
+    def test_envelope_summary_is_liquid_welfare(self, name):
+        # One formula: the envelope reports what summary.json, pacesim
+        # welfare and the acceptance fixture compute, bit for bit.
+        config = dataclasses.replace(load_scenario(name).config, horizon=300)
+        for trace in replicate(config, 3):
+            report = liquid_welfare(trace)
+            assert simulation.trace_envelope(trace)["summary"] == {
+                "total_spend": report.spends.tolist(),
+                "liquid_value": report.liquid_values.tolist(),
+                "liquid_welfare": report.total,
+            }
+
+    def test_envelope_is_strict_json(self, tmp_path):
+        trace = run_simulation(_contested_config(horizon=5))
+        env_path = tmp_path / "t.json"
+        doc = {"eta": math.nan, "caps": [math.inf, -math.inf, 1.5]}
+        save_trace(trace, tmp_path / "t.csv", env_path, config_doc=doc)
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        envelope = json.loads(env_path.read_text(), parse_constant=refuse)
+        assert envelope["config"] == {"eta": None, "caps": [None, None, 1.5]}
+        assert load_trace(tmp_path / "t.csv", env_path).horizon == 5
 
     def test_unexpected_columns_rejected(self, tmp_path):
         trace = run_simulation(_contested_config(horizon=3))

@@ -497,13 +497,12 @@ class TestBenchmarkValueDiagnostic:
         assert benchmark_value_diagnostic(forced, rule, 0) == pytest.approx(rho * trace.horizon)
 
     def test_profile_matching_fallback_and_lookup_error(self):
+        # A trace without scenario indices (as load_trace builds one) is refused.
         config, trace = self._uncontested_trace()
         bare = trace.__class__(**{**trace.__dict__, "scenario_indices": None})
         rule = np.array([[1.0, 0.0], [0.25, 0.5]])
-        via_profiles = benchmark_value_diagnostic(bare, rule, 0, profiles=config.value_model.profiles)
-        assert via_profiles == pytest.approx(benchmark_value_diagnostic(trace, rule, 0))
         with pytest.raises(ConfigurationError):
-            benchmark_value_diagnostic(bare, rule, 0, profiles=np.array([[9.0, 9.0]]))
+            benchmark_value_diagnostic(bare, rule, 0)
 
     def test_high_probability_ceiling_on_replications(self):
         # Both agents paced in the counterexample market: the benchmark rule

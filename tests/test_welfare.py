@@ -1,6 +1,8 @@
 """Liquid welfare reports, the exact ex-ante program against its grid
 oracle, and the counterexample scenario."""
 
+import csv
+import dataclasses
 import itertools
 import math
 
@@ -25,7 +27,7 @@ from pacesim import (
     solve_ex_ante_optimum,
     verify_welfare_bound,
 )
-from pacesim import welfare
+from pacesim import simulation, welfare
 from pacesim.errors import CapacityError, StatisticsError
 from pacesim.welfare import welfare_bound_slack
 
@@ -41,7 +43,7 @@ class TestLiquidWelfare:
 
     def test_zero_value_agent(self):
         trace = run_simulation(counterexample_scenario(9.0, 50))
-        report = liquid_welfare(trace, budgets=[1000.0, 1000.0])
+        report = liquid_welfare(dataclasses.replace(trace, budgets=np.array([1000.0, 1000.0])))
         assert report.liquid_values[0] == 100.0  # sum of x*v, unclamped
         assert report.liquid_values[1] == 0.0
 
@@ -254,6 +256,24 @@ def test_rule_to_csv_round_trip(tmp_path):
     assert lines[0] == "scenario,agent_0,agent_1"
     parsed = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
     assert np.array_equal(parsed, rule)
+
+
+def test_rule_to_csv_writes_the_csv_module_bytes(tmp_path):
+    # Every CSV goes through one 17-digit writer (simulation._write_csv),
+    # whose bytes are those csv.writer gave with format(v, ".17g"): signed
+    # zero, nan, inf and tiny values included.
+    rule = np.array([[-0.0, math.nan], [math.inf, 1e-300], [1.0 / 3.0, 0.0]])
+    header = ["scenario", "agent_0", "agent_1"]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s, row in enumerate(rule):
+            writer.writerow([s] + [format(v, ".17g") for v in row])
+    welfare.rule_to_csv(rule, tmp_path / "rule.csv")
+    simulation._write_csv(tmp_path / "direct.csv", header, np.column_stack([np.arange(3), rule]), 1)
+    assert (tmp_path / "rule.csv").read_bytes() == expected.read_bytes()
+    assert (tmp_path / "direct.csv").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize(
