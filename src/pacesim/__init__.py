@@ -29,7 +29,6 @@ from .pacing import (
     check_generalized_pacing,
     compute_bid,
     init_state,
-    stopping_time_bound,
     update,
 )
 from .simulation import (

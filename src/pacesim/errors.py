@@ -38,10 +38,6 @@ class IterationLimitError(RuntimeError):
     """The simplex solver hit its pivot limit without reaching an optimum."""
 
 
-class BoundInapplicableError(ValueError):
-    """The hypotheses of the requested analytic bound do not hold."""
-
-
 class CapacityError(ValueError):
     """The instance is too large for the exact solver."""
 

@@ -4,9 +4,10 @@ An agent shades her bid to value/(1 + multiplier) and nudges the multiplier
 after every round by the learning rate times the gap between realized spend
 and the per-round budget target, projected back onto [0, mu_cap].  The
 module also ships the sure bound on how early the agent can run out of
-budget, and a conformance checker for the wider family of pacing policies
-the welfare guarantee actually covers (no overbidding, no unnecessary
-pacing, and the same multiplier recurrence).
+budget, which simulation.check_stopping_bound applies to traces, and a
+conformance checker for the wider family of pacing policies the welfare
+guarantee covers (no overbidding, no unnecessary pacing, and the same
+multiplier recurrence).
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .constants import SURE_TOL
-from .errors import (
-    BoundInapplicableError,
-    ConfigurationError,
-    InvariantViolationError,
-    StoppedAgentError,
-)
+from .errors import ConfigurationError, InvariantViolationError, StoppedAgentError
 
 #: An agent is treated as out of budget once the remainder drops below this
 #: fraction of the starting budget; avoids bidding dust amounts forever.
@@ -64,11 +60,6 @@ class AgentConfig:
     def target_rate(self) -> float:
         """Per-round spend target: budget / horizon."""
         return self.budget / self.horizon
-
-    @property
-    def stopping_bound_applicable(self) -> bool:
-        """Whether the early-stopping bound's hypotheses hold for this config."""
-        return _stopping_rule(self.learning_rate, self.mu_cap, self.target_rate, self.value_cap)
 
 
 def _stopping_rule(learning_rate, mu_cap, target_rate, value_cap) -> bool:
@@ -140,24 +131,6 @@ def update(state: PacingState, spend: float) -> PacingState:
     stopped = remaining < EXHAUSTION_FRACTION * cfg.budget or rnd > cfg.horizon
     return replace(
         state, multiplier=mu, remaining_budget=remaining, round=rnd, stopped=stopped
-    )
-
-
-def stopping_time_bound(config: AgentConfig) -> int:
-    """Sure bound on how many rounds before the horizon the agent can stop.
-
-    Requires mu_cap >= value_cap/target_rate - 1 and
-    learning_rate * value_cap <= 1; under those hypotheses the number of
-    missed rounds never exceeds
-    ceil(mu_cap/(learning_rate * target_rate) + value_cap/target_rate).
-    """
-    if not config.stopping_bound_applicable:
-        raise BoundInapplicableError(
-            "need mu_cap >= value_cap/target_rate - 1 and "
-            "learning_rate * value_cap <= 1"
-        )
-    return _stopping_bound(
-        config.learning_rate, config.mu_cap, config.target_rate, config.value_cap
     )
 
 

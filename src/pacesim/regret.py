@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -229,15 +230,6 @@ class EnvironmentStep:
             pts.append(m[(m > 0) & (m < mu_max)])
         return np.unique(np.concatenate(pts))
 
-    def draw(self, rng: np.random.Generator, rounds: int, replications: int) -> np.ndarray:
-        """Sample joint profiles, competing bids noised, of shape
-        (replications, rounds, opponents + 1): the atom uniforms, then,
-        with eta > 0, the noise uniforms."""
-        idx = atom_indices(self.probs, rng.random((replications, rounds)))
-        noise = rng.random(idx.shape + (self.n_opponents,)) if self.eta > 0 else 0.0
-        widths = np.full(self.n_atoms, self.eta)
-        return _noised_profiles(self._model.profiles, widths, self._others, idx, noise)
-
 
 def _noised_profiles(table, widths, others, idx, noise) -> np.ndarray:
     """The joint profiles table[idx], each competing bid (the columns of
@@ -282,6 +274,28 @@ def _distinct(envs: Sequence[EnvironmentStep]) -> list[tuple[EnvironmentStep, np
     for t, env in enumerate(envs):
         groups.setdefault(id(env), (env, []))[1].append(t)
     return [(env, np.asarray(rounds, dtype=np.int64)) for env, rounds in groups.values()]
+
+
+def _draw_runs(groups, T: int, R: int, seed: int):
+    """Every distinct environment's joint profiles in one table, each
+    atom's noise width beside it, each group's atoms offset by the atoms
+    of the groups before it, and R runs of T rounds drawn from it: (R, T)
+    indices into the table, in the smallest unsigned dtype that holds
+    them, and the raw (R, T, opponents) noise uniforms.  Run r draws on
+    substream r of seed: one uniform per round picks the atom, then one
+    per round and competing bid realizes the noise."""
+    table = np.concatenate([env._model.profiles for env, _rounds in groups])
+    widths = np.concatenate([np.full(env.n_atoms, env.eta) for env, _rounds in groups])
+    offsets = np.cumsum([0] + [env.n_atoms for env, _rounds in groups[:-1]])
+    atoms = np.empty((R, T), dtype=np.min_scalar_type(len(table) - 1))
+    noise = np.empty((R, T, groups[0][0].n_opponents))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
+        rng = np.random.Generator(np.random.Philox(child))
+        uniforms = rng.random(T)
+        noise[r] = rng.random(noise.shape[1:])
+        for (env, rounds), offset in zip(groups, offsets):
+            atoms[r, rounds] = atom_indices(env.probs, uniforms[rounds]) + offset
+    return table, widths, atoms, noise
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +568,8 @@ def simulate_pacing(
     market engine's round (simulation._Lockstep), the agent a paced column
     and each opponent an unpaced one with an infinite budget; each run's
     update arithmetic matches the scalar pacing state transition bit for
-    bit.  Each block's joint profiles are noised by EnvironmentStep.draw's
-    rule (_noised_profiles), from the substream's atom uniforms for every
-    round and then its noise uniforms for every round and opponent.  The
+    bit.  Replication r's joint profiles are drawn by _draw_runs on
+    substream r and noised a block at a time by _noised_profiles.  The
     agent's parameters obey PacedAgent's and AgentConfig's rules, and the
     replication count and seed must be non-negative.
     """
@@ -575,23 +588,7 @@ def simulate_pacing(
     value_cap = max(env.value_cap for env, _rounds in groups)
     cfg = AgentConfig(spec.budget, T, spec.learning_rate, spec.mu_cap, value_cap)
 
-    # Every distinct environment's joint profiles in one table, each atom's
-    # noise width beside it, each group's atoms offset by the atoms of the
-    # groups before it; a run records one index into it a round, in the
-    # smallest unsigned dtype that holds them all.  Per replication's
-    # substream one uniform per round picks the atom, then one per round
-    # and competing bid realizes the noise, kept raw until its block.
-    table = np.concatenate([env._model.profiles for env, _rounds in groups])
-    widths = np.concatenate([np.full(env.n_atoms, env.eta) for env, _rounds in groups])
-    offsets = np.cumsum([0] + [env.n_atoms for env, _rounds in groups[:-1]])
-    atoms = np.empty((R, T), dtype=np.min_scalar_type(len(table) - 1))
-    noise = np.empty((R, T, n_opp))
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
-        rng = np.random.Generator(np.random.Philox(child))
-        uniforms = rng.random(T)
-        noise[r] = rng.random((T, n_opp))
-        for (env, rounds), offset in zip(groups, offsets):
-            atoms[r, rounds] = atom_indices(env.probs, uniforms[rounds]) + offset
+    table, widths, atoms, noise = _draw_runs(groups, T, R, seed)
 
     # Per column: paced, budget, learning rate, target rate, mu_cap.
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
@@ -790,17 +787,25 @@ def stochastic_value(
     The agent bids value/(1 + mu) every round without clamping; the round
     on which cumulative spend first reaches the budget still counts toward
     the total, matching the stopped-process accounting of the analytic
-    upper bound.
+    upper bound.  Replication r draws on substream r of seed, as
+    simulate_pacing's do.  mu, budget, horizon and seed must be finite and
+    non-negative, horizon and seed integers, and replications at least 1.
     """
-    if budget <= 0 or horizon == 0:
+    spec = SimpleNamespace(mu=mu, budget=budget, horizon=horizon, replications=replications,
+                           seed=seed)
+    _check_number(spec, "mu")
+    _check_number(spec, "budget")
+    _check_number(spec, "horizon", integer=True)
+    _check_number(spec, "replications", positive=True, integer=True)
+    _check_number(spec, "seed", integer=True)
+    T, R = spec.horizon, spec.replications
+    if budget == 0 or T == 0:
         return 0.0, 0.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    profiles = env.draw(rng, horizon, replications)
+    table, widths, atoms, noise = _draw_runs([(env, np.arange(T))], T, R, spec.seed)
+    profiles = _noised_profiles(table, widths, env._others, atoms, noise)
     vals = profiles[..., env.agent_index]
     x, z = _focal_outcome(env, profiles, vals / (1.0 + mu))
     gained = x * vals
     spend_cum = np.cumsum(z, axis=1)
-    alive = np.concatenate(
-        [np.ones((replications, 1), dtype=bool), spend_cum[:, :-1] < budget], axis=1
-    )
+    alive = np.concatenate([np.ones((R, 1), dtype=bool), spend_cum[:, :-1] < budget], axis=1)
     return _mean_stderr((gained * alive).sum(axis=1))

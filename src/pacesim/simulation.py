@@ -441,8 +441,8 @@ class _Lockstep:
 
     def play(self, values, bids) -> None:
         """The next nb rounds, one record block, for values (paced agents)
-        and bids (unpaced ones, or None), each (nb, rows, n).  Row 0 of mus
-        and rems is the row the last block closed on."""
+        and bids (unpaced ones, or None), each (nb, rows, n) or broadcasting
+        to it.  Row 0 of mus and rems is the row the last block closed on."""
         nb, t0 = len(values), self.played
         mus, rems, b, x, z = self.mus, self.rems, self.b, self.x, self.z
         mus[0], rems[0] = mus[self.closed], rems[self.closed]
@@ -506,15 +506,12 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
     records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]
     B = min(_RECORD_ROUNDS, T)
     values = np.empty((B, rc, n))
-    scripts = np.empty((B, rc, n)) if game.any_unpaced else None  # the unpaced bids
     block = (game.mus, game.x, game.z)
 
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + B, T)
         np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=values[: t1 - t0])
-        if scripts is not None:
-            scripts[: t1 - t0] = script_bids[t0:t1, None]
-        game.play(values[: t1 - t0], scripts)
+        game.play(values[: t1 - t0], script_bids[t0:t1, None])
         for r, arrays in enumerate(records):
             for array, rows in zip(arrays, block):
                 array[t0:t1] = rows[: t1 - t0, r]
@@ -550,29 +547,25 @@ def replicate(
     config: SimulationConfig,
     replications: int,
     reducer: Callable[[Trace, int], object] | None = None,
-    chunk_size: int | None = None,
 ) -> list:
     """Run independent replications on spawned RNG substreams.
 
     Replication r always uses substream r of the config seed, so results
     are bit-identical for any chunk size.  Replications run in lockstep
-    chunks of chunk_size rows; by default as many as keep one chunk's
-    traces within _CHUNK_BYTES (at least one).  reducer(trace, rep_index)
-    is applied per replication in order, and replicate lets go of each
-    trace as soon as its reducer returns, so a chunk holds only the record
-    of the traces not yet reduced (plus whatever a reducer keeps); by
-    default the traces themselves are returned.
+    chunks of as many rows as keep one chunk's traces within _CHUNK_BYTES
+    (at least one).  reducer(trace, rep_index) is applied per replication
+    in order, and replicate lets go of each trace as soon as its reducer
+    returns, so a chunk holds only the record of the traces not yet
+    reduced (plus whatever a reducer keeps); by default the traces
+    themselves are returned.
     """
     if replications < 0:
         raise ConfigurationError("replications must be non-negative")
-    if chunk_size is None:
-        chunk_size = _chunk_rows(config)
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be at least 1, got {chunk_size}")
+    rows = _chunk_rows(config)
     children = np.random.SeedSequence(config.seed).spawn(max(replications, 1))
     results: list = []
-    for start in range(0, replications, chunk_size):
-        traces = _simulate_chunk(config, children[start : start + chunk_size])
+    for start in range(0, replications, rows):
+        traces = _simulate_chunk(config, children[start : start + rows])
         if reducer is None:
             results.extend(traces)
             continue

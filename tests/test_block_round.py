@@ -123,10 +123,12 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("horizon, stop", STOPS, ids=lambda v: str(v))
-def test_replicate_stop_on_a_block_edge_matches_one_row_chunks_and_scalar_replay(horizon, stop):
+def test_replicate_stop_on_a_block_edge_matches_one_row_chunks_and_scalar_replay(
+    horizon, stop, replicate_one_row
+):
     config = _stop_config(horizon, stop)
     chunked = replicate(config, 4)
-    single = replicate(config, 4, chunk_size=1)
+    single = replicate_one_row(config, 4)
     children = np.random.SeedSequence(config.seed).spawn(4)
     for trace, one, child in zip(chunked, single, children):
         rows, stop_rounds = _market_replay(config, child)

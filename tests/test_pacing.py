@@ -16,15 +16,14 @@ from pacesim import (
     first_price,
     init_state,
     run_simulation,
-    stopping_time_bound,
     update,
 )
-from pacesim.errors import (
-    BoundInapplicableError,
-    ConfigurationError,
-    InvariantViolationError,
-    StoppedAgentError,
-)
+from pacesim.errors import ConfigurationError, InvariantViolationError, StoppedAgentError
+from pacesim.pacing import _stopping_bound, _stopping_rule
+
+
+def _bound_params(cfg):
+    return cfg.learning_rate, cfg.mu_cap, cfg.target_rate, cfg.value_cap
 
 
 class TestInitAndBid:
@@ -51,7 +50,7 @@ class TestInitAndBid:
         cfg = AgentConfig(budget=25, horizon=100, value_cap=2.0)
         assert cfg.learning_rate == 0.1  # 1/sqrt(100)
         assert cfg.mu_cap == 2.0 / 0.25  # value_cap / target_rate
-        assert cfg.stopping_bound_applicable
+        assert _stopping_rule(*_bound_params(cfg))
 
     def test_bid_examples(self):
         cfg = AgentConfig(budget=10, horizon=10, value_cap=2.0)
@@ -123,18 +122,19 @@ class TestStoppingBound:
     def test_formula(self):
         cfg = AgentConfig(budget=1000, horizon=1000, learning_rate=0.01, mu_cap=9.0,
                           value_cap=10.0)
-        assert stopping_time_bound(cfg) == 910
+        assert _stopping_rule(*_bound_params(cfg))
+        assert _stopping_bound(*_bound_params(cfg)) == 910
 
     def test_degenerate(self):
         cfg = AgentConfig(budget=1, horizon=1, learning_rate=1.0, mu_cap=0.0,
                           value_cap=1.0)
-        assert stopping_time_bound(cfg) == 1
+        assert _stopping_rule(*_bound_params(cfg))
+        assert _stopping_bound(*_bound_params(cfg)) == 1
 
     def test_hypotheses_enforced(self):
         cfg = AgentConfig(budget=1000, horizon=1000, learning_rate=0.5, mu_cap=9.0,
                           value_cap=10.0)  # eps * v = 5 > 1
-        with pytest.raises(BoundInapplicableError):
-            stopping_time_bound(cfg)
+        assert not _stopping_rule(*_bound_params(cfg))
 
 
 @settings(max_examples=200, deadline=None)

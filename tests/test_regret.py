@@ -346,6 +346,18 @@ class TestStochasticValue:
     def test_zero_budget(self):
         env = uniform_opponent_env()
         assert stochastic_value(env, 1.0, budget=0.0, horizon=20) == (0.0, 0.0)
+        assert stochastic_value(env, 1.0, budget=5.0, horizon=0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("mu", -0.5), ("mu", math.nan), ("mu", math.inf), ("budget", math.nan),
+        ("budget", math.inf), ("budget", -1.0), ("horizon", -3), ("horizon", 2.5),
+        ("replications", -1), ("replications", 0), ("seed", -1), ("seed", 2.5),
+    ])
+    def test_rejects_bad_inputs(self, name, value):
+        args = {"mu": 0.5, "budget": 3.0, "horizon": 10, "replications": 4, "seed": 0,
+                name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            stochastic_value(uniform_opponent_env(), **args)
 
     def test_bounded_by_perfect_value(self):
         env = uniform_opponent_env()
@@ -440,32 +452,39 @@ def test_fit_growth_exponent():
             fit_growth_exponent(horizons, [1.0] * len(horizons))
 
 
+def _replay_draws(envs, child):
+    # One replication's rounds on its own Philox child: the atom uniforms
+    # for all rounds, then the noise for every round and opponent; an atom
+    # by a cumulative-probability scan, each competing bid plus eta times
+    # its uniform.  Yields each round's value and competing bids.
+    T = len(envs)
+    rng = np.random.Generator(np.random.Philox(child))
+    atom_u = rng.random(T)
+    noise = rng.random((T, envs[0].n_opponents))
+    for t, env in enumerate(envs):
+        atom, cum = env.n_atoms - 1, 0.0
+        for s, p in enumerate(env.probs):
+            cum += p
+            if atom_u[t] < cum:
+                atom = s
+                break
+        comp = [float(c) + (env.eta * float(u) if env.eta > 0 else 0.0)
+                for c, u in zip(env.competing_bids[atom], noise[t])]
+        yield float(env.values[atom]), comp
+
+
 def _pacing_reference(envs, budget, learning_rate, mu_cap, seed, replications):
-    # Scalar reference: each replication redraws its atoms and noise from
-    # its own Philox child (atom uniforms for all rounds, then noise for
-    # every round and opponent) and plays each round through the scalar
-    # allocate and pacing compute_bid/update.
+    # Scalar reference: each replication replays its draws and plays each
+    # round through the scalar allocate and pacing compute_bid/update.
     T = len(envs)
     cfg = AgentConfig(budget=budget, horizon=T, learning_rate=learning_rate, mu_cap=mu_cap,
                       value_cap=max(env.value_cap for env in envs))
     out = []
     for child in np.random.SeedSequence(seed).spawn(replications):
-        rng = np.random.Generator(np.random.Philox(child))
-        atom_u = rng.random(T)
-        noise = rng.random((T, envs[0].n_opponents))
         rows = {name: np.zeros(T) for name in ("mu", "v", "bid", "x", "z")}
         state = init_state(cfg)
         stop_round = T + 1
-        for t, env in enumerate(envs):
-            atom, cum = env.n_atoms - 1, 0.0
-            for s, p in enumerate(env.probs):
-                cum += p
-                if atom_u[t] < cum:
-                    atom = s
-                    break
-            comp = [float(c) + (env.eta * float(u) if env.eta > 0 else 0.0)
-                    for c, u in zip(env.competing_bids[atom], noise[t])]
-            value = float(env.values[atom])
+        for t, (env, (value, comp)) in enumerate(zip(envs, _replay_draws(envs, child))):
             if state.stopped:
                 rows["mu"][t], bid = np.nan, 0.0
             else:
@@ -487,32 +506,27 @@ def _pacing_reference(envs, budget, learning_rate, mu_cap, seed, replications):
 @pytest.mark.parametrize("comp", [[[0.2], [0.9], [0.5]], [[0.2, 0.7], [0.9, 0.1], [0.5, 0.5]]],
                          ids=["one-opponent", "two-opponents"])
 @pytest.mark.parametrize("agent_index", [0, 1])
-def test_draw_matches_a_scalar_replay(eta, comp, agent_index):
-    # draw's rule, one profile at a time: the atom uniforms of every round
-    # and replication, then (with eta > 0) the noise uniforms; an atom by a
-    # cumulative-probability scan, each competing bid plus eta times its
-    # uniform.
+def test_stochastic_value_matches_a_scalar_replay(eta, comp, agent_index):
+    # Replication r replays substream r through the scalar allocate: the
+    # unclamped bid value/(1 + mu), each round's value won counted up to
+    # and including the round on which cumulative spend reaches the budget.
     env = EnvironmentStep(first_price(), [0.2, 0.5, 0.3], [1.0, 0.4, 0.8], comp, eta=eta,
                           agent_index=agent_index)
-    drawn_by = np.random.default_rng(23)
-    got = env.draw(drawn_by, 40, 3)
-    rng = np.random.default_rng(23)
-    atom_u = rng.random((3, 40))
-    noise = np.zeros((3, 40, env.n_opponents))
-    if eta > 0:
-        noise = rng.random(noise.shape)
-    assert drawn_by.random() == rng.random()  # the same uniforms were drawn
-    assert got.shape == (3, 40, env.n_opponents + 1)
-    for r, t in np.ndindex(3, 40):
-        atom, cum = env.n_atoms - 1, 0.0
-        for s, p in enumerate(env.probs):
-            cum += p
-            if atom_u[r, t] < cum:
-                atom = s
-                break
-        bids = [float(c) + eta * float(u) for c, u in zip(env.competing_bids[atom], noise[r, t])]
-        bids.insert(agent_index, float(env.values[atom]))
-        assert got[r, t].tobytes() == np.array(bids).tobytes(), (r, t)
+    mu, budget, T, R, seed = 0.4, 1.0, 40, 5, 23
+    totals, stopped = [], 0
+    for child in np.random.SeedSequence(seed).spawn(R):
+        gains, spent = [], 0.0
+        for value, bids in _replay_draws([env] * T, child):
+            bids.insert(agent_index, value / (1.0 + mu))
+            outcome = allocate(env.mechanism, bids)
+            gains.append(outcome.allocations[agent_index] * value if spent < budget else 0.0)
+            spent += outcome.payments[agent_index]
+        stopped += spent >= budget
+        totals.append(np.sum(gains))  # summed as numpy sums a row
+    assert stopped > 0  # the budget runs out in some replication
+    mean, stderr = stochastic_value(env, mu, budget, T, replications=R, seed=seed)
+    assert mean == np.mean(totals)
+    assert stderr == np.std(totals, ddof=1) / math.sqrt(R)
 
 
 _GSP_TWO_OPPONENTS = EnvironmentStep(

@@ -67,11 +67,11 @@ class TestDeterminism:
         b = run_simulation(_contested_config(seed=6))
         assert not np.array_equal(a.values, b.values)
 
-    def test_replications_independent_of_chunking_and_workers(self):
+    def test_replications_independent_of_chunking_and_workers(self, replicate_one_row):
         config = _contested_config(horizon=100)
         welfare = lambda t, i: t.payments.sum()
-        one = replicate(config, 7, welfare, chunk_size=1)
-        big = replicate(config, 7, welfare, chunk_size=7)
+        one = replicate_one_row(config, 7, welfare)
+        big = replicate(config, 7, welfare)  # one chunk of seven rows
         assert one == big
 
 
@@ -105,10 +105,10 @@ def _array_fields(trace):
 
 class TestChunking:
     @pytest.mark.parametrize("horizon", [0, 1, 255, 256, 257, 513])
-    def test_default_chunk_matches_one_row_chunks(self, horizon):
+    def test_default_chunk_matches_one_row_chunks(self, horizon, replicate_one_row):
         config = _block_edge_config(horizon)
         chunked = replicate(config, 5)
-        single = replicate(config, 5, chunk_size=1)
+        single = replicate_one_row(config, 5)
         for a, b in zip(chunked, single):
             _assert_same_trace(a, b)
             assert np.array_equal(a.stop_rounds, b.stop_rounds)
@@ -117,11 +117,6 @@ class TestChunking:
             # Stops land inside the second record block, off its edges.
             stops = np.concatenate([t.stop_rounds[:2] for t in chunked])
             assert np.all((stops > 257) & (stops < 513))
-
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_chunk_size_below_one_rejected(self, chunk_size):
-        with pytest.raises(ConfigurationError, match="chunk_size must be at least 1"):
-            replicate(_block_edge_config(10), 3, chunk_size=chunk_size)
 
     def test_traces_of_one_chunk_share_no_memory(self):
         traces = replicate(_block_edge_config(300), 4)
@@ -139,6 +134,7 @@ class TestChunking:
 
     def test_memory_budget_sets_the_chunk_rows(self, monkeypatch):
         config = _block_edge_config(100)
+        whole = replicate(config, 5)  # one chunk of five rows
         row_bytes = 8 * 6 * 100 * 3
         monkeypatch.setattr(simulation, "_CHUNK_BYTES", 2 * row_bytes + row_bytes // 2)
         sizes = []
@@ -151,7 +147,7 @@ class TestChunking:
         monkeypatch.setattr(simulation, "_simulate_chunk", spy)
         traces = replicate(config, 5)
         assert sizes == [2, 2, 1]
-        for a, b in zip(traces, replicate(config, 5, chunk_size=5)):
+        for a, b in zip(traces, whole):
             _assert_same_trace(a, b)
 
     def test_bundled_gsp_five_runs_at_least_64_rows_a_chunk(self):
@@ -264,12 +260,12 @@ def _dirty_empty(real_empty):
     return empty
 
 
-def test_dirty_record_block_matches_one_row_chunks(monkeypatch):
+def test_dirty_record_block_matches_one_row_chunks(monkeypatch, replicate_one_row):
     # Five rows over three record blocks: the second and third blocks
     # reuse a buffer full of the first's rounds, the third fills one row
     # of it, and every fresh buffer starts as garbage.
     config = _block_edge_config(513)
-    single = replicate(config, 5, chunk_size=1)
+    single = replicate_one_row(config, 5)
     monkeypatch.setattr(np, "empty", _dirty_empty(np.empty))
     dirty = replicate(config, 5)
     monkeypatch.undo()
