@@ -31,7 +31,6 @@ from .constants import REGRET_BOUND_CONSTANT
 from .errors import ConfigurationError, PreconditionError, SmoothingRequiredError
 from .pacing import AgentConfig
 from .simulation import (
-    _RECORD_ROUNDS,
     PacedAgent,
     ValueModel,
     _budget_path,
@@ -571,11 +570,11 @@ def simulate_pacing(
     bit.  Replication r's joint profiles are drawn by _draw_runs on
     substream r and noised a block at a time by _noised_profiles.  The
     agent's parameters obey PacedAgent's and AgentConfig's rules, and the
-    replication count and seed must be non-negative.
+    replication count and seed must be non-negative integers.
     """
-    for name, count in (("replications", replications), ("seed", seed)):
-        if count < 0:
-            raise ConfigurationError(f"{name} must be non-negative, got {count}")
+    counts = SimpleNamespace(replications=replications, seed=seed)
+    _check_number(counts, "replications", integer=True)
+    _check_number(counts, "seed", integer=True)
     env_list = _as_env_list(envs, horizon)
     groups = _distinct(env_list)
     first = env_list[0]
@@ -583,30 +582,27 @@ def simulate_pacing(
     shape = (first.mechanism, k, n_opp)
     if any((e.mechanism, e.agent_index, e.n_opponents) != shape for e, _rounds in groups):
         raise ConfigurationError("environments must share mechanism, agent_index and n_opponents")
-    T, R = len(env_list), replications
+    T, R = len(env_list), counts.replications
     spec = PacedAgent(budget, learning_rate, mu_cap)
     value_cap = max(env.value_cap for env, _rounds in groups)
     cfg = AgentConfig(spec.budget, T, spec.learning_rate, spec.mu_cap, value_cap)
 
-    table, widths, atoms, noise = _draw_runs(groups, T, R, seed)
+    table, widths, atoms, noise = _draw_runs(groups, T, R, counts.seed)
 
     # Per column: paced, budget, learning rate, target rate, mu_cap.
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
     params[:, k] = 1.0, cfg.budget, cfg.learning_rate, cfg.target_rate, cfg.mu_cap
     game = _Lockstep(R, T, first.mechanism, params[0] == 1.0, *params[1:])
     # Each block's joint profiles (the agent's value in column k, the
-    # opponents' noised bids around it) are both the values and the bids
-    # play reads.  The record keeps the agent's multipliers, allocations
-    # and payments.
-    record = np.empty((3, R, T))
-    for t0 in range(0, T, _RECORD_ROUNDS):
-        t1 = min(t0 + _RECORD_ROUNDS, T)
+    # opponents' noised bids) are both the values and the bids play reads.
+    def fill(t0, t1):
         profiles = _noised_profiles(
             table, widths, first._others, atoms[:, t0:t1].T, noise[:, t0:t1].transpose(1, 0, 2)
         )
-        game.play(profiles, profiles)
-        for rows, block in zip(record, (game.mus, game.x, game.z)):
-            rows[:, t0:t1] = block[: t1 - t0, :, k].T
+        return profiles, profiles
+
+    record = np.empty((3, R, T))
+    game.run(fill, record.swapaxes(0, 1), k)
     multipliers, allocations, payments = record
     return [
         PacingRun(
@@ -763,6 +759,8 @@ def fit_growth_exponent(horizons: Sequence[int], regrets: Sequence[float]) -> fl
     r = np.asarray(regrets, dtype=np.float64)
     if len(np.unique(h)) < 2:
         raise PreconditionError("a growth exponent needs at least two distinct horizons")
+    if not np.all((h > 0) & (h < np.inf)):
+        raise PreconditionError("horizons must be finite and positive for a log-log fit")
     if np.any(r <= 0):
         raise PreconditionError("regrets must be positive for a log-log fit")
     slope = np.polyfit(np.log(h), np.log(r), 1)[0]

@@ -16,13 +16,13 @@ chunk size is bit-identical to running each replication alone.  The
 lockstep round (bids, the auction, the projected multiplier update and
 budget exhaustion) is _Lockstep, which regret.simulate_pacing plays too,
 its agent the one paced column.  It owns a time-major record block of
-_RECORD_ROUNDS rounds and the round counter, and one play call runs the
-next block from the values and bids its caller filled; the multipliers
-it records are NaN in the scripted columns and in each paced column from
-its stop on.  Each replication's recorded arrays are allocated up front
-and filled from the block, so a chunk holds its record once; replicate
-sizes its chunks from the _CHUNK_BYTES memory budget and, with a
-reducer, lets go of each trace once it is reduced.
+_RECORD_ROUNDS rounds and the round counter; its run plays the horizon a
+block at a time from the values and bids a caller's fill rule gives, and
+copies each block out into the caller's arrays.  The multipliers it
+records are NaN in the scripted columns and in each paced column from
+its stop on.  Each replication's arrays are allocated up front, so a
+chunk holds its record once; replicate sizes its chunks from the
+_CHUNK_BYTES memory budget and lets go of each trace once it is reduced.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -414,8 +415,8 @@ class _Lockstep:
     The round owns its record block: B + 1 rows of multipliers mus and
     opening budgets rems, round j of a block reading row j and writing row
     j + 1, and B rows of bids b, allocations x and payments z, where B is
-    _RECORD_ROUNDS or the horizon if shorter.  Its caller fills each
-    block's values and bids and copies out what it records.
+    _RECORD_ROUNDS or the horizon if shorter.  run fills each block by
+    its caller's rule, plays it and copies out what the caller records.
 
     The per-agent parameters are (rows, n) arrays built once, so no operand
     of a round is broadcast; every cell takes the multiplier step, and the
@@ -430,6 +431,7 @@ class _Lockstep:
         self.mus, self.rems = np.empty((2, B + 1, *shape))
         self.b, self.x, self.z = np.empty((3, B, *shape))
         self.mus[0], self.rems[0] = np.where(paced, 0.0, np.nan), budgets
+        self.horizon = horizon
         self.kernel = _kernel(mechanism, *shape)
         self.played = self.closed = 0  # rounds played; the row the last block closed on
         self.unpaced = np.tile(~paced, (rows, 1))
@@ -438,6 +440,17 @@ class _Lockstep:
         self.thresh = np.tile(np.where(paced, EXHAUSTION_FRACTION * budgets, -np.inf), (rows, 1))
         self.stop_round = np.full(shape, horizon + 1, dtype=np.int64)
         self.step, self.newly = np.empty(shape), np.empty(shape, dtype=bool)
+
+    def run(self, fill, out, column) -> None:
+        """Play the horizon a record block at a time: fill(t0, t1) gives
+        rounds t0..t1's values and bids for play, then row r of the block's
+        mus, x and z, in columns column, goes into the arrays of out[r]."""
+        for t0 in range(0, self.horizon, _RECORD_ROUNDS):
+            t1 = min(t0 + _RECORD_ROUNDS, self.horizon)
+            self.play(*fill(t0, t1))
+            for r, arrays in enumerate(out):
+                for array, rows in zip(arrays, (self.mus, self.x, self.z)):
+                    array[t0:t1] = rows[: t1 - t0, r, column]
 
     def play(self, values, bids) -> None:
         """The next nb rounds, one record block, for values (paced agents)
@@ -499,22 +512,14 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
             script_bids[:, k] = spec.bids_over(T)
 
     game = _Lockstep(rc, T, config.mechanism, paced, budgets, eps, rho, mu_cap)
-
-    # Each replication owns its _RECORDED (T, n) arrays, copied out of each
-    # record block.
     profiles = config.value_model.profiles
-    records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]
-    B = min(_RECORD_ROUNDS, T)
-    values = np.empty((B, rc, n))
-    block = (game.mus, game.x, game.z)
+    records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]  # each replication's own
 
-    for t0 in range(0, T, _RECORD_ROUNDS):
-        t1 = min(t0 + B, T)
-        np.take(profiles, np.stack([i[t0:t1] for i in idx], axis=1), axis=0, out=values[: t1 - t0])
-        game.play(values[: t1 - t0], script_bids[t0:t1, None])
-        for r, arrays in enumerate(records):
-            for array, rows in zip(arrays, block):
-                array[t0:t1] = rows[: t1 - t0, r]
+    def fill(t0, t1):
+        rounds = np.stack([i[t0:t1] for i in idx], axis=1)
+        return profiles.take(rounds, axis=0), script_bids[t0:t1, None]
+
+    game.run(fill, records, slice(None))
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
     bids = functools.partial(_derived_bids, script_bids)
@@ -559,8 +564,9 @@ def replicate(
     reduced (plus whatever a reducer keeps); by default the traces
     themselves are returned.
     """
-    if replications < 0:
-        raise ConfigurationError("replications must be non-negative")
+    spec = SimpleNamespace(replications=replications)
+    _check_number(spec, "replications", integer=True)
+    replications = spec.replications
     rows = _chunk_rows(config)
     children = np.random.SeedSequence(config.seed).spawn(max(replications, 1))
     results: list = []
@@ -866,8 +872,16 @@ def load_trace(csv_path, envelope_path) -> Trace:
 _AGENT_KEYS = ("kind", "budget", "target_rate", "learning_rate", "mu_cap", "stop_round")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_envelope(envelope_path) -> dict:
-    """The envelope's JSON, with the fields load_trace reads checked."""
+    """The envelope's JSON, with the fields load_trace reads checked: a
+    finite value_cap and, per agent, a kind of "paced" or "scripted", a
+    number or null (read as NaN) for the budget and each rate, and an
+    integer stop_round in 1..horizon + 1."""
     with open(envelope_path) as fh:
         try:
             env = json.load(fh)
@@ -875,6 +889,9 @@ def _read_envelope(envelope_path) -> dict:
             raise ConfigurationError(f"{envelope_path}: invalid JSON: {exc}") from exc
     if not isinstance(env, dict) or "value_cap" not in env:
         raise ConfigurationError(f"{envelope_path}: not a trace envelope (no value_cap)")
+    cap = env["value_cap"]
+    if not (_is_number(cap) and math.isfinite(cap)):
+        raise ConfigurationError(f"{envelope_path}: value_cap must be a finite number, got {cap!r}")
     horizon = env.get("horizon")
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
         raise ConfigurationError(
@@ -887,6 +904,18 @@ def _read_envelope(envelope_path) -> dict:
         missing = [key for key in _AGENT_KEYS if not isinstance(agent, dict) or key not in agent]
         if missing:
             raise ConfigurationError(f"{envelope_path}: agent {k} has no {', '.join(missing)}")
+        where, kind, stop = f"{envelope_path}: agent {k}", agent["kind"], agent["stop_round"]
+        if kind not in ("paced", "scripted"):
+            raise ConfigurationError(f"{where}: kind must be 'paced' or 'scripted', got {kind!r}")
+        for key in ("budget", "target_rate", "learning_rate", "mu_cap"):
+            if agent[key] is not None and not _is_number(agent[key]):
+                raise ConfigurationError(
+                    f"{where}: {key} must be a number or null, got {agent[key]!r}"
+                )
+        if isinstance(stop, bool) or not isinstance(stop, int) or not 1 <= stop <= horizon + 1:
+            raise ConfigurationError(
+                f"{where}: stop_round must be an integer in 1..{horizon + 1}, got {stop!r}"
+            )
     return env
 
 

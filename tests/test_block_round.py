@@ -317,6 +317,65 @@ def test_the_round_writes_its_own_stop_mask():
         assert state.stopped and state.round == 301
 
 
+def _driven_game(T):
+    """Two rows of one paced column that wins every round at the script's
+    second-price 0.5 until its budget of 150 is spent, on round 300 (in
+    the second record block when T > 2 * _RECORD_ROUNDS), and one
+    scripted column; with the fill rule that gives each block's values
+    and the script."""
+    values = np.random.default_rng(5).choice([1.0, 2.0], size=(T, 2, 2))
+    scripts = np.full((T, 2, 2), 0.5)
+    game = simulation._Lockstep(
+        2, T, second_price(), np.array([True, False]), np.array([150.0, 1e6]),
+        np.array([0.01, np.nan]), np.array([150.0 / T, np.nan]), np.array([0.5, np.nan]),
+    )
+    return game, lambda t0, t1: (values[t0:t1], scripts[t0:t1])
+
+
+def _hand_driven(T):
+    """The (T, rows, n) multipliers, allocations and payments of a play
+    loop that copies each block out of the round's buffers itself."""
+    game, fill = _driven_game(T)
+    record = np.empty((3, T, 2, 2))
+    for t0 in range(0, T, _RECORD_ROUNDS):
+        t1 = min(t0 + _RECORD_ROUNDS, T)
+        game.play(*fill(t0, t1))
+        for out, block in zip(record, (game.mus, game.x, game.z)):
+            out[t0:t1] = block[: t1 - t0]
+    return game, record
+
+
+def test_run_copies_out_what_a_hand_driven_play_loop_does():
+    T = 2 * _RECORD_ROUNDS + 1
+    reference, expected = _hand_driven(T)
+    assert np.all(reference.stop_round[:, 0] == 301) and np.all(reference.stop_round[:, 1] == T + 1)
+    assert np.all(np.isnan(expected[0, 300:, :, 0])) and not np.isnan(expected[0, 299, :, 0]).any()
+
+    # Per-row arrays of every column, as the market engine records.
+    game, fill = _driven_game(T)
+    blocks = []
+
+    def logged_fill(t0, t1):
+        blocks.append((t0, t1))
+        return fill(t0, t1)
+
+    per_row = [[np.empty((T, 2)) for _ in range(3)] for _ in range(2)]
+    game.run(logged_fill, per_row, slice(None))
+    assert blocks == [(0, _RECORD_ROUNDS), (_RECORD_ROUNDS, T - 1), (T - 1, T)]
+    assert np.array_equal(game.stop_round, reference.stop_round)
+    for r, arrays in enumerate(per_row):
+        for i, array in enumerate(arrays):
+            assert _same_bits(array, expected[i, :, r].copy()), (r, i)
+
+    # Row views of one record of the paced column, as simulate_pacing records.
+    game, fill = _driven_game(T)
+    record = np.empty((3, 2, T))
+    game.run(fill, record.swapaxes(0, 1), 0)
+    assert np.array_equal(game.stop_round, reference.stop_round)
+    for i in range(3):
+        assert _same_bits(record[i], expected[i, :, :, 0].T.copy()), i
+
+
 _MECHANISMS = [
     first_price(),
     first_price(Polymatroid((0.9, 0.4, 0.2))),

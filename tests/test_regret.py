@@ -450,6 +450,9 @@ def test_fit_growth_exponent():
     for horizons in ([200, 200], [400]):  # no slope to fit
         with pytest.raises(PreconditionError, match="two distinct horizons"):
             fit_growth_exponent(horizons, [1.0] * len(horizons))
+    for horizons in ([0, 10], [-10, 10], [10, math.inf], [10, math.nan]):  # no logarithm
+        with pytest.raises(PreconditionError, match="horizons must be finite and positive"):
+            fit_growth_exponent(horizons, [1.0, 2.0])
 
 
 def _replay_draws(envs, child):
@@ -683,11 +686,16 @@ def test_simulate_pacing_rejects_mixed_environments(other):
         {"learning_rate": math.nan},
         {"mu_cap": math.inf},
         {"replications": -1},
+        {"replications": 2.5},
+        {"replications": math.nan},
         {"seed": -1},
+        {"seed": 2.5},
+        {"seed": math.nan},
         {"horizon": 0},
     ],
     ids=["negative-budget", "nan-learning-rate", "inf-mu-cap", "negative-replications",
-         "negative-seed", "zero-horizon"],
+         "fractional-replications", "nan-replications", "negative-seed", "fractional-seed",
+         "nan-seed", "zero-horizon"],
 )
 def test_simulate_pacing_refuses_what_the_market_engine_refuses(change):
     # The agent goes through PacedAgent and AgentConfig, the market engine's

@@ -74,6 +74,13 @@ class TestDeterminism:
         big = replicate(config, 7, welfare)  # one chunk of seven rows
         assert one == big
 
+    @pytest.mark.parametrize(
+        "replications", [2.5, math.nan, -1], ids=["fractional", "nan", "negative"]
+    )
+    def test_replication_count_must_be_a_non_negative_integer(self, replications):
+        with pytest.raises(ConfigurationError, match="replications must be"):
+            replicate(_contested_config(horizon=10), replications)
+
 
 def _block_edge_config(horizon):
     """Two paced agents (one exhausts its budget partway through) and a
@@ -743,9 +750,24 @@ class TestPersistence:
             (lambda env: env["agents"][1].pop("budget"), "agent 1 has no budget"),
             (lambda env: env.update(agents={}), "agents must be a list"),
             (lambda env: env.pop("value_cap"), "not a trace envelope"),
+            (lambda env: env.update(value_cap="1.0"), "value_cap must be a finite number"),
+            (lambda env: env.update(value_cap=math.inf), "value_cap must be a finite number"),
+            (lambda env: env.update(value_cap=None), "value_cap must be a finite number"),
+            (lambda env: env["agents"][0].update(kind=7), "agent 0: kind must be 'paced' or"),
+            (lambda env: env["agents"][1].update(budget="abc"), "agent 1: budget must be a number"),
+            (lambda env: env["agents"][0].update(mu_cap=[1.0]), "agent 0: mu_cap must be a number"),
+            (lambda env: env["agents"][1].update(learning_rate=True), "learning_rate must be a"),
+            (lambda env: env["agents"][0].update(stop_round=2.5), "integer in 1..5, got 2.5"),
+            (lambda env: env["agents"][0].update(stop_round=None), "integer in 1..5, got None"),
+            (lambda env: env["agents"][0].update(stop_round=True), "integer in 1..5, got True"),
+            (lambda env: env["agents"][1].update(stop_round=0), "in 1..5, got 0"),
+            (lambda env: env["agents"][1].update(stop_round=6), "in 1..5, got 6"),
         ],
         ids=["negative-horizon", "fractional-horizon", "string-horizon",
-             "no-stop-round", "no-kind", "no-budget", "agents-not-a-list", "no-value-cap"],
+             "no-stop-round", "no-kind", "no-budget", "agents-not-a-list", "no-value-cap",
+             "string-value-cap", "infinite-value-cap", "null-value-cap", "numeric-kind",
+             "string-budget", "list-mu-cap", "bool-learning-rate", "fractional-stop-round",
+             "null-stop-round", "bool-stop-round", "zero-stop-round", "late-stop-round"],
     )
     def test_bad_envelope_rejected(self, tmp_path, edit, message):
         _, csv_path, env_path = _saved(tmp_path)
