@@ -53,7 +53,8 @@ class Scenario:
     doc: dict
 
     def __post_init__(self):
-        _check_number(self, "replications", positive=True, integer=True)
+        if self.replications is not None:
+            _check_number(self, "replications", positive=True, integer=True)
         _check_number(self, "smoothing_eta", path=("smoothing", "eta"))
 
 

@@ -602,7 +602,7 @@ def simulate_pacing(
         return profiles, profiles
 
     record = np.empty((3, R, T))
-    game.run(fill, record.swapaxes(0, 1), k)
+    game.run(fill, [(slice(None), record)], k)
     multipliers, allocations, payments = record
     return [
         PacingRun(

@@ -118,14 +118,14 @@ class ValueModel:
 
 
 def _check_number(spec, name: str, positive=False, integer=False, path=None) -> None:
-    """Refuse a number field of spec (None passes) that is not finite, is
-    negative, is 0 if positive or is fractional if integer; an integer
-    field is stored as an int.  The error's path is path, else (name,)."""
+    """Refuse a number field of spec (None passes unless integer: a count
+    or seed, stored as an int) that is not finite, is negative, is 0 if
+    positive or is fractional if integer.  The path is path, else (name,)."""
     value, path = getattr(spec, name), path or (name,)
-    if value is None:
+    if value is None and not integer:
         return
     what = ".".join(path)
-    if not math.isfinite(value):
+    if value is None or not math.isfinite(value):
         raise ConfigurationError(f"{what} must be finite, got {value}", path)
     if integer and int(value) != value:
         raise ConfigurationError(f"{what} must be an integer, got {value}", path)
@@ -415,15 +415,23 @@ class _Lockstep:
     The round owns its record block: B + 1 rows of multipliers mus and
     opening budgets rems, round j of a block reading row j and writing row
     j + 1, and B rows of bids b, allocations x and payments z, where B is
-    _RECORD_ROUNDS or the horizon if shorter.  run fills each block by
-    its caller's rule, plays it and copies out what the caller records.
+    _RECORD_ROUNDS or the horizon if shorter; rounds zips each round's
+    seven row views once.  run fills each block by its caller's rule,
+    plays it and copies out what the caller records.
 
-    The per-agent parameters are (rows, n) arrays built once, so no operand
-    of a round is broadcast; every cell takes the multiplier step, and the
-    stop threshold is -inf where no stop can come.  Multipliers are NaN in
-    the unpaced columns from row 0 and in each paced cell from its stop on,
-    when its budget state becomes 0; as the clamp takes the budget over a
-    NaN bid, a stopped agent bids 0 and pays 0.0 from then on."""
+    The per-agent parameters and the constants 1 and 0 are (rows, n)
+    arrays built once, so no operand of a round is broadcast; every cell
+    takes the multiplier step, and the stop threshold is -inf where no
+    stop can come.  A block of nb rounds tests for stops only if a cell
+    opens it with rem * (1 - nb * 2**-50) - thresh < nb * top, top its
+    largest value times 1 + 2**-30: a paced cell pays at most a click rate
+    (<= 1 + 1e-12) times a bid <= value, rounded, so at most top, and as
+    rounding is monotone each round's rem - z then loses at most top +
+    2**-53 * (rem + top); the wider factors cover the test's own roundings
+    too.  Multipliers are NaN in the unpaced columns from row 0 and in each
+    paced cell from its stop on, when its budget state becomes 0; as the
+    clamp takes the budget over a NaN bid, a stopped agent bids 0 and pays
+    0.0 from then on."""
 
     def __init__(self, rows, horizon, mechanism, paced, budgets, eps, rho, mu_cap):
         shape = (rows, len(budgets))
@@ -431,64 +439,75 @@ class _Lockstep:
         self.mus, self.rems = np.empty((2, B + 1, *shape))
         self.b, self.x, self.z = np.empty((3, B, *shape))
         self.mus[0], self.rems[0] = np.where(paced, 0.0, np.nan), budgets
+        self.rounds = list(zip(
+            self.mus[:-1], self.mus[1:], self.rems[:-1], self.rems[1:], self.b, self.x, self.z))
         self.horizon = horizon
         self.kernel = _kernel(mechanism, *shape)
         self.played = self.closed = 0  # rounds played; the row the last block closed on
         self.unpaced = np.tile(~paced, (rows, 1))
         self.any_unpaced = bool(self.unpaced.any())
         self.eps, self.rho, self.mu_cap = (np.tile(a, (rows, 1)) for a in (eps, rho, mu_cap))
+        self.one, self.zero = np.ones(shape), np.zeros(shape)
         self.thresh = np.tile(np.where(paced, EXHAUSTION_FRACTION * budgets, -np.inf), (rows, 1))
         self.stop_round = np.full(shape, horizon + 1, dtype=np.int64)
         self.step, self.newly = np.empty(shape), np.empty(shape, dtype=bool)
 
     def run(self, fill, out, column) -> None:
         """Play the horizon a record block at a time: fill(t0, t1) gives
-        rounds t0..t1's values and bids for play, then row r of the block's
-        mus, x and z, in columns column, goes into the arrays of out[r]."""
+        rounds t0..t1's values and bids for play, then each (rows, arrays)
+        of out takes array[..., t0:t1] = plane[:t1 - t0, rows].T, plane
+        the block's mus, x or z at column `column`.  For column None, block
+        and arrays are viewed with each (rows, n) row as one raw n * 8-byte
+        item, so that a copy moves t1 - t0 items however few the agents."""
+        raw = np.dtype((np.void, 8 * self.mus.shape[-1]))
+        planes = [a[..., column] if column is not None else a.view(raw)[..., 0]
+                  for a in (self.mus, self.x, self.z)]
+        if column is None:
+            out = [(rows, [a.view(raw)[..., 0] for a in arrays]) for rows, arrays in out]
         for t0 in range(0, self.horizon, _RECORD_ROUNDS):
             t1 = min(t0 + _RECORD_ROUNDS, self.horizon)
             self.play(*fill(t0, t1))
-            for r, arrays in enumerate(out):
-                for array, rows in zip(arrays, (self.mus, self.x, self.z)):
-                    array[t0:t1] = rows[: t1 - t0, r, column]
+            for rows, arrays in out:
+                for array, plane in zip(arrays, planes):
+                    array[..., t0:t1] = plane[: t1 - t0, rows].T
 
     def play(self, values, bids) -> None:
         """The next nb rounds, one record block, for values (paced agents)
         and bids (unpaced ones, or None), each (nb, rows, n) or broadcasting
         to it.  Row 0 of mus and rems is the row the last block closed on."""
         nb, t0 = len(values), self.played
-        mus, rems, b, x, z = self.mus, self.rems, self.b, self.x, self.z
+        mus, rems = self.mus, self.rems
         mus[0], rems[0] = mus[self.closed], rems[self.closed]
         self.closed, self.played = nb, t0 + nb
-        x[:nb] = 0.0
-        z[:nb] = 0.0
+        self.x[:nb] = self.z[:nb] = 0.0
         add, divide, subtract, multiply, fmin, minimum, maximum, less, copyto, count = (
             np.add, np.divide, np.subtract, np.multiply, np.fmin, np.minimum, np.maximum,
             np.less, np.copyto, np.count_nonzero)
-        kernel, eps, rho, mu_cap, thresh, step, newly = (
-            self.kernel, self.eps, self.rho, self.mu_cap, self.thresh, self.step, self.newly)
+        kernel, eps, rho, mu_cap, one, zero, thresh, step, newly = (
+            self.kernel, self.eps, self.rho, self.mu_cap, self.one, self.zero, self.thresh,
+            self.step, self.newly)
         bids, unpaced = (bids, self.unpaced) if self.any_unpaced else (None, None)
+        top = float(values.max()) * (1 + 2**-30)  # an overflow to inf keeps the test
+        may_stop = count(less(rems[0] * (1 - nb * 2**-50) - thresh, nb * top))
         # A huge learning rate can overflow eps * (rho - z) to +-inf, which the
         # projection onto [0, mu_cap] saturates to the right multiplier, so
         # the overflow is no error; one errstate covers the whole block.
         with np.errstate(over="ignore"):
-            for j in range(nb):
-                mu, mu_next, rem, rem_next = mus[j], mus[j + 1], rems[j], rems[j + 1]
-                bj, zj = b[j], z[j]
-                add(mu, 1.0, out=bj)
+            for j, (mu, mu_next, rem, rem_next, bj, xj, zj) in enumerate(self.rounds[:nb]):
+                add(mu, one, out=bj)
                 divide(values[j], bj, out=bj)
                 if bids is not None:
                     copyto(bj, bids[j], where=unpaced)
                 fmin(bj, rem, out=bj)
-                kernel(bj, x[j], zj)
+                kernel(bj, xj, zj)
                 # mu <- clip(mu - eps * (rho - z), 0, mu_cap)
                 subtract(rho, zj, out=step)
                 multiply(eps, step, out=step)
                 subtract(mu, step, out=mu_next)
-                maximum(mu_next, 0.0, out=mu_next)
+                maximum(mu_next, zero, out=mu_next)
                 minimum(mu_next, mu_cap, out=mu_next)
                 subtract(rem, zj, out=rem_next)
-                if count(less(rem_next, thresh, out=newly)):
+                if may_stop and count(less(rem_next, thresh, out=newly)):
                     self.stop_round[newly] = t0 + j + 2
                     mu_next[newly] = np.nan
                     rem_next[newly] = 0.0
@@ -519,7 +538,7 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
         rounds = np.stack([i[t0:t1] for i in idx], axis=1)
         return profiles.take(rounds, axis=0), script_bids[t0:t1, None]
 
-    game.run(fill, records, slice(None))
+    game.run(fill, list(enumerate(records)), None)
 
     kinds = tuple("paced" if p else "scripted" for p in paced)
     bids = functools.partial(_derived_bids, script_bids)

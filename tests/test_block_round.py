@@ -146,6 +146,40 @@ def test_replicate_stop_on_a_block_edge_matches_one_row_chunks_and_scalar_replay
             assert np.any(trace.allocations[stop + 1 :, 1] > 0.0)
 
 
+# (budget, round from 0 in which agent 0 stops).  Agent 0 bids and pays
+# its value of 1 each round, so a block opens with a budget just above the
+# threshold plus nb * top (nb = _RECORD_ROUNDS, top = 1) when the stop
+# falls in the next block's first round, at or just below it when the stop
+# falls in the block's last round, and far below it when the stop falls
+# inside the first block.
+GATE_EDGES = [
+    (256 + 2**-20, 256),
+    (256.0, 255),
+    (256 - 2**-20, 255),
+    (512 + 2**-20, 512),
+    (512.0, 511),
+    (100.0, 99),
+]
+
+
+@pytest.mark.parametrize("budget, stop", GATE_EDGES, ids=lambda v: str(v))
+def test_the_stop_gate_skips_no_stop(budget, stop):
+    # mu_cap 0 keeps the multiplier at 0: the bid is the whole value, and
+    # first price against a script of 0 charges it in full, dust included.
+    config = SimulationConfig(
+        first_price(),
+        (PacedAgent(budget=budget, mu_cap=0.0), ScriptedAgent(budget=1e6, bid=0.0)),
+        ValueModel([1.0], [[1.0, 0.0]]),
+        horizon=3 * _RECORD_ROUNDS,
+        seed=4,
+    )
+    for trace, child in zip(replicate(config, 2), np.random.SeedSequence(4).spawn(2)):
+        rows, stop_rounds = _market_replay(config, child)
+        assert trace.stop_rounds[0] == stop_rounds[0] == stop + 2
+        for field in TRACE_FIELDS:
+            assert _same_bits(getattr(trace, field), rows[field]), field
+
+
 _VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
 
 
@@ -317,26 +351,28 @@ def test_the_round_writes_its_own_stop_mask():
         assert state.stopped and state.round == 301
 
 
-def _driven_game(T):
-    """Two rows of one paced column that wins every round at the script's
-    second-price 0.5 until its budget of 150 is spent, on round 300 (in
-    the second record block when T > 2 * _RECORD_ROUNDS), and one
-    scripted column; with the fill rule that gives each block's values
+def _driven_game(T, n=2):
+    """Two rows of one paced column and n - 1 scripted ones; with two
+    columns the paced one wins every round at the script's second-price
+    0.5 until its budget of 150 is spent, on round 300 (in the second
+    record block when T > 2 * _RECORD_ROUNDS), and alone it wins for
+    nothing.  Returned with the fill rule that gives each block's values
     and the script."""
-    values = np.random.default_rng(5).choice([1.0, 2.0], size=(T, 2, 2))
-    scripts = np.full((T, 2, 2), 0.5)
+    values = np.random.default_rng(5).choice([1.0, 2.0], size=(T, 2, n))
+    scripts = np.full((T, 2, n), 0.5)
+    scripted = np.full(n - 1, np.nan)
     game = simulation._Lockstep(
-        2, T, second_price(), np.array([True, False]), np.array([150.0, 1e6]),
-        np.array([0.01, np.nan]), np.array([150.0 / T, np.nan]), np.array([0.5, np.nan]),
+        2, T, second_price(), np.arange(n) == 0, np.r_[150.0, np.full(n - 1, 1e6)],
+        np.r_[0.01, scripted], np.r_[150.0 / T, scripted], np.r_[0.5, scripted],
     )
     return game, lambda t0, t1: (values[t0:t1], scripts[t0:t1])
 
 
-def _hand_driven(T):
+def _hand_driven(T, n=2):
     """The (T, rows, n) multipliers, allocations and payments of a play
     loop that copies each block out of the round's buffers itself."""
-    game, fill = _driven_game(T)
-    record = np.empty((3, T, 2, 2))
+    game, fill = _driven_game(T, n)
+    record = np.empty((3, T, 2, n))
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + _RECORD_ROUNDS, T)
         game.play(*fill(t0, t1))
@@ -345,35 +381,54 @@ def _hand_driven(T):
     return game, record
 
 
-def test_run_copies_out_what_a_hand_driven_play_loop_does():
-    T = 2 * _RECORD_ROUNDS + 1
-    reference, expected = _hand_driven(T)
-    assert np.all(reference.stop_round[:, 0] == 301) and np.all(reference.stop_round[:, 1] == T + 1)
-    assert np.all(np.isnan(expected[0, 300:, :, 0])) and not np.isnan(expected[0, 299, :, 0]).any()
+def _check_run_copies(T, n):
+    """run's copy-out, as raw rows and as one column, against _hand_driven;
+    the blocks run asked fill for."""
+    reference, expected = _hand_driven(T, n)
 
     # Per-row arrays of every column, as the market engine records.
-    game, fill = _driven_game(T)
+    game, fill = _driven_game(T, n)
     blocks = []
 
     def logged_fill(t0, t1):
         blocks.append((t0, t1))
         return fill(t0, t1)
 
-    per_row = [[np.empty((T, 2)) for _ in range(3)] for _ in range(2)]
-    game.run(logged_fill, per_row, slice(None))
-    assert blocks == [(0, _RECORD_ROUNDS), (_RECORD_ROUNDS, T - 1), (T - 1, T)]
+    per_row = [[np.empty((T, n)) for _ in range(3)] for _ in range(2)]
+    game.run(logged_fill, list(enumerate(per_row)), None)
     assert np.array_equal(game.stop_round, reference.stop_round)
     for r, arrays in enumerate(per_row):
         for i, array in enumerate(arrays):
             assert _same_bits(array, expected[i, :, r].copy()), (r, i)
 
     # Row views of one record of the paced column, as simulate_pacing records.
-    game, fill = _driven_game(T)
+    game, fill = _driven_game(T, n)
     record = np.empty((3, 2, T))
-    game.run(fill, record.swapaxes(0, 1), 0)
+    game.run(fill, [(slice(None), record)], 0)
     assert np.array_equal(game.stop_round, reference.stop_round)
     for i in range(3):
         assert _same_bits(record[i], expected[i, :, :, 0].T.copy()), i
+    return reference, expected, blocks
+
+
+def test_run_copies_out_what_a_hand_driven_play_loop_does():
+    T = 2 * _RECORD_ROUNDS + 1
+    reference, expected, blocks = _check_run_copies(T, 2)
+    assert np.all(reference.stop_round[:, 0] == 301) and np.all(reference.stop_round[:, 1] == T + 1)
+    assert np.all(np.isnan(expected[0, 300:, :, 0])) and not np.isnan(expected[0, 299, :, 0]).any()
+    assert blocks == [(0, _RECORD_ROUNDS), (_RECORD_ROUNDS, T - 1), (T - 1, T)]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("T", [_RECORD_ROUNDS - 1, 2 * _RECORD_ROUNDS + 1])
+def test_run_copies_out_raw_rows_of_any_width(T, n):
+    # A raw row is one 8 * n-byte item: 8 bytes for one agent, 40 for five.
+    reference, expected, blocks = _check_run_copies(T, n)
+    assert blocks == [(t0, min(t0 + _RECORD_ROUNDS, T)) for t0 in range(0, T, _RECORD_ROUNDS)]
+    stop = 301 if T > 300 and n > 1 else T + 1
+    assert np.all(reference.stop_round[:, 0] == stop)
+    assert np.all(np.isnan(expected[0, :, :, 0]).sum(axis=0) == T + 1 - stop)
+    assert np.isnan(expected[0, :, :, 1:]).all()
 
 
 _MECHANISMS = [

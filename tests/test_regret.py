@@ -352,6 +352,7 @@ class TestStochasticValue:
         ("mu", -0.5), ("mu", math.nan), ("mu", math.inf), ("budget", math.nan),
         ("budget", math.inf), ("budget", -1.0), ("horizon", -3), ("horizon", 2.5),
         ("replications", -1), ("replications", 0), ("seed", -1), ("seed", 2.5),
+        ("replications", None), ("seed", None),
     ])
     def test_rejects_bad_inputs(self, name, value):
         args = {"mu": 0.5, "budget": 3.0, "horizon": 10, "replications": 4, "seed": 0,
@@ -692,10 +693,12 @@ def test_simulate_pacing_rejects_mixed_environments(other):
         {"seed": 2.5},
         {"seed": math.nan},
         {"horizon": 0},
+        {"seed": None},
+        {"replications": None},
     ],
     ids=["negative-budget", "nan-learning-rate", "inf-mu-cap", "negative-replications",
          "fractional-replications", "nan-replications", "negative-seed", "fractional-seed",
-         "nan-seed", "zero-horizon"],
+         "nan-seed", "zero-horizon", "none-seed", "none-replications"],
 )
 def test_simulate_pacing_refuses_what_the_market_engine_refuses(change):
     # The agent goes through PacedAgent and AgentConfig, the market engine's

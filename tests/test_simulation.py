@@ -75,11 +75,17 @@ class TestDeterminism:
         assert one == big
 
     @pytest.mark.parametrize(
-        "replications", [2.5, math.nan, -1], ids=["fractional", "nan", "negative"]
+        "replications", [2.5, math.nan, -1, None], ids=["fractional", "nan", "negative", "none"]
     )
     def test_replication_count_must_be_a_non_negative_integer(self, replications):
         with pytest.raises(ConfigurationError, match="replications must be"):
             replicate(_contested_config(horizon=10), replications)
+
+    @pytest.mark.parametrize("field", ["horizon", "seed"])
+    def test_a_config_refuses_a_horizon_or_seed_of_none(self, field):
+        # A seed of None would otherwise seed the run from OS entropy.
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            dataclasses.replace(_contested_config(), **{field: None})
 
 
 def _block_edge_config(horizon):
