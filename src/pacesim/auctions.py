@@ -41,7 +41,8 @@ class Polymatroid:
     A profile is feasible when, for every subset of agents, its total
     allocation is at most the sum of the largest click rates it could
     occupy; rates beyond the slot count contribute zero.  Sorting the
-    profile reduces the subset test to prefix sums.  An error's path is
+    profile reduces the subset test to prefix sums.  A rate within 1e-12
+    of [0, 1] is accepted and stored clamped to it.  An error's path is
     ("click_rates", j) for the rate at fault.
     """
 
@@ -49,13 +50,15 @@ class Polymatroid:
 
     def __post_init__(self):
         rates = tuple(float(a) for a in self.click_rates)
-        object.__setattr__(self, "click_rates", rates)
         if not rates:
             raise ConfigurationError("polymatroid needs at least one click rate", ("click_rates",))
         for j, a in enumerate(rates):  # NaN fails the comparison
             if not -1e-12 <= a <= (rates[j - 1] if j else 1.0) + 1e-12:
                 message = "click rates must be finite, lie in [0, 1] and be non-increasing"
                 raise ConfigurationError(f"{message}, got {a}", ("click_rates", j))
+        # Stored inside [0, 1] (max(0.0, -0.0) is +0.0), so no slot allocates
+        # more than one unit and a zero rate allocates +0.0, as allocate does.
+        object.__setattr__(self, "click_rates", tuple(min(max(0.0, a), 1.0) for a in rates))
 
     def rates(self, n: int) -> np.ndarray:
         """The click rates of the n best slots, zero-padded to length n."""

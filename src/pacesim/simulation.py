@@ -425,7 +425,7 @@ class _Lockstep:
     stop can come.  A block of nb rounds tests for stops only if a cell
     opens it with rem * (1 - nb * 2**-50) - thresh < nb * top, top its
     largest value times 1 + 2**-30: a paced cell pays at most a click rate
-    (<= 1 + 1e-12) times a bid <= value, rounded, so at most top, and as
+    (stored <= 1) times a bid <= value, rounded, so at most top, and as
     rounding is monotone each round's rem - z then loses at most top +
     2**-53 * (rem + top); the wider factors cover the test's own roundings
     too.  Multipliers are NaN in the unpaced columns from row 0 and in each
@@ -662,41 +662,42 @@ class EpochBoundReport:
         return not self.violations
 
 
-def _epoch_bound_arrays(trace: Trace, agent: int):
-    """Vectorized epoch boundaries and slacks for one agent: arrays of
-    (start, end, checked, slack), where checked means the epoch ends on a
-    live round so the sure inequality applies."""
+def _epoch_zeros(trace: Trace, agent: int):
+    """The agent's live rounds, and the 1-based rounds among them whose
+    multiplier is 0: each opens an epoch, which ends where the next one
+    opens, or after the last live round."""
     if trace.agent_kinds[agent] != "paced":
         raise ConfigurationError(f"agent {agent} is scripted and has no multipliers")
     live = _live_rounds(trace, agent)
-    if live == 0:
-        empty = np.empty(0)
-        return empty.astype(np.int64), empty.astype(np.int64), empty.astype(bool), empty
-    mus = trace.multipliers[:live, agent]
-    zeros = np.flatnonzero(mus == 0.0) + 1
-    if len(zeros) == 0 or zeros[0] != 1:
+    zeros = np.flatnonzero(trace.multipliers[:live, agent] == 0.0) + 1
+    if live and (len(zeros) == 0 or zeros[0] != 1):
         raise ConfigurationError("pacing multipliers must start at 0")
-    bounds = np.append(zeros, live + 1)
-    starts = bounds[:-1]
-    ends = bounds[1:]
-    checked = ends <= live
-    rho = float(trace.target_rates[agent])
-    xv = trace.allocations[:, agent] * trace.values[:, agent]
-    z = trace.payments[:, agent]
-    cum = np.concatenate([[0.0], np.cumsum(xv)])
+    return live, zeros
+
+
+def _epoch_slacks(trace: Trace, agent: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Each epoch's value collected less the value the bound needs, with
+    prefix sums only through the last epoch's end."""
+    last = int(ends[-1]) - 1 if len(ends) else 0
+    xv = trace.allocations[:last, agent] * trace.values[:last, agent]
+    cum = np.zeros(last + 1)
+    np.cumsum(xv, out=cum[1:])
     totals = cum[ends - 1] - cum[starts - 1]
-    needs = xv[starts - 1] - z[starts - 1] + rho * (ends - starts - 1)
-    return starts, ends, checked, totals - needs
+    rho = float(trace.target_rates[agent])
+    needs = xv[starts - 1] - trace.payments[starts - 1, agent] + rho * (ends - starts - 1)
+    return totals - needs
 
 
 def epoch_bound_stats(trace: Trace, agent: int):
     """(epochs checked, violations, min slack) without materializing epoch
-    objects; the fast path for sweeping thousands of replications."""
-    _starts, _ends, checked, slacks = _epoch_bound_arrays(trace, agent)
-    if not checked.any():
+    objects; the fast path for sweeping thousands of replications.  Every
+    epoch but the last ends on a live round and is checked, so the sums run
+    only through the last zero multiplier."""
+    _live, zeros = _epoch_zeros(trace, agent)
+    if len(zeros) < 2:
         return 0, 0, math.inf
-    used = slacks[checked]
-    return int(checked.sum()), int((used < -SURE_TOL).sum()), float(used.min())
+    slacks = _epoch_slacks(trace, agent, zeros[:-1], zeros[1:])
+    return len(slacks), int((slacks < -SURE_TOL).sum()), float(slacks.min())
 
 
 def verify_epoch_value_bound(trace: Trace, agent: int) -> EpochBoundReport:
@@ -708,12 +709,15 @@ def verify_epoch_value_bound(trace: Trace, agent: int) -> EpochBoundReport:
     are skipped and reported as such; the inequality is a sure statement
     only while the agent is live at the epoch's right endpoint.
     """
-    starts, ends, checked, slacks = _epoch_bound_arrays(trace, agent)
+    live, zeros = _epoch_zeros(trace, agent)
+    bounds = np.append(zeros, live + 1)
+    starts, ends = bounds[:-1], bounds[1:]
+    slacks = _epoch_slacks(trace, agent, starts, ends)
     epochs = tuple(
         Epoch(int(a), int(b), agent) for a, b in zip(starts, ends)
     )
     return EpochBoundReport(
-        agent, epochs, tuple(bool(c) for c in checked), tuple(float(s) for s in slacks)
+        agent, epochs, tuple(bool(e <= live) for e in ends), tuple(float(s) for s in slacks)
     )
 
 

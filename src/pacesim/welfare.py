@@ -63,11 +63,18 @@ class LiquidWelfareReport:
 def liquid_welfare(trace: Trace) -> LiquidWelfareReport:
     """The trace's liquid welfare: each agent's value won and spend as
     running sums over the rounds (axis 0), the one formula behind every
-    liquid welfare pacesim reports."""
-    totals = (trace.allocations * trace.values).sum(axis=0)
+    liquid welfare pacesim reports.  For C-order arrays of two or more
+    agents, einsum's column loop adds each round's row in turn, as
+    sum(axis=0) does there, bit for bit and without a call per round; for
+    one agent or Fortran order sum(axis=0) adds pairwise, so it stays."""
+    x, v, z = trace.allocations, trace.values, trace.payments
+    if x.shape[1] > 1 and x.flags.c_contiguous and v.flags.c_contiguous and z.flags.c_contiguous:
+        totals, spends = np.einsum("ij,ij->j", x, v), np.einsum("ij->j", z)
+    else:
+        totals, spends = (x * v).sum(axis=0), z.sum(axis=0)
     return LiquidWelfareReport(
         liquid_values=np.minimum(trace.budgets, totals),
-        spends=trace.payments.sum(axis=0),
+        spends=spends,
         budgets=trace.budgets.copy(),
     )
 

@@ -223,6 +223,25 @@ def test_outcomes_match_scalar_allocate_bit_for_bit():
             assert np.array_equal(z, np.array([o.payments for o in ref]))
 
 
+@pytest.mark.parametrize(
+    "rates", [(1.0, -5e-13), (1.0, -0.0), (1 + 5e-13, 0.5)],
+    ids=["just-below-zero", "negative-zero", "just-above-one"],
+)
+def test_click_rates_within_the_tolerance_are_stored_inside_the_unit_interval(rates):
+    # Polymatroid accepts a rate within 1e-12 of [0, 1] and stores it
+    # clamped: the kernel then gives the oracle's bits (a rate below zero
+    # allocated it, a -0.0 rate a signed zero), no agent gets more than one
+    # unit and none pays more than its bid.
+    bids = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 2.0, 1.0]])
+    for mech in (gsp(rates), first_price(Polymatroid(rates))):
+        x, z = outcomes(mech, bids)
+        ref = [allocate(mech, row) for row in bids]
+        assert x.tobytes() == np.array([o.allocations for o in ref]).tobytes(), mech
+        assert z.tobytes() == np.array([o.payments for o in ref]).tobytes(), mech
+        assert np.all(x <= 1.0) and np.all(z <= bids), mech
+    assert all(0.0 <= a <= 1.0 for a in Polymatroid(rates).click_rates)
+
+
 _KERNEL_MECHANISMS = [
     first_price(),
     first_price(Polymatroid((0.9, 0.4, 0.2))),

@@ -34,10 +34,11 @@ from pacesim import (
     verify_epoch_value_bound,
 )
 from pacesim import simulation
+from pacesim.cli import _verification_traces
 from pacesim.config import validate_scenario
 from pacesim.errors import ConfigurationError
 from pacesim.scenarios import BUNDLED, load_scenario
-from pacesim.simulation import TRACE_COLUMNS, check_stopping_bound
+from pacesim.simulation import TRACE_COLUMNS, check_stopping_bound, epoch_bound_stats
 
 TRACE_FIELDS = ("values", "multipliers", "bids", "allocations", "payments", "remaining_budgets")
 
@@ -420,6 +421,18 @@ class TestTraceInvariants:
             )
 
 
+def _assert_stats_match_the_report(trace, k):
+    # epoch_bound_stats sums only through the last checked epoch, which is
+    # every epoch but the last; its figures are the report's, bit for bit.
+    report = verify_epoch_value_bound(trace, k)
+    assert report.checked == (True,) * (len(report.epochs) - 1) + (False,) * bool(report.epochs)
+    checked, violations, min_slack = epoch_bound_stats(trace, k)
+    assert (checked, violations) == (report.n_checked, len(report.violations))
+    assert type(min_slack) is float
+    assert np.float64(min_slack).tobytes() == np.float64(report.min_slack).tobytes()
+    return checked, violations, min_slack
+
+
 class TestEpochs:
     def _trace_with_multipliers(self, mus, rho=1.0, xv=None, z=None):
         T = len(mus)
@@ -497,6 +510,53 @@ class TestEpochs:
             trace = run_simulation(_contested_config(horizon=600, seed=seed))
             for report in check_stopping_bound(trace):
                 assert report.passed
+
+    @pytest.mark.parametrize(
+        "mus, expected",
+        [
+            ([0.0] * 6, 5),  # every round opens an epoch
+            ([0.0, 0.3, 0.3, 0.2], 0),  # one epoch, never checked
+            ([0.0, 0.2, 0.0, 0.1, 0.0, 0.4, 0.4], 2),
+        ],
+        ids=["always-zero", "single-epoch", "mixed"],
+    )
+    def test_hand_built_multiplier_paths(self, mus, expected):
+        rng = np.random.default_rng(len(mus))
+        xv, z = rng.uniform(0, 2, len(mus)), rng.uniform(0, 2, len(mus))
+        trace = self._trace_with_multipliers(mus, rho=0.7, xv=xv, z=z)
+        assert _assert_stats_match_the_report(trace, 0)[0] == expected
+
+    def test_violations_are_counted(self):
+        # Epoch [1, 3) collects 0.5 + 0.1 against a need of 0.5 - 0 + 1.0.
+        trace = self._trace_with_multipliers([0.0, 0.2, 0.0, 0.0], xv=[0.5, 0.1, 1.0, 1.0])
+        assert _assert_stats_match_the_report(trace, 0)[:2] == (2, 1)
+
+    def test_a_stop_inside_an_epoch_leaves_it_unchecked(self):
+        mus = [0.0, 0.0, 0.2, 0.3, np.nan, np.nan]
+        trace = dataclasses.replace(self._trace_with_multipliers(mus), stop_rounds=np.array([5]))
+        assert _assert_stats_match_the_report(trace, 0)[0] == 1
+
+    def test_no_live_round_has_no_epoch(self):
+        stopped = self._trace_with_multipliers([np.nan] * 3)
+        trace = dataclasses.replace(stopped, stop_rounds=np.array([1]))
+        assert verify_epoch_value_bound(trace, 0).epochs == ()
+        assert _assert_stats_match_the_report(trace, 0) == (0, 0, math.inf)
+
+    def test_a_first_multiplier_that_is_not_zero_is_refused(self):
+        trace = self._trace_with_multipliers([0.1, 0.0, 0.0])
+        for check in (epoch_bound_stats, verify_epoch_value_bound):
+            with pytest.raises(ConfigurationError, match="start at 0"):
+                check(trace, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_welfare_suite_at_horizon_2000(self, seed):
+        stats = [
+            _assert_stats_match_the_report(trace, k)
+            for trace in _verification_traces(seed)
+            for k in range(trace.n_agents)
+            if trace.agent_kinds[k] == "paced"
+        ]
+        assert sum(s[0] for s in stats) > 0 and sum(s[1] for s in stats) == 0
 
 
 def _scalar_reference(config):

@@ -458,6 +458,20 @@ class TestMechanismFuzzNegativeControls:
         for kind in KINDS:
             assert counts[f"monotone_fuzz[{kind}]"] > 0, kind
 
+    def test_third_price_fails_mbb_and_core_only(self, monkeypatch):
+        def third_price(real, mech, bids):
+            x, _ = real(mech, bids)
+            third = np.sort(bids, axis=1)[:, -3:-2] if bids.shape[1] > 2 else 0.0
+            return x, x * np.minimum(third, bids)  # rate times min(third bid, own bid)
+
+        counts = self._counts(monkeypatch, third_price)
+        for kind in KINDS:
+            # Rate times at most the own bid, and weakly rising with it: still
+            # IR and monotone, but too cheap for bang-per-buck and the core.
+            assert counts[f"mbb_fuzz[{kind}]"] > 0, kind
+            assert counts[f"core_fuzz[{kind}]"] > 0, kind
+            assert counts[f"ir_fuzz[{kind}]"] == counts[f"monotone_fuzz[{kind}]"] == 0, kind
+
     def test_infeasible_deviation_is_a_generator_bug(self, monkeypatch):
         monkeypatch.setattr(
             verify, "_feasible_deviations", lambda rng, feasible, rows, n: np.full((rows, n), 2.0)

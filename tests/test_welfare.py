@@ -15,6 +15,7 @@ from pacesim import (
     ScriptedAgent,
     SimulationConfig,
     SingleSlot,
+    Trace,
     ValueModel,
     counterexample_report,
     counterexample_scenario,
@@ -51,6 +52,53 @@ class TestLiquidWelfare:
         trace = run_simulation(counterexample_scenario(9.0, 50))
         report = liquid_welfare(trace)
         assert np.all(report.spends <= report.budgets + 1e-9)
+
+
+def _summed_trace(x, v, z):
+    # A trace of the given allocations, values and payments, budgets
+    # unbounded so the liquid values are the sums themselves.
+    T, n = x.shape
+    return Trace(
+        values=v, multipliers=np.zeros((T, n)), bids=v, allocations=x, payments=z,
+        remaining_budgets=np.zeros((T, n)), budgets=np.full(n, np.inf),
+        agent_kinds=("paced",) * n, target_rates=np.ones(n), learning_rates=np.ones(n),
+        mu_caps=np.ones(n), value_cap=1.0, stop_rounds=np.full(n, T + 1),
+    )
+
+
+def _spread(rng, T, n):
+    # Entries whose exponents span 10^-150..10^150, so any other summation
+    # order (pairwise, say) rounds differently.
+    return rng.random((T, n)) * 10.0 ** rng.integers(-150, 150, (T, n))
+
+
+@pytest.mark.parametrize("T", [1, 8191, 8192, 8193, 70000])
+def test_liquid_welfare_adds_the_rounds_in_order(T):
+    # Each agent's value won and spend are running sums over the rounds,
+    # row after row, bit for bit.
+    rng = np.random.default_rng(T)
+    for n in range(2, 9):
+        x = rng.random((T, n)) * (rng.random((T, n)) < 0.8)
+        v, z = _spread(rng, T, n), _spread(rng, T, n)
+        won, spent = np.zeros(n), np.zeros(n)
+        for xv_row, z_row in zip(x * v, z):
+            won += xv_row
+            spent += z_row
+        report = liquid_welfare(_summed_trace(x, v, z))
+        assert report.liquid_values.tobytes() == won.tobytes(), n
+        assert report.spends.tobytes() == spent.tobytes(), n
+
+
+@pytest.mark.parametrize("T", [1, 8192, 8193, 70000])
+def test_liquid_welfare_of_one_agent_or_fortran_order_is_numpys_sum(T):
+    # There sum(axis=0) adds pairwise, which liquid_welfare keeps.
+    rng = np.random.default_rng(T + 1)
+    for n, order in ((1, "C"), (1, "F"), (2, "F"), (5, "F")):
+        x, v, z = (np.asarray(a, order=order) for a in (
+            rng.random((T, n)), _spread(rng, T, n), _spread(rng, T, n)))
+        report = liquid_welfare(_summed_trace(x, v, z))
+        assert report.liquid_values.tobytes() == (x * v).sum(axis=0).tobytes(), (n, order)
+        assert report.spends.tobytes() == z.sum(axis=0).tobytes(), (n, order)
 
 
 def _tiny_instances():
