@@ -40,10 +40,10 @@ from .errors import (
     UnboundedError,
 )
 from .regret import (
+    _curve_points,
     _distinct,
     dynamic_regret_batch,
     fit_growth_exponent,
-    objective_values,
     simulate_pacing,
     throttled_value_curve,
 )
@@ -327,8 +327,8 @@ def _dump_curves(path: str, envs, params) -> None:
     rho = params["target_rate"]
     segments = [
         np.column_stack([
-            np.full(len(grid), i), grid, *env.spend_value(grid),
-            objective_values(env, rho, grid), throttled_value_curve(env, rho, grid),
+            np.full(len(grid), i), grid, *_curve_points(env, rho, grid, env.spend_value),
+            throttled_value_curve(env, rho, grid),
         ])
         for i, (env, _rounds) in enumerate(_distinct(envs))
     ]

@@ -177,10 +177,9 @@ class EnvironmentStep:
         return [_NoisedMax(comp, self.eta) for comp in self.competing_bids]
 
     def spend_value(self, mu) -> tuple[np.ndarray, np.ndarray]:
-        """Exact expected payment and expected value at each multiplier."""
-        mu_arr = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-        if np.any(mu_arr < 0):
-            raise PreconditionError("multipliers must be non-negative")
+        """Exact expected payment and expected value at each multiplier, each
+        point on its own: a batch gives what its points give one at a time."""
+        mu_arr = np.atleast_1d(_multipliers(mu))
         curves = self._curves_noised if self.eta > 0 else self._curves_exact
         return curves(mu_arr)
 
@@ -196,9 +195,10 @@ class EnvironmentStep:
             with np.errstate(over="ignore"):  # a gap over a tiny eta saturates the clip
                 g = np.clip(gap / self.eta, 0.0, 1.0)
             win = g.prod(axis=2) * (bids > 0)
-        v = (self.probs[:, None] * self.values[:, None] * win).sum(axis=0)
+        # Atom by atom: sum(axis=0) adds pairwise over one column (M = 1).
+        v = functools.reduce(np.add, self.probs[:, None] * self.values[:, None] * win)
         if self.mechanism.kind == FIRST_PRICE:
-            z = (self.probs[:, None] * bids * win).sum(axis=0)
+            z = functools.reduce(np.add, self.probs[:, None] * bids * win)
         else:
             z = np.zeros_like(mu_arr)
             if self.n_opponents > 0:
@@ -228,6 +228,15 @@ class EnvironmentStep:
             m = self.values[:, None] / np.where(edge > 0, edge, np.inf) - 1.0
             pts.append(m[(m > 0) & (m < mu_max)])
         return np.unique(np.concatenate(pts))
+
+
+def _multipliers(mu) -> np.ndarray:
+    """mu as float64, refused unless finite and non-negative: a NaN or inf
+    multiplier would split every quadrature segment to the depth cap."""
+    mu_arr = np.asarray(mu, dtype=np.float64)
+    if not np.all((mu_arr >= 0) & (mu_arr < np.inf)):
+        raise PreconditionError("multipliers must be finite and non-negative")
+    return mu_arr
 
 
 def _noised_profiles(table, widths, others, idx, noise) -> np.ndarray:
@@ -269,10 +278,10 @@ def uniform_opponent_env(
 def _distinct(envs: Sequence[EnvironmentStep]) -> list[tuple[EnvironmentStep, np.ndarray]]:
     """Each distinct environment object of the sequence, in order of first
     appearance, with the (ascending) rounds it covers."""
-    groups: dict[int, tuple[EnvironmentStep, list[int]]] = {}
-    for t, env in enumerate(envs):
-        groups.setdefault(id(env), (env, []))[1].append(t)
-    return [(env, np.asarray(rounds, dtype=np.int64)) for env, rounds in groups.values()]
+    ids = np.fromiter(map(id, envs), dtype=np.uintp, count=len(envs))
+    _ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rounds = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return [(envs[first[g]], rounds[g]) for g in np.argsort(first)]
 
 
 def _draw_runs(groups, T: int, R: int, seed: int):
@@ -363,49 +372,63 @@ def perfect_sequence(
 # The surrogate objective and throttled value curve
 
 
-def _simpson_segments(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Adaptive Simpson integral of f over each [lo_i, hi_i], vectorized
-    across segments; per-segment tolerance is allocated by width."""
+def _simpson_segments(f, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
+    """Adaptive Simpson integral of f over each [lo_i, hi_i], given f there
+    as f_lo and f_hi, vectorized across segments; per-segment tolerance is
+    allocated by width.  f runs only at points not yet evaluated: a
+    segment's midpoint and quarter points, then each half's quarter points."""
     k = len(lo)
     total = np.zeros(k)
-    if k == 0:
-        return total
     width = hi - lo
     span = float(width.sum())
     if span <= 0:
         return total
-    a, b = lo.copy(), hi.copy()
+    a, b, fa, fb, fm = lo, hi, f_lo, f_hi, None
+    m = 0.5 * (a + b)
     owner = np.arange(k)
     seg_tol = tol * width / span
     depth = np.zeros(k, dtype=np.int64)
     while len(a):
-        m = 0.5 * (a + b)
         m1 = 0.5 * (a + m)
         m2 = 0.5 * (m + b)
-        vals = f(np.concatenate([a, m1, m, m2, b]))
-        fa, f1, fm, f2, fb = np.split(vals, 5)
+        if fm is None:
+            f1, fm, f2 = np.split(f(np.concatenate([m1, m, m2])), 3)
+        else:
+            f1, f2 = np.split(f(np.concatenate([m1, m2])), 2)
         s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         s2 = (m - a) / 6.0 * (fa + 4.0 * f1 + fm) + (b - m) / 6.0 * (fm + 4.0 * f2 + fb)
         err = np.abs(s2 - s1)
         done = (err <= 15.0 * seg_tol) | (depth >= 28) | (b - a < 1e-14)
         np.add.at(total, owner[done], s2[done] + (s2[done] - s1[done]) / 15.0)
         keep = ~done
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
+        a, fa = np.concatenate([a[keep], m[keep]]), np.concatenate([fa[keep], fm[keep]])
+        b, fb = np.concatenate([m[keep], b[keep]]), np.concatenate([fm[keep], fb[keep]])
+        m, fm = np.concatenate([m1[keep], m2[keep]]), np.concatenate([f1[keep], f2[keep]])
         owner = np.concatenate([owner[keep], owner[keep]])
         seg_tol = np.concatenate([seg_tol[keep] / 2.0, seg_tol[keep] / 2.0])
         depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
     return total
 
 
-def _spend_integrals(env: EnvironmentStep, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Cumulative integral of the spend curve from 0 to each point of the
-    ascending grid pts (pts[0] must be 0)."""
-    inner = env.curve_breakpoints(float(pts[-1])) if len(pts) else np.empty(0)
-    grid = np.unique(np.concatenate([pts, inner]))
-    segs = _simpson_segments(env.spend, grid[:-1], grid[1:], tol)
-    cum = np.concatenate([[0.0], np.cumsum(segs)])
-    return cum[np.searchsorted(grid, pts)]
+def _curve_points(env: EnvironmentStep, rho: float, mus, curves, tol: float = QUADRATURE_TOL):
+    """What curves gives (Z first; Z and V for env.spend_value) and the
+    surrogate objective H, at each multiplier of mus.  curves runs once on
+    the ascending grid of 0, the distinct multipliers and the breakpoints
+    among them, and its Z is every quadrature segment's end values."""
+    mus = _multipliers(mus)
+    uniq, at = np.unique(mus, return_inverse=True)
+    grid = uniq if uniq[0] == 0.0 else np.concatenate([[0.0], uniq])
+    at = at + (len(grid) - len(uniq))
+    inner = env.curve_breakpoints(float(grid[-1]))
+    if len(inner):
+        merged = np.unique(np.concatenate([grid, inner]))
+        at = np.searchsorted(merged, grid)[at]
+        grid = merged
+    values = curves(grid)
+    z = values[0]
+    segs = _simpson_segments(env.spend, grid[:-1], grid[1:], z[:-1], z[1:], tol)
+    h = rho * grid - np.concatenate([[0.0], np.cumsum(segs)])
+    return tuple(c[at].reshape(mus.shape) for c in (*values, h))
 
 
 def surrogate_objective(
@@ -425,15 +448,7 @@ def objective_values(
 ) -> np.ndarray:
     """Surrogate objective at many multipliers, sharing one cumulative
     integration pass along the sorted grid."""
-    mus = np.asarray(mus, dtype=np.float64)
-    if np.any(mus < 0):
-        raise PreconditionError("multipliers must be non-negative")
-    uniq, inverse = np.unique(mus, return_inverse=True)
-    grid = uniq if uniq[0] == 0.0 else np.concatenate([[0.0], uniq])
-    cum = _spend_integrals(env, grid, tol)
-    h = rho * grid - cum
-    offset = 0 if uniq[0] == 0.0 else 1
-    return h[inverse + offset].reshape(mus.shape)
+    return _curve_points(env, rho, mus, lambda grid: (env.spend(grid),), tol)[1]
 
 
 def throttled_value_curve(env: EnvironmentStep, rho: float, mu) -> float | np.ndarray:
@@ -711,11 +726,9 @@ def dynamic_regret_batch(
     v_star = np.empty(T)
     h_star = np.empty(T)
     for env, rounds_arr in groups:
-        mu_star = perfect.multipliers[rounds_arr[0]]
-        zs, vs = env.spend_value(np.array([mu_star]))
-        hs = objective_values(env, rho, np.array([mu_star]))[0]
-        v_star[rounds_arr] = vs[0]
-        h_star[rounds_arr] = hs
+        mu_star = perfect.multipliers[rounds_arr[:1]]
+        v_star[rounds_arr] = env.spend_value(mu_star)[1]
+        h_star[rounds_arr] = objective_values(env, rho, mu_star)
 
     sgd_bound, value_bound = regret_bounds(
         perfect.path_length, mu_cap, rho, max(env.value_cap for env in distinct), T, smoothing
@@ -732,9 +745,9 @@ def dynamic_regret_batch(
             played = rounds_arr[live[rounds_arr]]
             if len(played) == 0:
                 continue
-            mus = run.multipliers[played]
-            v_run[played] = env.spend_value(mus)[1]
-            h_run[played] = objective_values(env, rho, mus)
+            _z, v_run[played], h_run[played] = _curve_points(
+                env, rho, run.multipliers[played], env.spend_value
+            )
         value_regret = float(v_star.sum() - v_run[live].sum())
         sgd_regret = float((h_run[live] - h_star[live]).sum())
         reports.append(

@@ -1,6 +1,7 @@
 """Expected spend/value curves, perfect pacing, the surrogate objective,
 and dynamic regret of simulated pacing runs."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -35,7 +36,10 @@ from pacesim.errors import (
 from pacesim.pacing import AgentConfig, compute_bid, init_state
 from pacesim.pacing import update as pacing_update
 from pacesim import regret
+from pacesim.auctions import SingleSlot
+from pacesim.cli import main
 from pacesim.regret import PacingRun, objective_values
+from pacesim.scenarios import load_scenario, regret_environment
 
 
 def two_atom_env():
@@ -737,3 +741,182 @@ def test_negative_zero_environment_runs_like_positive_zero():
     for a, b in zip(signed, plain):
         for field in ("multipliers", "values", "bids", "allocations", "payments"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+# ---------------------------------------------------------------------------
+# One curve pass per run: pointwise curves, the per-group formula as an
+# oracle, and the refusal of non-finite multipliers
+
+
+def _atoms(seed, n_atoms, n_opponents):
+    """Random probabilities, own values and competing bids."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(n_atoms) + 0.1
+    values = rng.uniform(0.2, 2.0, n_atoms)
+    return probs / probs.sum(), values, rng.uniform(0.0, 1.5, (n_atoms, n_opponents))
+
+
+POINTWISE_ENVS = {
+    **{
+        f"noised-{kind}-{opp}opp-{atoms}atoms": lambda kind=kind, opp=opp, atoms=atoms: (
+            EnvironmentStep(Mechanism(kind, SingleSlot()), *_atoms(atoms + opp, atoms, opp), eta=0.3)
+        )
+        for kind in ("first_price", "second_price")
+        for opp in (1, 2)
+        for atoms in (3, 9)  # from 8 atoms on, sum(axis=0) adds one column pairwise
+    },
+    "exact-first_price": lambda: EnvironmentStep(first_price(), *_atoms(5, 4, 2)),
+    "exact-second_price": lambda: EnvironmentStep(second_price(), *_atoms(6, 9, 1)),
+    "exact-gsp": lambda: EnvironmentStep(gsp([1.0, 0.6]), *_atoms(7, 5, 2), agent_index=1),
+}
+
+
+@pytest.mark.parametrize("name", POINTWISE_ENVS)
+def test_spend_value_is_pointwise(name):
+    # The regret analysis evaluates each run's multipliers, 0 and the
+    # breakpoints in one batch: each point's Z and V may not depend on it.
+    env = POINTWISE_ENVS[name]()
+    breakpoints = env.curve_breakpoints(6.0)
+    assert len(breakpoints) > 1
+    between = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    mus = np.concatenate([[0.0], breakpoints, between, [0.05, 2.0, 6.0]])
+    batch = np.array(env.spend_value(mus))
+    single = np.array([[c[0] for c in env.spend_value(np.array([mu]))] for mu in mus]).T
+    reversed_ = np.array(env.spend_value(mus[::-1]))[:, ::-1]
+    assert batch.tobytes() == single.tobytes()
+    assert batch.tobytes() == reversed_.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_multipliers_are_refused(bad, monkeypatch):
+    # A NaN or inf multiplier made every quadrature segment split to the
+    # depth cap; it must be refused before the quadrature runs.
+    def no_quadrature(*args):
+        raise AssertionError("a non-finite multiplier reached the quadrature")
+
+    monkeypatch.setattr(regret, "_simpson_segments", no_quadrature)
+    env = uniform_opponent_env()
+    with pytest.raises(PreconditionError, match="finite"):
+        objective_values(env, 0.25, np.array([0.5, bad]))
+    with pytest.raises(PreconditionError, match="finite"):
+        env.spend_value(np.array([0.5, bad]))
+
+
+def _groups_by_dict(envs):
+    """Each distinct environment object, in order of first appearance, with
+    its ascending rounds, by a dict keyed on the object's id."""
+    groups = {}
+    for t, env in enumerate(envs):
+        groups.setdefault(id(env), (env, []))[1].append(t)
+    return [(env, np.asarray(rounds, dtype=np.int64)) for env, rounds in groups.values()]
+
+
+def _reference_regrets(runs, envs, rho, mu_cap):
+    """Each run's (value regret, SGD regret) with every group's curves
+    evaluated on their own: V by spend_value at the multipliers played, H by
+    objective_values, and the perfect multiplier's V and H apart."""
+    T = len(envs)
+    groups = _groups_by_dict(envs)
+    perfect = perfect_sequence(envs, rho, mu_cap)
+    v_star, h_star = np.empty(T), np.empty(T)
+    for env, rounds in groups:
+        mu_star = perfect.multipliers[rounds[:1]]
+        v_star[rounds] = env.spend_value(mu_star)[1][0]
+        h_star[rounds] = objective_values(env, rho, mu_star)[0]
+    regrets = []
+    for run in runs:
+        live = ~np.isnan(run.multipliers)
+        v_run, h_run = np.empty(T), np.empty(T)
+        for env, rounds in groups:
+            played = rounds[live[rounds]]
+            if len(played):
+                v_run[played] = env.spend_value(run.multipliers[played])[1]
+                h_run[played] = objective_values(env, rho, run.multipliers[played])
+        regrets.append(
+            (float(v_star.sum() - v_run[live].sum()), float((h_run[live] - h_star[live]).sum()))
+        )
+    return regrets
+
+
+def _switching_case():
+    _agent, envs, params = regret_environment(load_scenario("regret_switching"))
+    runs = simulate_pacing(
+        envs, params["budget"], params["learning_rate"], params["mu_cap"], seed=5, replications=3
+    )
+    # Some group's breakpoints fall inside the grid of its multipliers.
+    assert any(
+        len(env.curve_breakpoints(np.nanmax(run.multipliers[rounds])))
+        for run in runs
+        for env, rounds in _groups_by_dict(envs)
+    )
+    return runs, envs, params["target_rate"], params["mu_cap"]
+
+
+def _sweep_case(kind):
+    T = 4000
+    env = uniform_opponent_env(kind)
+    runs = simulate_pacing(env, 0.25 * T, T**-0.5, 4.0, horizon=T, seed=9, replications=6)
+    return runs, [env] * T, 0.25, 4.0
+
+
+def _hand_built_case():
+    # Repeated multipliers and 0 in two noised groups (one of 9 atoms), and
+    # a NaN tail from the stop round on that covers the third group.
+    a = EnvironmentStep(first_price(), *_atoms(11, 9, 1), eta=0.3)
+    b = uniform_opponent_env(low=0.1, width=0.6)
+    c = uniform_opponent_env()
+    envs = [a] * 4 + [b] * 4 + [c] * 4
+    mus = np.array([0.0, 0.7, 0.7, 0.0, 1.3, 0.7, 2.5, 1.3] + [math.nan] * 4)
+    zeros = np.zeros(len(mus))
+    run = PacingRun(
+        multipliers=mus, values=zeros, bids=zeros, allocations=zeros, payments=zeros,
+        stop_round=9, budget=3.0, learning_rate=0.1, mu_cap=20.0,
+    )
+    return [run], envs, 0.25, 20.0
+
+
+REGRET_CASES = {
+    "switching": _switching_case,
+    "uniform-sweep": lambda: _sweep_case("first_price"),
+    "uniform-sweep-second-price": lambda: _sweep_case("second_price"),
+    "hand-built": _hand_built_case,
+}
+
+
+@pytest.mark.parametrize("case", REGRET_CASES)
+def test_regret_batch_matches_the_per_group_formula(case):
+    runs, envs, rho, mu_cap = REGRET_CASES[case]()
+    reports = dynamic_regret_batch(runs, envs, rho, mu_cap)
+    got = [(r.value_regret, r.sgd_regret) for r in reports]
+    assert got == _reference_regrets(runs, envs, rho, mu_cap)
+
+
+def test_distinct_groups_interleaved_environments_by_object():
+    a, b, c = (uniform_opponent_env(low=low) for low in (0.0, 0.1, 0.0))  # c equals a
+    envs = [a, b, a, c, b]
+    got = regret._distinct(envs)
+    want = _groups_by_dict(envs)
+    assert len(got) == len(want) == 3
+    for (env, rounds), (want_env, want_rounds) in zip(got, want):
+        assert env is want_env
+        assert rounds.dtype == np.int64 and rounds.tolist() == want_rounds.tolist()
+
+
+def test_second_price_regret_command_is_pinned(tmp_path, capsys):
+    # Its curves go through the noised second-price payment
+    # (_NoisedMax.expected_below), which no golden digest covers.
+    argv = ["regret", "regret_first_price_uniform", "--set", "mechanism.type=second_price",
+            "-R", "2", "--horizons", "400,800",
+            "-o", str(tmp_path / "sp.json"), "--curves", str(tmp_path / "sp.csv")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    digests = {
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+        **{name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("sp.json", "sp.csv")},
+    }
+    assert digests == {
+        "stdout": "acc5d7fafc55e775050a11547605e55c1bf2c86612ea760fd3ebc30946b1d156",
+        "sp.json": "cb085889eaa87aacde4b7ef3befb22156d901ba6febb06129b9fe91bf67e6e5a",
+        "sp.csv": "bf36c7dda33a3c9d7cda9c9a5f2fb604240c5cb87510f90bae185865074c4eab",
+    }
