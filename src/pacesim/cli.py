@@ -42,10 +42,10 @@ from .errors import (
 from .regret import (
     _curve_points,
     _distinct,
+    _throttle,
     dynamic_regret_batch,
     fit_growth_exponent,
     simulate_pacing,
-    throttled_value_curve,
 )
 from .simulation import check_stopping_bound, epoch_bound_stats, replicate, save_trace
 from .simulation import _mean_stderr, _write_csv, _write_json
@@ -325,13 +325,10 @@ def cmd_regret(args) -> int:
 def _dump_curves(path: str, envs, params) -> None:
     grid = np.linspace(0.0, params["mu_cap"], 201)
     rho = params["target_rate"]
-    segments = [
-        np.column_stack([
-            np.full(len(grid), i), grid, *_curve_points(env, rho, grid, env.spend_value),
-            throttled_value_curve(env, rho, grid),
-        ])
-        for i, (env, _rounds) in enumerate(_distinct(envs))
-    ]
+    segments = []
+    for i, (env, _rounds) in enumerate(_distinct(envs)):
+        z, v, h = _curve_points(env, rho, grid)
+        segments.append(np.column_stack([np.full(len(grid), i), grid, z, v, h, _throttle(z, v, rho)]))
     _write_csv(path, ("segment", "mu", "Z", "V", "H", "W"), np.concatenate(segments), 1)
 
 

@@ -11,9 +11,9 @@ analytic right-hand sides it should stay under.
 
 Raw finite-support environments make Z a step function of the multiplier;
 adding uniform noise of width eta to every competing bid makes it
-continuous and Lipschitz, and all noise integrals are evaluated in closed
-form (piecewise Gauss-Legendre, exact for the piecewise-polynomial win
-probabilities involved).
+continuous and Lipschitz.  Z is piecewise polynomial in the bid, so the
+noise integrals (piecewise Gauss-Legendre) and the integral of Z in H are
+exact to rounding.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .simulation import (
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
-QUADRATURE_TOL = 1e-8
 
 #: Default bid-noise width as a fraction of the value cap.
 DEFAULT_SMOOTHING_FRACTION = 0.05
@@ -225,14 +224,71 @@ class EnvironmentStep:
             edges.append(self.competing_bids + self.eta)
         pts = []
         for edge in edges:
-            m = self.values[:, None] / np.where(edge > 0, edge, np.inf) - 1.0
+            with np.errstate(over="ignore"):  # a bid that small is past any mu_max
+                m = self.values[:, None] / np.where(edge > 0, edge, np.inf) - 1.0
             pts.append(m[(m > 0) & (m < mu_max)])
         return np.unique(np.concatenate(pts))
 
+    @functools.cached_property
+    def _pieces(self) -> list:
+        """Per atom that can pay: its value, its ascending bid edges and, on
+        each piece of bids b around them, (x0, r, c): Z/b^2 integrates to
+        -c[-1]/b + c[-2] log b + the polynomial c[:-2] in y = (b - x0)/r.  On
+        a piece at least twice its width above 0, where monomials in b would
+        cancel by up to (b/eta)^J, x0 is its middle and r its half-width, and
+        1/b^2 goes in as its power series in y r/x0 <= 1/5, 27 terms of it."""
+        first, eta, table = self.mechanism.kind == FIRST_PRICE, self.eta, []
+        noised = eta > 0 and self.n_opponents > 0
+        for s in np.flatnonzero(self.values > 0) if first or self.n_opponents else ():
+            p, comp = self.probs[s], self.competing_bids[s]
+            edges = np.unique(np.concatenate([comp, comp + eta]) if noised else comp[comp > 0])
+            edges = edges[edges >= comp.max() - 1e-15] if noised else edges  # as _NoisedMax.pts
+            bounds = np.concatenate([[0.0], edges, [2.0 * edges.max(initial=1.0)]])
+            pieces = [(0.0, 1.0, np.zeros(3))] if noised else []  # F = 0 below the top bid
+            if eta == 0:  # Z = p x b (first price) or p z, with the piece's outcome
+                x, z = _focal_outcome(self, self._model.profiles[s], (bounds[:-1] + bounds[1:]) / 2)
+                coefs = np.column_stack([0 * x, x, 0 * x] if first else [0 * z, 0 * z, z])
+                pieces = [(0.0, 1.0, p * c) for c in coefs]
+            for i in range(len(pieces), len(edges) + 1) if eta > 0 else ():
+                e0, e1 = bounds[i], bounds[i + 1]
+                centred = i < len(edges) and e0 >= 2 * (e1 - e0)
+                x0, r = ((e0 + e1) / 2, (e1 - e0) / 2) if centred else (0.0, 1.0)
+                live = comp[comp + eta > (e0 + e1) / 2]  # F's factors (b - d)/eta
+                f = functools.reduce(np.polymul, [[r / eta, (x0 - d) / eta] for d in live], [1.0])
+                c = np.polymul([r, x0], f)  # b F(b)
+                if not first:  # b F(b) minus the integral of F up to b
+                    fint = r * np.polyint(f)
+                    c = c - fint
+                    c[-1] -= self._noised[s].cum[i - 1] - np.polyval(fint, (e0 - x0) / r)
+                if centred:  # r Z/b^2 = (r/x0^2) Z (1 + y r/x0)^-2
+                    series = np.arange(27, 0, -1) * (-r / x0) ** np.arange(26, -1, -1)
+                    c = np.append(np.polymul(c, series) * (r / x0**2), [0.0, 0.0])
+                c = np.pad(c, (2, 0))
+                pieces.append((x0, r, p * np.append(np.polyint(c[:-2]), c[-2:])))
+            table.append((self.values[s], edges, pieces))
+        return table
+
+    def spend_integrals(self, grid: np.ndarray) -> np.ndarray:
+        """The integral of Z over each segment of the ascending grid of
+        multipliers, which holds every breakpoint inside it: with b = v/(1 + mu),
+        each atom adds v times that of Z/b^2 on the piece of its _pieces that
+        holds the segment's middle bid.  Pieces come in runs along the grid."""
+        segs = np.zeros(len(grid) - 1)
+        for v, edges, pieces in self._pieces:
+            b = v / (1.0 + grid)
+            at = np.searchsorted(edges, (b[:-1] + b[1:]) / 2)
+            starts = np.flatnonzero(np.diff(at, prepend=-1))
+            for i, j in zip(starts, np.append(starts[1:], len(at))):
+                (x0, r, c), mu = pieces[at[i]], grid[i : j + 1]  # 1/b, log b from mu:
+                anti = np.polyval(c[:-2], (b[i : j + 1] - x0) / r)  # b can underflow to 0
+                anti -= c[-1] * (1.0 + mu) / v if c[-1] else 0.0
+                anti -= c[-2] * np.log1p(mu) if c[-2] else 0.0  # log b, less the constant log v
+                segs[i:j] -= v * np.diff(anti)
+        return segs
+
 
 def _multipliers(mu) -> np.ndarray:
-    """mu as float64, refused unless finite and non-negative: a NaN or inf
-    multiplier would split every quadrature segment to the depth cap."""
+    """mu as float64, refused unless finite and non-negative."""
     mu_arr = np.asarray(mu, dtype=np.float64)
     if not np.all((mu_arr >= 0) & (mu_arr < np.inf)):
         raise PreconditionError("multipliers must be finite and non-negative")
@@ -372,49 +428,11 @@ def perfect_sequence(
 # The surrogate objective and throttled value curve
 
 
-def _simpson_segments(f, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
-    """Adaptive Simpson integral of f over each [lo_i, hi_i], given f there
-    as f_lo and f_hi, vectorized across segments; per-segment tolerance is
-    allocated by width.  f runs only at points not yet evaluated: a
-    segment's midpoint and quarter points, then each half's quarter points."""
-    k = len(lo)
-    total = np.zeros(k)
-    width = hi - lo
-    span = float(width.sum())
-    if span <= 0:
-        return total
-    a, b, fa, fb, fm = lo, hi, f_lo, f_hi, None
-    m = 0.5 * (a + b)
-    owner = np.arange(k)
-    seg_tol = tol * width / span
-    depth = np.zeros(k, dtype=np.int64)
-    while len(a):
-        m1 = 0.5 * (a + m)
-        m2 = 0.5 * (m + b)
-        if fm is None:
-            f1, fm, f2 = np.split(f(np.concatenate([m1, m, m2])), 3)
-        else:
-            f1, f2 = np.split(f(np.concatenate([m1, m2])), 2)
-        s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        s2 = (m - a) / 6.0 * (fa + 4.0 * f1 + fm) + (b - m) / 6.0 * (fm + 4.0 * f2 + fb)
-        err = np.abs(s2 - s1)
-        done = (err <= 15.0 * seg_tol) | (depth >= 28) | (b - a < 1e-14)
-        np.add.at(total, owner[done], s2[done] + (s2[done] - s1[done]) / 15.0)
-        keep = ~done
-        a, fa = np.concatenate([a[keep], m[keep]]), np.concatenate([fa[keep], fm[keep]])
-        b, fb = np.concatenate([m[keep], b[keep]]), np.concatenate([fm[keep], fb[keep]])
-        m, fm = np.concatenate([m1[keep], m2[keep]]), np.concatenate([f1[keep], f2[keep]])
-        owner = np.concatenate([owner[keep], owner[keep]])
-        seg_tol = np.concatenate([seg_tol[keep] / 2.0, seg_tol[keep] / 2.0])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
-    return total
-
-
-def _curve_points(env: EnvironmentStep, rho: float, mus, curves, tol: float = QUADRATURE_TOL):
-    """What curves gives (Z first; Z and V for env.spend_value) and the
-    surrogate objective H, at each multiplier of mus.  curves runs once on
+def _curve_points(env: EnvironmentStep, rho: float, mus, curves: bool = True):
+    """Z and V (when curves) and the surrogate objective H at each
+    multiplier of mus.  spend_value and spend_integrals each run once on
     the ascending grid of 0, the distinct multipliers and the breakpoints
-    among them, and its Z is every quadrature segment's end values."""
+    among them."""
     mus = _multipliers(mus)
     uniq, at = np.unique(mus, return_inverse=True)
     grid = uniq if uniq[0] == 0.0 else np.concatenate([[0.0], uniq])
@@ -424,39 +442,36 @@ def _curve_points(env: EnvironmentStep, rho: float, mus, curves, tol: float = QU
         merged = np.unique(np.concatenate([grid, inner]))
         at = np.searchsorted(merged, grid)[at]
         grid = merged
-    values = curves(grid)
-    z = values[0]
-    segs = _simpson_segments(env.spend, grid[:-1], grid[1:], z[:-1], z[1:], tol)
-    h = rho * grid - np.concatenate([[0.0], np.cumsum(segs)])
+    values = env.spend_value(grid) if curves else ()
+    h = rho * grid - np.concatenate([[0.0], np.cumsum(env.spend_integrals(grid))])
     return tuple(c[at].reshape(mus.shape) for c in (*values, h))
 
 
-def surrogate_objective(
-    env: EnvironmentStep, rho: float, mu: float, tol: float = QUADRATURE_TOL
-) -> float:
+def surrogate_objective(env: EnvironmentStep, rho: float, mu: float, tol=None) -> float:
     """The convex surrogate rho*mu - integral of the spend curve on [0, mu].
 
     Its derivative is rho - Z(mu), which is exactly the expected drift of
     the pacing update, so the pacing algorithm is projected SGD on this
-    objective.
+    objective.  tol is accepted and ignored: the integral is exact.
     """
-    return float(objective_values(env, rho, np.array([mu], dtype=np.float64), tol)[0])
+    return float(objective_values(env, rho, np.array([mu], dtype=np.float64))[0])
 
 
-def objective_values(
-    env: EnvironmentStep, rho: float, mus: np.ndarray, tol: float = QUADRATURE_TOL
-) -> np.ndarray:
+def objective_values(env: EnvironmentStep, rho: float, mus: np.ndarray, tol=None) -> np.ndarray:
     """Surrogate objective at many multipliers, sharing one cumulative
-    integration pass along the sorted grid."""
-    return _curve_points(env, rho, mus, lambda grid: (env.spend(grid),), tol)[1]
+    integral along the sorted grid; tol is accepted and ignored."""
+    return _curve_points(env, rho, mus, curves=False)[0]
+
+
+def _throttle(z: np.ndarray, v: np.ndarray, rho: float) -> np.ndarray:
+    return np.where(z < rho, v, np.where(z > 0, v * (rho / np.where(z > 0, z, 1.0)), v))
 
 
 def throttled_value_curve(env: EnvironmentStep, rho: float, mu) -> float | np.ndarray:
     """Throttled per-round value: V when spending under the target rate,
     otherwise V scaled by rho/Z (the pace at which budget would actually
     sustain the rounds)."""
-    z, v = env.spend_value(mu)
-    w = np.where(z < rho, v, np.where(z > 0, v * (rho / np.where(z > 0, z, 1.0)), v))
+    w = _throttle(*env.spend_value(mu), rho)
     if np.isscalar(mu) or np.ndim(mu) == 0:
         return float(w[0])
     return w
@@ -745,9 +760,7 @@ def dynamic_regret_batch(
             played = rounds_arr[live[rounds_arr]]
             if len(played) == 0:
                 continue
-            _z, v_run[played], h_run[played] = _curve_points(
-                env, rho, run.multipliers[played], env.spend_value
-            )
+            _z, v_run[played], h_run[played] = _curve_points(env, rho, run.multipliers[played])
         value_regret = float(v_star.sum() - v_run[live].sum())
         sgd_regret = float((h_run[live] - h_star[live]).sum())
         reports.append(

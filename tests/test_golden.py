@@ -146,8 +146,8 @@ COMMAND_DIGESTS = {
         ["regret", "regret_switching", "-R", "4", "--horizons", "200,400",
          "-o", "{out}/r.json", "--curves", "{out}/r.csv"],
         {
-            "r.json": "ba98dc5e7c8d39292092d0359c72a2b964f47e61cb7c6c4f59e68be710bab8e9",
-            "r.csv": "e51822f51187690a5e14619d719bfc4a33e4c842a3a3c7bc5c93526e5bcd1c15",
+            "r.json": "75dfb4f4bb76675e0e1faccb67c9c8c92b1f99d9f0cbe657af15504b99177018",
+            "r.csv": "23024b85886b8fa3144238a37e394880080f85d93852a92266bbb7fc11c5a82d",
         },
     ),
     "run": (

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacesim import (
     EnvironmentStep,
@@ -181,6 +183,9 @@ class TestArtificialObjective:
 
             def curve_breakpoints(self, mu_max):
                 return np.empty(0)
+
+            def spend_integrals(self, grid):
+                return 0.3 * np.diff(grid)
 
         flat = FlatEnv()
         for mu in (0.5, 1.0, 2.0):
@@ -790,11 +795,11 @@ def test_spend_value_is_pointwise(name):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_multipliers_are_refused(bad, monkeypatch):
     # A NaN or inf multiplier made every quadrature segment split to the
-    # depth cap; it must be refused before the quadrature runs.
-    def no_quadrature(*args):
-        raise AssertionError("a non-finite multiplier reached the quadrature")
+    # depth cap; it must be refused before the surrogate integrals run.
+    def no_integrals(*args):
+        raise AssertionError("a non-finite multiplier reached the surrogate integrals")
 
-    monkeypatch.setattr(regret, "_simpson_segments", no_quadrature)
+    monkeypatch.setattr(EnvironmentStep, "spend_integrals", no_integrals)
     env = uniform_opponent_env()
     with pytest.raises(PreconditionError, match="finite"):
         objective_values(env, 0.25, np.array([0.5, bad]))
@@ -917,6 +922,159 @@ def test_second_price_regret_command_is_pinned(tmp_path, capsys):
     }
     assert digests == {
         "stdout": "acc5d7fafc55e775050a11547605e55c1bf2c86612ea760fd3ebc30946b1d156",
-        "sp.json": "cb085889eaa87aacde4b7ef3befb22156d901ba6febb06129b9fe91bf67e6e5a",
-        "sp.csv": "bf36c7dda33a3c9d7cda9c9a5f2fb604240c5cb87510f90bae185865074c4eab",
+        "sp.json": "3ec5e3787b58dbfceec5640850bad5436176f587f8186dd849bc021201cd1e23",
+        "sp.csv": "9b2d296822980100a8481094d69d120e714996f0372d02bfdc95f67261d70e06",
     }
+
+
+def test_exact_curve_regret_command_is_pinned(tmp_path, capsys):
+    # eta = 0: the exact first-price curve, a step function of the bid, in
+    # the regret analysis and --curves.  stdout is as before the surrogate
+    # integrals took their closed form; the files pin that form.
+    argv = ["regret", "regret_first_price_uniform", "--set", "smoothing.eta=0",
+            "-R", "2", "--horizons", "400,800",
+            "-o", str(tmp_path / "e0.json"), "--curves", str(tmp_path / "e0.csv")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    digests = {
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+        **{name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("e0.json", "e0.csv")},
+    }
+    assert digests == {
+        "stdout": "d06e1393feb23d76dfc20698180ab0ee2c40add841e2d4ea557fbf2d0c8c8bdd",
+        "e0.json": "ac944d64fcdbe9b6e650d6106210bece95c8cbc5ef561cbfcc1cd7f917a5ae24",
+        "e0.csv": "ab913002e8ed1c7f6654cc6db409c0f9641b1d7fb9ca06a2a32317eb271a946d",
+    }
+
+
+# ---------------------------------------------------------------------------
+# The surrogate integrals in closed form, held to adaptive Simpson
+
+
+def _simpson_segments(f, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
+    """Adaptive Simpson integral of f over each [lo_i, hi_i], given f there
+    as f_lo and f_hi, vectorized across segments; per-segment tolerance is
+    allocated by width.  f runs only at points not yet evaluated: a
+    segment's midpoint and quarter points, then each half's quarter points."""
+    k = len(lo)
+    total = np.zeros(k)
+    width = hi - lo
+    span = float(width.sum())
+    if span <= 0:
+        return total
+    a, b, fa, fb, fm = lo, hi, f_lo, f_hi, None
+    m = 0.5 * (a + b)
+    owner = np.arange(k)
+    seg_tol = tol * width / span
+    depth = np.zeros(k, dtype=np.int64)
+    while len(a):
+        m1 = 0.5 * (a + m)
+        m2 = 0.5 * (m + b)
+        if fm is None:
+            f1, fm, f2 = np.split(f(np.concatenate([m1, m, m2])), 3)
+        else:
+            f1, f2 = np.split(f(np.concatenate([m1, m2])), 2)
+        s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        s2 = (m - a) / 6.0 * (fa + 4.0 * f1 + fm) + (b - m) / 6.0 * (fm + 4.0 * f2 + fb)
+        err = np.abs(s2 - s1)
+        done = (err <= 15.0 * seg_tol) | (depth >= 28) | (b - a < 1e-14)
+        np.add.at(total, owner[done], s2[done] + (s2[done] - s1[done]) / 15.0)
+        keep = ~done
+        a, fa = np.concatenate([a[keep], m[keep]]), np.concatenate([fa[keep], fm[keep]])
+        b, fb = np.concatenate([m[keep], b[keep]]), np.concatenate([fm[keep], fb[keep]])
+        m, fm = np.concatenate([m1[keep], m2[keep]]), np.concatenate([f1[keep], f2[keep]])
+        owner = np.concatenate([owner[keep], owner[keep]])
+        seg_tol = np.concatenate([seg_tol[keep] / 2.0, seg_tol[keep] / 2.0])
+        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
+    return total
+
+
+def _simpson_objective(env, rho, mus, tol=1e-13):
+    """H at each of mus by adaptive Simpson over the grid of 0, mus and the
+    breakpoints among them.  At a breakpoint the bid can round to either
+    side of its edge, so each segment's end values are read 8 ulps of 1 + mu
+    inside it, where the curve is smooth, not at its ends."""
+    grid = np.unique(np.concatenate([[0.0], mus]))
+    grid = np.unique(np.concatenate([grid, env.curve_breakpoints(float(grid[-1]))]))
+    lo, hi = grid[:-1], grid[1:]
+    inward = np.minimum(8 * np.spacing(1.0 + hi), (hi - lo) / 2)
+    segs = _simpson_segments(env.spend, lo, hi, env.spend(lo + inward), env.spend(hi - inward), tol)
+    h = rho * grid - np.concatenate([[0.0], np.cumsum(segs)])
+    return h[np.searchsorted(grid, mus)]
+
+
+INTEGRAL_KINDS = {
+    # name: (mechanism, noise widths, agent index, fewest opponents)
+    "noised-first_price": (first_price(), (0.05, 1.0), 0, 0),
+    "noised-second_price": (second_price(), (0.05, 1.0), 0, 0),
+    "exact-first_price": (first_price(), (0.0,), 0, 0),
+    "exact-second_price": (second_price(), (0.0,), 0, 0),
+    "exact-gsp": (gsp([1.0, 0.6]), (0.0,), 1, 1),  # as test_golden's agent one
+}
+
+
+@st.composite
+def _integral_cases(draw, kinds=tuple(INTEGRAL_KINDS)):
+    """An environment of 1-3 atoms and at most 4 opponents, whose bids often
+    repeat (within an atom too) and meet, and multipliers up to value_cap/rho."""
+    mechanism, widths, agent_index, fewest = INTEGRAL_KINDS[draw(st.sampled_from(kinds))]
+    atoms = draw(st.integers(1, 3))
+    opponents = draw(st.integers(fewest, 4))
+    bid = st.sampled_from([0.0, 0.2, 0.45, 1.0]) | st.floats(0.0, 1.5)
+    column = st.lists(st.floats(0.0, 2.0) | st.sampled_from([1.0]), min_size=atoms, max_size=atoms)
+    values = np.array(draw(column))
+    row = st.lists(bid, min_size=opponents, max_size=opponents) | bid.map(lambda d: [d] * opponents)
+    comp = draw(st.lists(row, min_size=atoms, max_size=atoms))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=atoms, max_size=atoms)))
+    env = EnvironmentStep(mechanism, weights / weights.sum(), values, np.array(comp).reshape(atoms, opponents),
+                          eta=draw(st.sampled_from(widths)), agent_index=agent_index)
+    rho = 0.25
+    mus = draw(st.lists(st.floats(0.0, env.value_cap / rho), min_size=1, max_size=12))
+    return env, rho, np.array(mus)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(_integral_cases())
+def test_surrogate_integrals_match_adaptive_simpson(case):
+    env, rho, mus = case
+    h = objective_values(env, rho, mus)
+    want = _simpson_objective(env, rho, mus)
+    assert np.all(np.abs(h - want) <= 1e-12 * (1.0 + np.abs(want))), np.abs(h - want).max()
+
+
+def test_a_segment_is_told_by_its_middle_bid():
+    # The bid at the breakpoint 1/0.45 - 1 rounds just below the competing
+    # bid 0.45, so a segment told by its lower bid would drop all of
+    # [1/0.7 - 1, 1/0.45 - 1], where F = (b - 0.45)/0.25.
+    env = EnvironmentStep(first_price(), [1.0], [1.0], [[0.45]], eta=0.25)
+    edge = 1 / 0.45 - 1
+    assert 1.0 / (1.0 + edge) < 0.45
+    mus = np.array([edge, 2.0, 3.0])
+    spent = math.log(1 / 0.7) + 1.0 - 1.8 * math.log(0.7 / 0.45)
+    assert objective_values(env, 0.25, mus) == pytest.approx(0.25 * mus - spent, abs=1e-15, rel=0)
+
+
+@pytest.mark.parametrize("mechanism", [first_price(), second_price()], ids=["first", "second"])
+def test_clustered_bids_are_integrated_to_rounding(mechanism):
+    # Four opponents at 1 and eta = 0.05: on (1, 1.05), F = ((b - 1)/0.05)^4
+    # has monomials in b up to 1.6e6 while F <= 1; they would cancel to about
+    # 1e-10, so a piece that far above 0 is centred.
+    env = EnvironmentStep(mechanism, [1.0], [2.0], [[1.0] * 4], eta=0.05)
+    mus = np.linspace(0.0, 8.0, 401)
+    h = objective_values(env, 0.25, mus)
+    np.testing.assert_allclose(h, _simpson_objective(env, 0.25, mus), rtol=0, atol=1e-14)
+
+
+def test_uniform_objective_is_exact():
+    env = uniform_opponent_env()
+    mus = np.linspace(0.0, 4.0, 3001)
+    h = objective_values(env, 0.25, mus)
+    np.testing.assert_allclose(h, 0.25 * mus - 1.0 + 1.0 / (1.0 + mus), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", POINTWISE_ENVS)
+def test_objective_is_zero_at_zero(name):
+    env = POINTWISE_ENVS[name]()
+    assert surrogate_objective(env, 0.25, 0.0) == 0.0
+    assert objective_values(env, 0.25, np.array([2.0, 0.0, 6.0]))[1] == 0.0
