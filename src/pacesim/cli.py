@@ -17,7 +17,7 @@ invariant, or any other uncaught exception (its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import math
 import os
 import sys
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import scenarios, verify
 from .config import Scenario, SchemaError, anchored, apply_overrides, decode_json, validate_scenario
-from .constants import SURE_TOL, Z99
+from .constants import Z99
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -47,24 +47,9 @@ from .regret import (
     fit_growth_exponent,
     simulate_pacing,
 )
-from .simulation import check_stopping_bound, epoch_bound_stats, replicate, save_trace
+from .simulation import replicate, save_trace, trace_envelope
 from .simulation import _mean_stderr, _write_csv, _write_json
 from .svgplot import line_chart
-from .verify import (
-    CheckReport,
-    DiscreteValues,
-    MartingaleSetup,
-    PiecewiseLinear,
-    SGDTestProblem,
-    UniformValues,
-    concentration_check,
-    fuzz_mechanisms,
-    gsp_core_slack,
-    gsp_exhaustive_core_fuzz,
-    lipschitz_integral_check,
-    lipschitz_integral_fuzz,
-    sgd_regret_check,
-)
 from .welfare import (
     counterexample_report,
     liquid_welfare,
@@ -119,11 +104,10 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     def reduce(trace, index):
-        if not args.summary_only:
-            stem = os.path.join(args.out, f"trace_{index + 1:04d}")
-            save_trace(trace, stem + ".csv", stem + ".json", config_doc=scenario.doc)
-        report = liquid_welfare(trace)
-        return report.spends, report.liquid_values
+        stem = os.path.join(args.out, f"trace_{index + 1:04d}")
+        envelope = trace_envelope(trace) if args.summary_only else save_trace(
+            trace, stem + ".csv", stem + ".json", config_doc=scenario.doc)
+        return envelope["summary"]["total_spend"], envelope["summary"]["liquid_value"]
 
     results = replicate(config, reps, reduce)
     spends = np.array([s for s, _ in results])
@@ -207,23 +191,6 @@ def cmd_welfare(args) -> int:
 # regret
 
 
-def _at_horizon(scenario: Scenario, T: int, text: str = "", **fields) -> Scenario:
-    """The scenario at horizon T, each budget scaled by T over its own
-    horizon (which must be positive, keeping the per-round target), with
-    the given top-level fields replaced; errors are anchored in text, the
-    scenario's own."""
-    if scenario.config.horizon < 1:
-        raise ConfigurationError(
-            f"regret needs a horizon of at least 1, got {scenario.config.horizon}", ("horizon",)
-        )
-    doc = copy.deepcopy(scenario.doc)
-    doc["horizon"] = T
-    for agent_doc in doc["agents"]:
-        agent_doc["budget"] = agent_doc["budget"] * T / scenario.config.horizon
-    doc.update(fields)
-    return validate_scenario(doc, text)
-
-
 def _parse_horizons(raw: str | None, default: int) -> list[int]:
     if not raw:
         return [default]
@@ -247,7 +214,7 @@ def cmd_regret(args) -> int:
     for T in horizons:
         # Regret's own refusals of the scenario, at the line at fault.
         with anchored(text):
-            scen = _at_horizon(scenario, T, text)
+            scen = scenarios._at_horizon(scenario, T, text)
             _agent, envs, params = scenarios.regret_environment(scen)
             eps = params["learning_rate"] if len(horizons) == 1 else 1.0 / math.sqrt(T)
             # A huge learning rate can overflow the multiplier step, which the
@@ -335,137 +302,19 @@ def _dump_curves(path: str, envs, params) -> None:
 # ---------------------------------------------------------------------------
 # verify
 
-
-def _suite_concentration(trials, seed, negative, traces):
-    horizon = 200
-    rho = 0.5
-    theta = math.sqrt(horizon) * rho
-    if negative:
-        hot = MartingaleSetup(UniformValues(0.8, 1.2), "always", horizon, 2.0, rho)
-        return [concentration_check(hot, theta * 0.5, trials, seed)]
-    setups = [
-        MartingaleSetup(UniformValues(0.0, 2 * rho), "always", horizon, 2 * rho, rho),
-        MartingaleSetup(
-            DiscreteValues((0.0, 2.0), (0.75, 0.25)), "always", horizon, 2.0, rho
-        ),
-        MartingaleSetup(UniformValues(0.0, 2 * rho), "adversarial", horizon, 2 * rho, rho),
-    ]
-    return [
-        concentration_check(s, theta if i < 2 else theta * 0.5, trials, seed + i)
-        for i, s in enumerate(setups)
-    ]
-
-
-def _suite_sgd(trials, seed, negative, traces):
-    horizon = 2000
-    if negative:
-        problem = SGDTestProblem((0.0, 1.0), np.full(horizon, 1.0), 0.0, trials=20)
-        return [sgd_regret_check(problem, 0.0, seed)]
-    static = SGDTestProblem((0.0, 1.0), np.full(horizon, 0.7), 0.5, trials=50)
-    drifting = SGDTestProblem(
-        (0.0, 1.0),
-        np.where((np.arange(horizon) // 250) % 2 == 0, 0.2, 0.8),
-        0.5,
-        trials=50,
-    )
-    return [
-        sgd_regret_check(static, static.tuned_step_size(), seed),
-        sgd_regret_check(drifting, drifting.tuned_step_size(), seed + 1),
-    ]
-
-
-def _suite_lipschitz_integral(trials, seed, negative, traces):
-    if negative:
-        jump = PiecewiseLinear([0.0, 1e-9, 1.0], [0.0, 1.0, 1.0])
-        return [lipschitz_integral_check(jump, 1e-9, 1.0, validate=False)]
-    return [
-        lipschitz_integral_check(PiecewiseLinear([0.0, 2.0], [0.0, 6.0]), 2.0, 3.0),
-        lipschitz_integral_fuzz(min(trials, 5000), seed),
-    ]
-
-
-def _suite_gsp_core(trials, seed, negative, traces):
-    if negative:
-        slack = gsp_core_slack([1.0, 0.5, 0.0], [5.0, 1.0, 10.0], assume_sorted=True)
-        return [
-            CheckReport("gsp_core_negative", 1, slack, 0.0, slack >= -SURE_TOL)
-        ]
-    example = gsp_core_slack([1.0, 0.5], [3.0, 2.0, 1.0])
-    return [
-        CheckReport("gsp_core_example", 1, example, 0.0, example >= -SURE_TOL),
-        gsp_exhaustive_core_fuzz(min(trials, 2000), seed),
-    ]
-
-
-def _suite_mbb_core(trials, seed, negative, traces):
-    if negative:
-        # The same batched fuzz on a small sample, over an overcharging
-        # kernel: individual rationality must fail for every kind.
-        return verify._fuzz(1_000, seed, 6, verify._overcharging_outcomes)
-    return fuzz_mechanisms(min(trials, 100_000), seed)
-
-
-def _verification_traces(seed) -> list:
-    """Three replications of every WELFARE_SUITE scenario at horizon 2000,
-    the input of the epoch and stopping suites."""
-    traces = []
-    for name in scenarios.WELFARE_SUITE:
-        small = _at_horizon(scenarios.load_scenario(name), 2000, seed=seed)
-        traces.extend(replicate(small.config, 3))
-    return traces
-
-
-def _suite_epoch(trials, seed, negative, traces):
-    checked = 0
-    violations = 0
-    worst = math.inf
-    for trace in traces():
-        for k in range(trace.n_agents):
-            if trace.agent_kinds[k] != "paced":
-                continue
-            n_checked, n_violations, min_slack = epoch_bound_stats(trace, k)
-            checked += n_checked
-            violations += n_violations
-            worst = min(worst, min_slack)
-    return [
-        CheckReport(
-            "epoch_value_bound", checked, float(violations), 0.0, violations == 0,
-            {"min_slack": worst},
-        )
-    ]
-
-
-def _suite_stopping(trials, seed, negative, traces):
-    checked = 0
-    violations = 0
-    for trace in traces():
-        for report in check_stopping_bound(trace):
-            if report.applicable:
-                checked += 1
-                violations += 0 if report.passed else 1
-    return [CheckReport("stopping_bound", checked, float(violations), 0.0, violations == 0)]
-
-
-_SUITES = {
-    "concentration": _suite_concentration,
-    "sgd": _suite_sgd,
-    "lipschitz-integral": _suite_lipschitz_integral,
-    "gsp-core": _suite_gsp_core,
-    "mbb-core": _suite_mbb_core,
-    "epoch": _suite_epoch,
-    "stopping": _suite_stopping,
-}
-_WITHOUT_NEGATIVE = ("epoch", "stopping")
+#: `verify.SUITES` itself, not a copy: cmd_verify calls every suite through it.
+_SUITES = verify.SUITES
 
 
 def cmd_verify(args) -> int:
-    names = args.suites or ["all"]
-    if names == ["all"]:
-        names = [s for s in _SUITES if not (args.negative and s in _WITHOUT_NEGATIVE)]
-    for name in names:
+    everything = args.suites in ([], ["all"])
+    names = []
+    for name in _SUITES if everything else args.suites:
         if name not in _SUITES:
             raise ConfigurationError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-        if args.negative and name in _WITHOUT_NEGATIVE:
+        if not (args.negative and name in verify.WITHOUT_CONTROL):
+            names.append(name)
+        elif not everything:
             raise ConfigurationError(f"{name} has no negative control")
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
@@ -474,13 +323,7 @@ def cmd_verify(args) -> int:
     # Every suite takes `traces`, which simulates the verification traces
     # on its first call and hands the same list to later suites of this
     # invocation.
-    shared: list = []
-
-    def traces() -> list:
-        if not shared:
-            shared.extend(_verification_traces(args.seed))
-        return shared
-
+    traces = functools.cache(functools.partial(verify.verification_traces, args.seed))
     reports = []
     for name in names:
         reports.extend(_SUITES[name](args.trials, args.seed, args.negative, traces))

@@ -8,11 +8,12 @@ variant.
 
 from __future__ import annotations
 
+import copy
 from importlib import resources
 
 import numpy as np
 
-from .config import Scenario, parse_scenario
+from .config import Scenario, parse_scenario, validate_scenario
 from .errors import ConfigurationError, EnvironmentError_
 from .regret import EnvironmentStep
 from .simulation import PacedAgent, ScriptedAgent
@@ -42,6 +43,23 @@ def scenario_text(name: str) -> str:
 
 def load_scenario(name: str) -> Scenario:
     return parse_scenario(scenario_text(name))
+
+
+def _at_horizon(scenario: Scenario, T: int, text: str = "", **fields) -> Scenario:
+    """The scenario at horizon T, each budget scaled by T over its own
+    horizon (which must be positive, keeping the per-round target), with
+    the given top-level fields replaced; errors are anchored in text, the
+    scenario's own."""
+    if scenario.config.horizon < 1:
+        raise ConfigurationError(
+            f"regret needs a horizon of at least 1, got {scenario.config.horizon}", ("horizon",)
+        )
+    doc = copy.deepcopy(scenario.doc)
+    doc["horizon"] = T
+    for agent_doc in doc["agents"]:
+        agent_doc["budget"] = agent_doc["budget"] * T / scenario.config.horizon
+    doc.update(fields)
+    return validate_scenario(doc, text)
 
 
 def regret_environment(scenario: Scenario) -> tuple[int, list[EnvironmentStep], dict]:

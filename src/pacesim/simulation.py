@@ -808,8 +808,8 @@ def _write_json(path, payload) -> None:
             fh.write(text + "\n")
 
 
-def save_trace(trace: Trace, csv_path, envelope_path, config_doc=None) -> None:
-    """Write the per-round CSV and the JSON envelope.
+def save_trace(trace: Trace, csv_path, envelope_path, config_doc=None) -> dict:
+    """Write the per-round CSV and the JSON envelope; return the envelope.
 
     Rows run round by round, agents in order within a round.  Floats are
     serialized with 17 significant digits so a round-trip through
@@ -822,7 +822,9 @@ def save_trace(trace: Trace, csv_path, envelope_path, config_doc=None) -> None:
     for j, name in enumerate(_TRACE_FIELDS, start=2):
         table[:, :, j] = getattr(trace, name)
     _write_csv(csv_path, TRACE_COLUMNS, table.reshape(T * n, len(TRACE_COLUMNS)), 2)
-    _write_json(envelope_path, trace_envelope(trace, config_doc))
+    envelope = trace_envelope(trace, config_doc)
+    _write_json(envelope_path, envelope)
+    return envelope
 
 
 def trace_envelope(trace: Trace, config_doc=None) -> dict:

@@ -4,8 +4,9 @@ inequalities the rest of the package relies on.
 Each checker computes its statistic and the analytic bound from the same
 formula, with any implementation constants taken from `constants`; Monte
 Carlo checkers pass with MC_SIGMA standard errors of slack, deterministic
-ones with SURE_TOL.  Every checker has a falsifiable negative control
-(a deliberately violating input must fail).
+ones with SURE_TOL.  In SUITES, the table of `pacesim verify`, every suite
+but those in WITHOUT_CONTROL has a negative control: a deliberately
+violating input that must fail.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import auctions
+from . import auctions, scenarios
 from .constants import MC_SIGMA, SGD_BOUND_CONSTANT, SURE_TOL
 from .errors import ConfigurationError, InvariantViolationError, PreconditionError
-from .simulation import Trace, ValueModel, _check_number, atom_indices
+from .simulation import Trace, ValueModel, _check_number, atom_indices, replicate
+from .simulation import check_stopping_bound, epoch_bound_stats
 
 # ---------------------------------------------------------------------------
 # Concentration of predictably-selected bounded sums
@@ -795,3 +797,136 @@ def gsp_exhaustive_core_fuzz(instances: int = 2_000, seed: int = 0) -> CheckRepo
         violations == 0,
         {"min_slack": float(slack.min(initial=math.inf))},
     )
+
+
+# ---------------------------------------------------------------------------
+# The suites of `pacesim verify`
+
+
+def _suite_concentration(trials, seed, negative, traces):
+    trials = min(trials, 100_000)  # each check holds three float arrays of trials entries
+    horizon = 200
+    rho = 0.5
+    theta = math.sqrt(horizon) * rho
+    if negative:
+        hot = MartingaleSetup(UniformValues(0.8, 1.2), "always", horizon, 2.0, rho)
+        return [concentration_check(hot, theta * 0.5, trials, seed)]
+    setups = [
+        MartingaleSetup(UniformValues(0.0, 2 * rho), "always", horizon, 2 * rho, rho),
+        MartingaleSetup(
+            DiscreteValues((0.0, 2.0), (0.75, 0.25)), "always", horizon, 2.0, rho
+        ),
+        MartingaleSetup(UniformValues(0.0, 2 * rho), "adversarial", horizon, 2 * rho, rho),
+    ]
+    return [
+        concentration_check(s, theta if i < 2 else theta * 0.5, trials, seed + i)
+        for i, s in enumerate(setups)
+    ]
+
+
+def _suite_sgd(trials, seed, negative, traces):
+    horizon = 2000
+    if negative:
+        problem = SGDTestProblem((0.0, 1.0), np.full(horizon, 1.0), 0.0, trials=20)
+        return [sgd_regret_check(problem, 0.0, seed)]
+    static = SGDTestProblem((0.0, 1.0), np.full(horizon, 0.7), 0.5, trials=50)
+    drifting = SGDTestProblem(
+        (0.0, 1.0),
+        np.where((np.arange(horizon) // 250) % 2 == 0, 0.2, 0.8),
+        0.5,
+        trials=50,
+    )
+    return [
+        sgd_regret_check(static, static.tuned_step_size(), seed),
+        sgd_regret_check(drifting, drifting.tuned_step_size(), seed + 1),
+    ]
+
+
+def _suite_lipschitz_integral(trials, seed, negative, traces):
+    if negative:
+        jump = PiecewiseLinear([0.0, 1e-9, 1.0], [0.0, 1.0, 1.0])
+        return [lipschitz_integral_check(jump, 1e-9, 1.0, validate=False)]
+    return [
+        lipschitz_integral_check(PiecewiseLinear([0.0, 2.0], [0.0, 6.0]), 2.0, 3.0),
+        lipschitz_integral_fuzz(min(trials, 5000), seed),
+    ]
+
+
+def _suite_gsp_core(trials, seed, negative, traces):
+    if negative:
+        slack = gsp_core_slack([1.0, 0.5, 0.0], [5.0, 1.0, 10.0], assume_sorted=True)
+        return [
+            CheckReport("gsp_core_negative", 1, slack, 0.0, slack >= -SURE_TOL)
+        ]
+    example = gsp_core_slack([1.0, 0.5], [3.0, 2.0, 1.0])
+    return [
+        CheckReport("gsp_core_example", 1, example, 0.0, example >= -SURE_TOL),
+        gsp_exhaustive_core_fuzz(min(trials, 2000), seed),
+    ]
+
+
+def _suite_mbb_core(trials, seed, negative, traces):
+    if negative:
+        # The same batched fuzz on a small sample, over an overcharging
+        # kernel: individual rationality must fail for every kind.
+        return _fuzz(1_000, seed, 6, _overcharging_outcomes)
+    return fuzz_mechanisms(min(trials, 100_000), seed)
+
+
+def verification_traces(seed) -> list:
+    """Three replications of every WELFARE_SUITE scenario at horizon 2000,
+    the input of the epoch and stopping suites."""
+    traces = []
+    for name in scenarios.WELFARE_SUITE:
+        small = scenarios._at_horizon(scenarios.load_scenario(name), 2000, seed=seed)
+        traces.extend(replicate(small.config, 3))
+    return traces
+
+
+def _suite_epoch(trials, seed, negative, traces):
+    checked = 0
+    violations = 0
+    worst = math.inf
+    for trace in traces():
+        for k in range(trace.n_agents):
+            if trace.agent_kinds[k] != "paced":
+                continue
+            n_checked, n_violations, min_slack = epoch_bound_stats(trace, k)
+            checked += n_checked
+            violations += n_violations
+            worst = min(worst, min_slack)
+    return [
+        CheckReport(
+            "epoch_value_bound", checked, float(violations), 0.0, violations == 0,
+            {"min_slack": worst},
+        )
+    ]
+
+
+def _suite_stopping(trials, seed, negative, traces):
+    checked = 0
+    violations = 0
+    for trace in traces():
+        for report in check_stopping_bound(trace):
+            if report.applicable:
+                checked += 1
+                violations += 0 if report.passed else 1
+    return [CheckReport("stopping_bound", checked, float(violations), 0.0, violations == 0)]
+
+
+#: Every suite of `pacesim verify`, in the order `verify all` runs them:
+#: name -> suite(trials, seed, negative, traces), a list of CheckReports,
+#: with negative set those of its negative control, which must fail.
+#: traces() returns the verification traces, simulated once per invocation.
+SUITES = {
+    "concentration": _suite_concentration,
+    "sgd": _suite_sgd,
+    "lipschitz-integral": _suite_lipschitz_integral,
+    "gsp-core": _suite_gsp_core,
+    "mbb-core": _suite_mbb_core,
+    "epoch": _suite_epoch,
+    "stopping": _suite_stopping,
+}
+#: The suites without a negative control: `verify all --negative` skips
+#: them, and naming one with --negative is a usage error.
+WITHOUT_CONTROL = ("epoch", "stopping")

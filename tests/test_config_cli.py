@@ -24,7 +24,7 @@ from pacesim.scenarios import (
     regret_environment,
     scenario_text,
 )
-from pacesim import simulate_pacing, simulation
+from pacesim import cli, simulate_pacing, simulation, verify
 from pacesim.simulation import PacedAgent, ScriptedAgent
 
 GOOD = """{
@@ -282,23 +282,30 @@ class TestCliExitCodes:
         assert main(["verify", "concentration", "--trials", trials]) == 2
         assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
 
+    def test_verify_suite_table_is_shared_with_cli_in_verify_all_order(self):
+        # The benchmark's tracer wraps the entries of cli._SUITES in place,
+        # and its certify workload runs one operation per entry, in order.
+        assert cli._SUITES is verify.SUITES
+        assert list(verify.SUITES) == [
+            "concentration", "sgd", "lipschitz-integral", "gsp-core", "mbb-core", "epoch",
+            "stopping",
+        ]
+
     @pytest.mark.parametrize(
-        "suite", ["concentration", "sgd", "lipschitz-integral", "gsp-core", "mbb-core"]
+        "suite", [s for s in verify.SUITES if s not in verify.WITHOUT_CONTROL]
     )
     def test_verify_negative_control_exits_1(self, suite):
         assert main(["verify", suite, "--negative"]) == 1
 
     def test_verify_all_negative_runs_only_the_negative_controls(self, monkeypatch, tmp_path):
-        import pacesim.cli as cli
-
-        monkeypatch.setattr(cli, "replicate", lambda *a, **k: pytest.fail("simulated traces"))
+        monkeypatch.setattr(verify, "replicate", lambda *a, **k: pytest.fail("simulated traces"))
         out = tmp_path / "negative.json"
         assert main(["verify", "all", "--negative", "-o", str(out)]) == 1
         checkers = {r["checker"] for r in json.loads(out.read_text())}
         assert {"gsp_core_negative", "ir_fuzz[gsp]"} <= checkers
         assert not checkers & {"epoch_value_bound", "stopping_bound"}
 
-    @pytest.mark.parametrize("suite", ["epoch", "stopping"])
+    @pytest.mark.parametrize("suite", verify.WITHOUT_CONTROL)
     def test_verify_negative_without_a_control_exits_2(self, capsys, suite):
         assert main(["verify", suite, "--negative"]) == 2
         captured = capsys.readouterr()
@@ -375,20 +382,32 @@ class TestCliExitCodes:
     def test_mbb_core_trials_capped_at_100k(self, monkeypatch):
         seen = []
         monkeypatch.setattr(
-            "pacesim.cli.fuzz_mechanisms", lambda instances, seed: seen.append(instances) or []
+            "pacesim.verify.fuzz_mechanisms", lambda instances, seed: seen.append(instances) or []
         )
         main(["verify", "mbb-core"])
         main(["verify", "mbb-core", "--trials", "1000000"])
         main(["verify", "mbb-core", "--trials", "300"])
         assert seen == [100_000, 100_000, 300]
 
-    def test_verify_simulates_the_verification_traces_once(self, monkeypatch, tmp_path):
-        import pacesim.cli as cli
-
-        calls = []
-        real = cli.replicate
+    def test_concentration_trials_capped_at_100k(self, monkeypatch):
+        # Each check holds three float arrays of --trials entries.
+        seen = []
         monkeypatch.setattr(
-            cli, "replicate", lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
+            "pacesim.verify.concentration_check",
+            lambda setup, theta, trials, seed: seen.append(trials)
+            or verify.CheckReport("concentration", trials, 0.0, 1.0, True),
+        )
+        main(["verify", "concentration"])
+        main(["verify", "concentration", "--trials", "1000000"])
+        main(["verify", "concentration", "--trials", "300", "--negative"])
+        main(["verify", "concentration", "--trials", "1000000", "--negative"])
+        assert seen == [100_000] * 3 + [100_000] * 3 + [300, 100_000]
+
+    def test_verify_simulates_the_verification_traces_once(self, monkeypatch, tmp_path):
+        calls = []
+        real = verify.replicate
+        monkeypatch.setattr(
+            verify, "replicate", lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
         )
         assert main(["verify", "epoch", "stopping", "-o", str(tmp_path / "a.json")]) == 0
         assert len(calls) == len(WELFARE_SUITE) == 5

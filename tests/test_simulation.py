@@ -34,7 +34,7 @@ from pacesim import (
     verify_epoch_value_bound,
 )
 from pacesim import simulation
-from pacesim.cli import _verification_traces
+from pacesim.verify import verification_traces
 from pacesim.config import validate_scenario
 from pacesim.errors import ConfigurationError
 from pacesim.scenarios import BUNDLED, load_scenario
@@ -552,7 +552,7 @@ class TestEpochs:
     def test_the_welfare_suite_at_horizon_2000(self, seed):
         stats = [
             _assert_stats_match_the_report(trace, k)
-            for trace in _verification_traces(seed)
+            for trace in verification_traces(seed)
             for k in range(trace.n_agents)
             if trace.agent_kinds[k] == "paced"
         ]
