@@ -624,12 +624,12 @@ def simulate_pacing(
     params[:, k] = 1.0, cfg.budget, cfg.learning_rate, cfg.target_rate, cfg.mu_cap
     game = _Lockstep(R, T, first.mechanism, params[0] == 1.0, *params[1:])
     # Each block's joint profiles (the agent's value in column k, the
-    # opponents' noised bids) are both the values and the bids play reads.
+    # opponents' noised bids) are the values play reads, bids included.
     def fill(t0, t1):
         profiles = _noised_profiles(
             table, widths, first._others, atoms[:, t0:t1].T, noise[:, t0:t1].transpose(1, 0, 2)
         )
-        return profiles, profiles
+        return profiles, None
 
     record = np.empty((3, R, T))
     game.run(fill, [(slice(None), record)], k)

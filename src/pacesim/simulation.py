@@ -420,35 +420,44 @@ class _Lockstep:
     plays it and copies out what the caller records.
 
     The per-agent parameters and the constants 1 and 0 are (rows, n)
-    arrays built once, so no operand of a round is broadcast; every cell
-    takes the multiplier step, and the stop threshold is -inf where no
-    stop can come.  A block of nb rounds tests for stops only if a cell
-    opens it with rem * (1 - nb * 2**-50) - thresh < nb * top, top its
-    largest value times 1 + 2**-30: a paced cell pays at most a click rate
+    arrays built once, so no operand of a round is broadcast, and every
+    cell bids value/(1 + mu) and takes the multiplier step.  play folds
+    the unpaced cells' bids into their values, and their multipliers are
+    held at +0 (eps = rho = mu_cap = 0), so that they bid them bit for bit;
+    a stopped cell's is held at +inf (eps 0, mu_cap +inf), so that it bids
+    +0.0.  A block clamps bids to the budget state and tests for stops
+    only if a cell opens it with rem * (1 - nb * 2**-50) - thresh < nb *
+    top, thresh 0 in the unpaced cells and -inf in the stopped ones, top
+    the largest value times 1 + 2**-30: a cell pays at most a click rate
     (stored <= 1) times a bid <= value, rounded, so at most top, and as
     rounding is monotone each round's rem - z then loses at most top +
     2**-53 * (rem + top); the wider factors cover the test's own roundings
-    too.  Multipliers are NaN in the unpaced columns from row 0 and in each
-    paced cell from its stop on, when its budget state becomes 0; as the
-    clamp takes the budget over a NaN bid, a stopped agent bids 0 and pays
-    0.0 from then on."""
+    too.  In a block where no cell meets the test, every round so opens
+    on a budget of at least thresh + top, over any bid, and closes on one
+    of at least thresh (an unpaced cell, paying at most its clamped bid,
+    never falls below 0), and the closing budgets are the payments
+    subtracted in turn.  The multipliers a block records are NaN (np.nan's
+    bits) in the cells held when it opens, and in a cell that stops in it
+    from its stop on, when its budget state becomes 0, so that the clamp
+    takes its NaN bid to 0.0; the next block holds it at +inf."""
 
     def __init__(self, rows, horizon, mechanism, paced, budgets, eps, rho, mu_cap):
         shape = (rows, len(budgets))
         B = min(_RECORD_ROUNDS, horizon)
         self.mus, self.rems = np.empty((2, B + 1, *shape))
         self.b, self.x, self.z = np.empty((3, B, *shape))
-        self.mus[0], self.rems[0] = np.where(paced, 0.0, np.nan), budgets
+        self.mus[0], self.rems[0] = 0.0, budgets
         self.rounds = list(zip(
             self.mus[:-1], self.mus[1:], self.rems[:-1], self.rems[1:], self.b, self.x, self.z))
         self.horizon = horizon
         self.kernel = _kernel(mechanism, *shape)
         self.played = self.closed = 0  # rounds played; the row the last block closed on
-        self.unpaced = np.tile(~paced, (rows, 1))
-        self.any_unpaced = bool(self.unpaced.any())
-        self.eps, self.rho, self.mu_cap = (np.tile(a, (rows, 1)) for a in (eps, rho, mu_cap))
+        self.unpaced = ~paced
+        self.eps, self.rho, self.mu_cap = (
+            np.tile(np.where(paced, a, 0.0), (rows, 1)) for a in (eps, rho, mu_cap))
+        self.held = np.tile(np.where(paced, -np.inf, 0.0), (rows, 1))  # -inf: not held
         self.one, self.zero = np.ones(shape), np.zeros(shape)
-        self.thresh = np.tile(np.where(paced, EXHAUSTION_FRACTION * budgets, -np.inf), (rows, 1))
+        self.thresh = np.tile(np.where(paced, EXHAUSTION_FRACTION * budgets, 0.0), (rows, 1))
         self.stop_round = np.full(shape, horizon + 1, dtype=np.int64)
         self.step, self.newly = np.empty(shape), np.empty(shape, dtype=bool)
 
@@ -472,23 +481,26 @@ class _Lockstep:
                     array[..., t0:t1] = plane[: t1 - t0, rows].T
 
     def play(self, values, bids) -> None:
-        """The next nb rounds, one record block, for values (paced agents)
-        and bids (unpaced ones, or None), each (nb, rows, n) or broadcasting
-        to it.  Row 0 of mus and rems is the row the last block closed on."""
-        nb, t0 = len(values), self.played
-        mus, rems = self.mus, self.rems
-        mus[0], rems[0] = mus[self.closed], rems[self.closed]
+        """The next nb rounds, one record block, for values, (nb, rows, n)
+        and writable, and bids for the unpaced columns, (nb or more, rows,
+        n) or broadcasting to it, which play copies into values, or None
+        where values hold them.  Row 0 of mus and rems is the row the last
+        block closed on."""
+        nb, t0, mus, rems, held = len(values), self.played, self.mus, self.rems, self.held
+        np.fmax(mus[self.closed], held, out=mus[0])
+        rems[0], held_at_open = rems[self.closed], held > -np.inf
         self.closed, self.played = nb, t0 + nb
         self.x[:nb] = self.z[:nb] = 0.0
-        add, divide, subtract, multiply, fmin, minimum, maximum, less, copyto, count = (
+        if bids is not None:
+            values[..., self.unpaced] = bids[:nb, ..., self.unpaced]
+        add, divide, subtract, multiply, fmin, minimum, maximum, less, count = (
             np.add, np.divide, np.subtract, np.multiply, np.fmin, np.minimum, np.maximum,
-            np.less, np.copyto, np.count_nonzero)
+            np.less, np.count_nonzero)
         kernel, eps, rho, mu_cap, one, zero, thresh, step, newly = (
             self.kernel, self.eps, self.rho, self.mu_cap, self.one, self.zero, self.thresh,
             self.step, self.newly)
-        bids, unpaced = (bids, self.unpaced) if self.any_unpaced else (None, None)
         top = float(values.max()) * (1 + 2**-30)  # an overflow to inf keeps the test
-        may_stop = count(less(rems[0] * (1 - nb * 2**-50) - thresh, nb * top))
+        may_bind = count(less(rems[0] * (1 - nb * 2**-50) - thresh, nb * top))
         # A huge learning rate can overflow eps * (rho - z) to +-inf, which the
         # projection onto [0, mu_cap] saturates to the right multiplier, so
         # the overflow is no error; one errstate covers the whole block.
@@ -496,9 +508,8 @@ class _Lockstep:
             for j, (mu, mu_next, rem, rem_next, bj, xj, zj) in enumerate(self.rounds[:nb]):
                 add(mu, one, out=bj)
                 divide(values[j], bj, out=bj)
-                if bids is not None:
-                    copyto(bj, bids[j], where=unpaced)
-                fmin(bj, rem, out=bj)
+                if may_bind:
+                    fmin(bj, rem, out=bj)
                 kernel(bj, xj, zj)
                 # mu <- clip(mu - eps * (rho - z), 0, mu_cap)
                 subtract(rho, zj, out=step)
@@ -506,12 +517,16 @@ class _Lockstep:
                 subtract(mu, step, out=mu_next)
                 maximum(mu_next, zero, out=mu_next)
                 minimum(mu_next, mu_cap, out=mu_next)
-                subtract(rem, zj, out=rem_next)
-                if may_stop and count(less(rem_next, thresh, out=newly)):
-                    self.stop_round[newly] = t0 + j + 2
-                    mu_next[newly] = np.nan
-                    rem_next[newly] = 0.0
-                    thresh[newly] = -np.inf
+                if may_bind:
+                    subtract(rem, zj, out=rem_next)
+                    if count(less(rem_next, thresh, out=newly)):
+                        self.stop_round[newly] = t0 + j + 2
+                        mu_next[newly], rem_next[newly], eps[newly] = np.nan, 0.0, 0.0
+                        thresh[newly], mu_cap[newly], held[newly] = -np.inf, np.inf, np.inf
+        if not may_bind:  # rows 1 to nb - 1 of rems are left holding payments
+            rems[1 : nb + 1] = self.z[:nb]
+            subtract.reduce(rems[: nb + 1], axis=0, out=rems[nb])
+        mus[:nb, held_at_open] = np.nan
 
 
 def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[Trace]:

@@ -478,3 +478,134 @@ def test_infinite_bids_are_rejected_by_every_scalar_entry_point(mech):
         check_mbb(mech, 0, 0.2, 0.4, [inf, 0.5])
     with pytest.raises(ConfigurationError):
         check_mbb(mech, 0, 0.2, inf, [1.0, 0.5])
+
+
+# (budget, round from 0 in which agent 0's scripted bid of 1 is first
+# clamped).  It pays its bid in full each round, so a block opens with a
+# budget just above nb * top when the clamp falls in the next block's
+# first round, and at or just below it when the clamp falls in the
+# block's last round.
+CLAMP_EDGES = [
+    (256 + 2**-20, 256),
+    (256.0, 256),
+    (256 - 2**-20, 255),
+    (512 + 2**-20, 512),
+    (512 - 2**-20, 511),
+]
+
+
+@pytest.mark.parametrize("budget, clamp", CLAMP_EDGES, ids=lambda v: str(v))
+def test_the_gate_skips_no_clamp_of_a_scripted_budget(budget, clamp):
+    # First price against a paced agent valuing 0.5 (which wins once the
+    # script's clamped bid falls below its own): the script pays its bid.
+    config = SimulationConfig(
+        first_price(),
+        (ScriptedAgent(budget=budget, bid=1.0), PacedAgent(budget=1e6)),
+        ValueModel([1.0], [[0.0, 0.5]]),
+        horizon=3 * _RECORD_ROUNDS,
+        seed=6,
+    )
+    for trace, child in zip(replicate(config, 2), np.random.SeedSequence(6).spawn(2)):
+        rows, stop_rounds = _market_replay(config, child)
+        assert np.all(trace.payments[:clamp, 0] == 1.0) and trace.payments[clamp, 0] < 1.0
+        assert np.array_equal(trace.stop_rounds, stop_rounds)
+        for field in TRACE_FIELDS:
+            assert _same_bits(getattr(trace, field), rows[field]), field
+
+
+# (budget, round from 0 from which agent 0's budget state lies between its
+# stop threshold and its bid of 1).
+PACED_CLAMPS = [
+    (256 - 2**-20, 255),
+    (256 + 2**-20, 256),
+    (512 - 2**-20, 511),
+    (100.5, 100),
+]
+
+
+@pytest.mark.parametrize("budget, clamp", PACED_CLAMPS, ids=lambda v: str(v))
+def test_a_paced_cell_clamped_above_its_threshold_plays_on(budget, clamp):
+    # mu_cap 0 holds agent 0's bid at its value of 1: it ties the script's
+    # 1.0 and wins on the lower index, paying 1.0 at second price, until
+    # its budget state falls below 1.  From then on it bids that budget,
+    # loses, pays nothing and never stops, and the script pays its bid.
+    config = SimulationConfig(
+        second_price(),
+        (PacedAgent(budget=budget, mu_cap=0.0), ScriptedAgent(budget=1e6, bid=1.0)),
+        ValueModel([1.0], [[1.0, 0.0]]),
+        horizon=3 * _RECORD_ROUNDS,
+        seed=8,
+    )
+    left = budget - clamp
+    for trace, child in zip(replicate(config, 2), np.random.SeedSequence(8).spawn(2)):
+        rows, stop_rounds = _market_replay(config, child)
+        assert trace.stop_rounds[0] == stop_rounds[0] == config.horizon + 1
+        assert EXHAUSTION_FRACTION * budget < left < 1.0
+        assert np.all(trace.bids[clamp:, 0] == left) and np.all(trace.payments[clamp:, 1] == left)
+        assert not trace.allocations[clamp:, 0].any()
+        for field in TRACE_FIELDS:
+            assert _same_bits(getattr(trace, field), rows[field]), field
+
+
+NAN_BITS = 0x7FF8000000000000
+
+
+def test_unpaced_and_stopped_columns_record_numpys_nan():
+    # Agent 0 stops in round 100, the scripted agent 2 never plays a
+    # multiplier; over three record blocks both are held from block 1 on.
+    horizon, stop = 3 * _RECORD_ROUNDS, 100
+    for trace in replicate(_stop_config(horizon, stop), 2):
+        mus = trace.multipliers.view(np.uint64)
+        assert trace.stop_rounds[0] == stop + 2
+        assert np.all(mus[:, 2] == NAN_BITS) and np.all(mus[stop + 1 :, 0] == NAN_BITS)
+        assert np.isfinite(trace.multipliers[: stop + 1, 0]).all()
+    for run in simulate_pacing(_pacing_envs(horizon, stop), stop + 1.0, 0.05, 4.0, replications=2):
+        assert run.stop_round == stop + 2
+        assert np.all(run.multipliers[stop + 1 :].view(np.uint64) == NAN_BITS)
+        assert np.isfinite(run.multipliers[: stop + 1]).all()
+
+
+def test_the_gate_clamps_only_blocks_near_a_stop_or_a_clamp(monkeypatch):
+    # One paced column valuing 1 and paying the script's 0.25 at second
+    # price each round from a budget of 300: the first block opens more
+    # than 256 above its threshold, the next two do not; a budget of 10^4
+    # never comes near.
+    calls = []
+    fmin = np.fmin
+    monkeypatch.setattr(np, "fmin", lambda *args, **kw: calls.append(1) or fmin(*args, **kw))
+    T, values = 3 * _RECORD_ROUNDS, np.ones((_RECORD_ROUNDS, 2, 2))
+    scripts = np.full((_RECORD_ROUNDS, 1, 2), 0.25)
+    for budget, clamped in ((300.0, 2 * _RECORD_ROUNDS), (1e4, 0)):
+        calls.clear()
+        game = simulation._Lockstep(
+            2, T, second_price(), np.array([True, False]), np.array([budget, 1e6]),
+            np.array([0.01, np.nan]), np.array([0.0, np.nan]), np.array([0.0, np.nan]),
+        )
+        for _ in range(3):
+            game.play(values.copy(), scripts)
+        assert len(calls) == clamped and np.all(game.stop_round == T + 1)
+        assert np.all(game.rems[game.closed, :, 0] == budget - 0.25 * T)
+
+
+@st.composite
+def _gated_markets(draw):
+    """_random_markets over two or three record blocks with every budget
+    scaled, so that blocks open on both sides of the gate."""
+    config, _ = draw(_random_markets())
+    scale = draw(st.sampled_from([1.0, 2.0, 4.0, 64.0]))
+    return dataclasses.replace(
+        config,
+        agents=tuple(dataclasses.replace(a, budget=a.budget * scale) for a in config.agents),
+        horizon=draw(st.sampled_from([2 * _RECORD_ROUNDS + 1, 3 * _RECORD_ROUNDS])),
+    )
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(_gated_markets())
+def test_gated_blocks_match_the_scalar_replay(config):
+    children = np.random.SeedSequence(config.seed).spawn(2)
+    for trace, child in zip(replicate(config, 2), children):
+        rows, stop_rounds = _market_replay(config, child)
+        assert np.array_equal(trace.stop_rounds, stop_rounds)
+        for field in TRACE_FIELDS:
+            assert _same_bits(getattr(trace, field), rows[field]), field

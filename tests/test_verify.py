@@ -472,6 +472,26 @@ class TestMechanismFuzzNegativeControls:
             assert counts[f"core_fuzz[{kind}]"] > 0, kind
             assert counts[f"ir_fuzz[{kind}]"] == counts[f"monotone_fuzz[{kind}]"] == 0, kind
 
+    def test_positional_third_price_fails_mbb_and_core_only(self, monkeypatch):
+        def third_price(real, mech, bids):
+            # The real allocation; the agent in place p of the descending
+            # bids (ties to the lower index) pays its allocation times the
+            # bid in place p + 2: a single slot's winner pays the third
+            # highest bid, GSP's slot j its rate times the bid two down.
+            x, _ = real(mech, bids)
+            order = np.argsort(-bids, axis=1, kind="stable")
+            price = np.zeros_like(bids)
+            price[:, :-2] = np.take_along_axis(bids, order[:, 2:], axis=1)
+            z = np.zeros_like(bids)
+            np.put_along_axis(z, order, np.take_along_axis(x, order, axis=1) * price, axis=1)
+            return x, z
+
+        counts = self._counts(monkeypatch, third_price)
+        for kind in KINDS:
+            assert counts[f"mbb_fuzz[{kind}]"] > 0, kind
+            assert counts[f"core_fuzz[{kind}]"] > 0, kind
+            assert counts[f"ir_fuzz[{kind}]"] == counts[f"monotone_fuzz[{kind}]"] == 0, kind
+
     def test_infeasible_deviation_is_a_generator_bug(self, monkeypatch):
         monkeypatch.setattr(
             verify, "_feasible_deviations", lambda rng, feasible, rows, n: np.full((rows, n), 2.0)
