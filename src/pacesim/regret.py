@@ -12,8 +12,8 @@ analytic right-hand sides it should stay under.
 Raw finite-support environments make Z a step function of the multiplier;
 adding uniform noise of width eta to every competing bid makes it
 continuous and Lipschitz.  Z is piecewise polynomial in the bid, so the
-noise integrals (piecewise Gauss-Legendre) and the integral of Z in H are
-exact to rounding.
+second-price payment under the noise and the integral of Z in H are exact
+to rounding, both from one piece table (EnvironmentStep._pieces).
 """
 
 from __future__ import annotations
@@ -45,65 +45,6 @@ from .simulation import (
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
-
-#: Default bid-noise width as a fraction of the value cap.
-DEFAULT_SMOOTHING_FRACTION = 0.05
-
-
-class _NoisedMax:
-    """Distribution of the largest competing bid after uniform noise.
-
-    Competing bids d_j each get independent U[0, eta] noise; the CDF of the
-    max is a piecewise polynomial of degree at most J between the edges
-    d_j and d_j + eta, so its integral is evaluated exactly by fixed-order
-    Gauss-Legendre per piece.
-    """
-
-    def __init__(self, comp: np.ndarray, eta: float):
-        self.comp = comp
-        self.eta = eta
-        self.dmax = float(comp.max())
-        edges = np.unique(np.concatenate([comp, comp + eta]))
-        self.pts = edges[edges >= self.dmax - 1e-15]
-        nodes, weights = np.polynomial.legendre.leggauss(len(comp) // 2 + 1)
-        self._gl = (nodes, weights)
-        self.cum = np.zeros(len(self.pts))
-        for i in range(len(self.pts) - 1):
-            piece = self._gl_piece(self.pts[i : i + 1], self.pts[i + 1 : i + 2])
-            self.cum[i + 1] = self.cum[i] + piece[0]
-
-    def cdf(self, u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # a gap over a tiny eta saturates the clip
-            g = np.clip((u[..., None] - self.comp) / self.eta, 0.0, 1.0)
-        return g.prod(axis=-1)
-
-    def integral_cdf(self, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(b)
-        inside = b > self.pts[0]
-        if not np.any(inside):
-            return out
-        bi = b[inside]
-        seg = np.minimum(np.searchsorted(self.pts, bi, side="right") - 1, len(self.pts) - 1)
-        lo = self.pts[seg]
-        partial = np.where(
-            seg == len(self.pts) - 1,
-            bi - lo,  # CDF is 1 beyond the last edge
-            self._gl_piece(lo, bi),
-        )
-        out[inside] = self.cum[seg] + partial
-        return out
-
-    def _gl_piece(self, lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Integral of the CDF over each [lo_i, b_i] inside one piece."""
-        nodes, weights = self._gl
-        half = (b - lo) / 2.0
-        pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-        return half * (self.cdf(pts) * weights[None, :]).sum(axis=1)
-
-    def expected_below(self, b: np.ndarray) -> np.ndarray:
-        """E[max 1{max < b}] = b F(b) - integral of F up to b."""
-        return b * self.cdf(b) - self.integral_cdf(b)
-
 
 @dataclass(frozen=True)
 class EnvironmentStep:
@@ -170,11 +111,6 @@ class EnvironmentStep:
     def value_cap(self) -> float:
         return max(1.0, float(self.values.max(initial=0.0)))
 
-    @functools.cached_property
-    def _noised(self) -> list[_NoisedMax]:
-        """Each atom's largest competing bid under the noise."""
-        return [_NoisedMax(comp, self.eta) for comp in self.competing_bids]
-
     def spend_value(self, mu) -> tuple[np.ndarray, np.ndarray]:
         """Exact expected payment and expected value at each multiplier, each
         point on its own: a batch gives what its points give one at a time."""
@@ -198,12 +134,14 @@ class EnvironmentStep:
         v = functools.reduce(np.add, self.probs[:, None] * self.values[:, None] * win)
         if self.mechanism.kind == FIRST_PRICE:
             z = functools.reduce(np.add, self.probs[:, None] * bids * win)
-        else:
+        else:  # each paying atom's Z on the piece of _pieces that holds its bid
             z = np.zeros_like(mu_arr)
-            if self.n_opponents > 0:
-                for s in range(self.n_atoms):
-                    pay = self._noised[s].expected_below(bids[s])
-                    z += self.probs[s] * pay * (bids[s] > 0)
+            for s, (_v, edges, pieces) in zip(self._paying, self._pieces):
+                at, pay = np.searchsorted(edges, bids[s]), np.empty_like(mu_arr)
+                for i in np.unique(at):
+                    (x0, r, zc, _c), on = pieces[i], at == i
+                    pay[on] = np.polyval(zc, (bids[s][on] - x0) / r)
+                z += pay
         return z, v
 
     def _curves_exact(self, mu_arr: np.ndarray):
@@ -230,41 +168,52 @@ class EnvironmentStep:
         return np.unique(np.concatenate(pts))
 
     @functools.cached_property
+    def _paying(self) -> list[int]:
+        """The atoms that can pay: positive value, and first price or an opponent."""
+        first = self.mechanism.kind == FIRST_PRICE
+        return np.flatnonzero(self.values > 0).tolist() if first or self.n_opponents else []
+
+    @functools.cached_property
     def _pieces(self) -> list:
-        """Per atom that can pay: its value, its ascending bid edges and, on
-        each piece of bids b around them, (x0, r, c): Z/b^2 integrates to
-        -c[-1]/b + c[-2] log b + the polynomial c[:-2] in y = (b - x0)/r.  On
-        a piece at least twice its width above 0, where monomials in b would
-        cancel by up to (b/eta)^J, x0 is its middle and r its half-width, and
-        1/b^2 goes in as its power series in y r/x0 <= 1/5, 27 terms of it."""
+        """Per atom of _paying: its value, its ascending bid edges and, on
+        each piece of bids b around them, (x0, r, z, c): Z is the polynomial
+        z in y = (b - x0)/r (None at eta = 0), and Z/b^2 integrates to
+        -c[-1]/b + c[-2] log b + the polynomial c[:-2] in y.  On a piece at
+        least twice its width above 0, where monomials in b would cancel by
+        up to (b/eta)^J, x0 is its middle and r its half-width, and 1/b^2
+        goes in as its power series in y r/x0 <= 1/5, 27 terms of it."""
         first, eta, table = self.mechanism.kind == FIRST_PRICE, self.eta, []
         noised = eta > 0 and self.n_opponents > 0
-        for s in np.flatnonzero(self.values > 0) if first or self.n_opponents else ():
+        for s in self._paying:
             p, comp = self.probs[s], self.competing_bids[s]
             edges = np.unique(np.concatenate([comp, comp + eta]) if noised else comp[comp > 0])
-            edges = edges[edges >= comp.max() - 1e-15] if noised else edges  # as _NoisedMax.pts
+            edges = edges[edges >= comp.max() - 1e-15] if noised else edges  # from the top bid up
             bounds = np.concatenate([[0.0], edges, [2.0 * edges.max(initial=1.0)]])
-            pieces = [(0.0, 1.0, np.zeros(3))] if noised else []  # F = 0 below the top bid
+            pieces = [(0.0, 1.0, np.zeros(1), np.zeros(3))] if noised else []  # F = 0 below
             if eta == 0:  # Z = p x b (first price) or p z, with the piece's outcome
                 x, z = _focal_outcome(self, self._model.profiles[s], (bounds[:-1] + bounds[1:]) / 2)
                 coefs = np.column_stack([0 * x, x, 0 * x] if first else [0 * z, 0 * z, z])
-                pieces = [(0.0, 1.0, p * c) for c in coefs]
+                pieces = [(0.0, 1.0, None, p * c) for c in coefs]
+            below = 0.0  # the integral of F up to the piece
             for i in range(len(pieces), len(edges) + 1) if eta > 0 else ():
                 e0, e1 = bounds[i], bounds[i + 1]
                 centred = i < len(edges) and e0 >= 2 * (e1 - e0)
                 x0, r = ((e0 + e1) / 2, (e1 - e0) / 2) if centred else (0.0, 1.0)
                 live = comp[comp + eta > (e0 + e1) / 2]  # F's factors (b - d)/eta
                 f = functools.reduce(np.polymul, [[r / eta, (x0 - d) / eta] for d in live], [1.0])
-                c = np.polymul([r, x0], f)  # b F(b)
+                z = np.polymul([r, x0], f)  # b F(b)
                 if not first:  # b F(b) minus the integral of F up to b
                     fint = r * np.polyint(f)
-                    c = c - fint
-                    c[-1] -= self._noised[s].cum[i - 1] - np.polyval(fint, (e0 - x0) / r)
+                    lo, hi = np.polyval(fint, (bounds[i : i + 2] - x0) / r)
+                    z = z - fint
+                    z[-1] -= below - lo
+                    below += hi - lo
+                c = z
                 if centred:  # r Z/b^2 = (r/x0^2) Z (1 + y r/x0)^-2
                     series = np.arange(27, 0, -1) * (-r / x0) ** np.arange(26, -1, -1)
                     c = np.append(np.polymul(c, series) * (r / x0**2), [0.0, 0.0])
                 c = np.pad(c, (2, 0))
-                pieces.append((x0, r, p * np.append(np.polyint(c[:-2]), c[-2:])))
+                pieces.append((x0, r, p * z, p * np.append(np.polyint(c[:-2]), c[-2:])))
             table.append((self.values[s], edges, pieces))
         return table
 
@@ -279,7 +228,7 @@ class EnvironmentStep:
             at = np.searchsorted(edges, (b[:-1] + b[1:]) / 2)
             starts = np.flatnonzero(np.diff(at, prepend=-1))
             for i, j in zip(starts, np.append(starts[1:], len(at))):
-                (x0, r, c), mu = pieces[at[i]], grid[i : j + 1]  # 1/b, log b from mu:
+                (x0, r, _z, c), mu = pieces[at[i]], grid[i : j + 1]  # 1/b, log b from mu:
                 anti = np.polyval(c[:-2], (b[i : j + 1] - x0) / r)  # b can underflow to 0
                 anti -= c[-1] * (1.0 + mu) / v if c[-1] else 0.0
                 anti -= c[-2] * np.log1p(mu) if c[-2] else 0.0  # log b, less the constant log v
@@ -373,7 +322,7 @@ def perfect_multiplier(env: EnvironmentStep, rho: float, mu_cap: float) -> float
     discontinuity at the root cannot meet the residual tolerance, in which
     case the caller is told to smooth the environment.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise PreconditionError("target rate must be positive")
     if mu_cap < env.value_cap / rho:
         raise PreconditionError("need mu_cap >= value_cap / rho")
@@ -447,19 +396,19 @@ def _curve_points(env: EnvironmentStep, rho: float, mus, curves: bool = True):
     return tuple(c[at].reshape(mus.shape) for c in (*values, h))
 
 
-def surrogate_objective(env: EnvironmentStep, rho: float, mu: float, tol=None) -> float:
+def surrogate_objective(env: EnvironmentStep, rho: float, mu: float) -> float:
     """The convex surrogate rho*mu - integral of the spend curve on [0, mu].
 
     Its derivative is rho - Z(mu), which is exactly the expected drift of
     the pacing update, so the pacing algorithm is projected SGD on this
-    objective.  tol is accepted and ignored: the integral is exact.
+    objective.
     """
     return float(objective_values(env, rho, np.array([mu], dtype=np.float64))[0])
 
 
-def objective_values(env: EnvironmentStep, rho: float, mus: np.ndarray, tol=None) -> np.ndarray:
+def objective_values(env: EnvironmentStep, rho: float, mus: np.ndarray) -> np.ndarray:
     """Surrogate objective at many multipliers, sharing one cumulative
-    integral along the sorted grid; tol is accepted and ignored."""
+    integral along the sorted grid."""
     return _curve_points(env, rho, mus, curves=False)[0]
 
 
@@ -735,8 +684,8 @@ def dynamic_regret_batch(
 
     groups = _distinct(env_list)
     distinct = [env for env, _rounds in groups]
-    smoothing = measure_smoothing(distinct, mu_cap)
     perfect = perfect_sequence(env_list, rho, mu_cap)
+    smoothing = measure_smoothing(distinct, mu_cap)
 
     v_star = np.empty(T)
     h_star = np.empty(T)

@@ -245,8 +245,8 @@ def test_criterion_6_perfect_multiplier_oracle():
     env = uniform_opponent_env()
     mu_star = perfect_multiplier(env, RHO, MU_CAP)
     step = 1e-3
-    hi = surrogate_objective(env, RHO, mu_star + step, tol=1e-12)
-    lo = surrogate_objective(env, RHO, mu_star - step, tol=1e-12)
+    hi = surrogate_objective(env, RHO, mu_star + step)
+    lo = surrogate_objective(env, RHO, mu_star - step)
     derivative = (hi - lo) / (2 * step)
     ok = abs(mu_star - 1.0) <= 1e-6 and abs(derivative) <= 1e-6
     _emit(6, ok, f"mu* = {mu_star:.9f} (target 1), H'(mu*) = {derivative:.2e}")

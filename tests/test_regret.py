@@ -86,8 +86,8 @@ class TestExpectedCurves:
     def test_noised_second_price_many_opponents_vs_quadrature(self):
         # Three opponents with overlapping noise windows.  A midpoint rule
         # over the noise cube resolves the win indicator to half a cell per
-        # axis; the piecewise Gauss-Legendre payment integral is then also
-        # checked sharply against a dense 1-D trapezoid of the max-bid CDF.
+        # axis; the piece table's payment integral is then also checked
+        # sharply against a dense 1-D trapezoid of the max-bid CDF.
         d = np.array([0.25, 0.4, 0.55])
         eta = 0.3
         env = EnvironmentStep(second_price(), [1.0], [1.0], [d], eta=eta)
@@ -149,6 +149,13 @@ class TestPerfectMultiplier:
         with pytest.raises(PreconditionError):
             perfect_multiplier(uniform_opponent_env(), 0.25, 1.0)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.25, math.nan])
+    def test_target_rate_must_be_positive(self, rho):
+        # A NaN rate used to pass the check and end its bisection in a
+        # SmoothingRequiredError with residual +nan.
+        with pytest.raises(PreconditionError, match="target rate must be positive"):
+            perfect_multiplier(uniform_opponent_env(), rho, 10.0)
+
     def test_constant_sequence_has_zero_path_length(self):
         env = uniform_opponent_env()
         seq = perfect_sequence([env] * 20, 0.25, 4.0)
@@ -205,8 +212,8 @@ class TestArtificialObjective:
         env = uniform_opponent_env()
         hstep = 1e-4
         for mu in (0.2, 1.0, 3.0):
-            hi = surrogate_objective(env, 0.25, mu + hstep, tol=1e-12)
-            lo = surrogate_objective(env, 0.25, mu - hstep, tol=1e-12)
+            hi = surrogate_objective(env, 0.25, mu + hstep)
+            lo = surrogate_objective(env, 0.25, mu - hstep)
             z, _ = expected_curves(env, mu)
             assert (hi - lo) / (2 * hstep) == pytest.approx(0.25 - z, abs=1e-6)
 
@@ -291,6 +298,15 @@ class TestDynamicRegret:
             assert report.value_regret == pytest.approx(0.0, abs=1e-9)
             assert report.sgd_regret == pytest.approx(0.0, abs=1e-9)
             assert np.all(run.multipliers == 0.0)
+
+    @pytest.mark.parametrize("field, bad", [("rho", math.nan), ("mu_cap", 0.0)])
+    def test_bad_rate_or_cap_is_refused_before_the_analysis(self, field, bad):
+        # mu_cap = 0 used to reach measure_smoothing's one-point grid first,
+        # whose slopes divide 0 by 0 (a RuntimeWarning, an error here).
+        env = uniform_opponent_env()
+        runs = simulate_pacing(env, budget=50.0, learning_rate=0.05, mu_cap=8.0, horizon=200)
+        with pytest.raises(PreconditionError):
+            dynamic_regret_batch(runs, env, **{field: bad})
 
     def test_switching_environment_path_length(self):
         quiet = uniform_opponent_env(low=0.0, width=0.5)
@@ -908,8 +924,8 @@ def test_distinct_groups_interleaved_environments_by_object():
 
 
 def test_second_price_regret_command_is_pinned(tmp_path, capsys):
-    # Its curves go through the noised second-price payment
-    # (_NoisedMax.expected_below), which no golden digest covers.
+    # Its curves go through the noised second-price payment (the Z
+    # polynomials of EnvironmentStep._pieces), which no golden digest covers.
     argv = ["regret", "regret_first_price_uniform", "--set", "mechanism.type=second_price",
             "-R", "2", "--horizons", "400,800",
             "-o", str(tmp_path / "sp.json"), "--curves", str(tmp_path / "sp.csv")]
@@ -1064,6 +1080,45 @@ def test_clustered_bids_are_integrated_to_rounding(mechanism):
     mus = np.linspace(0.0, 8.0, 401)
     h = objective_values(env, 0.25, mus)
     np.testing.assert_allclose(h, _simpson_objective(env, 0.25, mus), rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The noised second-price payment, held to oracles outside the piece table
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_integral_cases(kinds=("noised-second_price",)))
+def test_noised_second_price_spend_matches_quad(case):
+    # Z = sum of p (b F(b) - integral of F up to b), with F the product of
+    # the clipped uniforms' CDFs and its integral by QUADPACK, told every
+    # edge of F (F is a polynomial between them, which it integrates exactly).
+    quad = pytest.importorskip("scipy.integrate").quad
+    env, _rho, mus = case
+    z, _v = env.spend_value(mus)
+    want = np.zeros_like(mus)
+    for p, value, comp in zip(env.probs, env.values, env.competing_bids):
+        def cdf(u):
+            return float(np.clip((u - comp) / env.eta, 0.0, 1.0).prod())
+        edges = np.unique(np.concatenate([comp, comp + env.eta]))
+        for m, mu in enumerate(mus):
+            b = value / (1.0 + mu)
+            if value > 0 and len(comp):
+                inside = edges[(edges > 0) & (edges < b)]
+                integral = quad(cdf, 0.0, b, points=inside, epsabs=0, epsrel=1e-12, limit=200)[0]
+                want[m] += p * (b * cdf(b) - integral)
+    np.testing.assert_allclose(z, want, rtol=0, atol=1e-13)
+
+
+def test_noised_second_price_on_centred_pieces_is_closed_form():
+    # Four opponents at 1, eta = 0.05: on [1, 1.05], F = y^4 with
+    # y = (b - 1)/0.05, whose integral from 1 is 0.01 y^5, so
+    # Z = b y^4 - 0.01 y^5; above 1.05 Z is E[max] = 1.05 - 0.01.
+    env = EnvironmentStep(second_price(), [1.0], [2.0], [[1.0] * 4], eta=0.05)
+    mus = np.linspace(0.0, 8.0, 4001)
+    b = 2.0 / (1.0 + mus)
+    y = np.clip((b - 1.0) / 0.05, 0.0, 1.0)
+    want = np.where(b > 1.05, 1.04, b * y**4 - 0.01 * y**5)
+    np.testing.assert_allclose(env.spend(mus), want, rtol=0, atol=2e-16)
 
 
 def test_uniform_objective_is_exact():
