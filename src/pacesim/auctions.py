@@ -175,7 +175,10 @@ def _kernel(mechanism: Mechanism, rows: int, n: int):
     the allocations and payments of `mechanism`.  Cells are addressed by
     flat C-order index (row offset plus column), which take and put use
     whatever the strides; the offsets and rates are (rows, n) arrays, so no
-    operand is broadcast.  The kernel keeps no other state."""
+    operand is broadcast.  A winner's share is the sign of its bid times
+    its click rate: the bids are finite, non-negative and never -0.0 (see
+    `outcomes`), so the sign is exactly 1.0 where bid > 0 and +0.0 where
+    not, and no bool array is cast.  The kernel keeps no other state."""
     offsets = np.arange(0, rows * n, n)
     first = mechanism.kind == FIRST_PRICE
     if isinstance(mechanism.feasible, SingleSlot):
@@ -184,7 +187,7 @@ def _kernel(mechanism: Mechanism, rows: int, n: int):
             cell = bids.argmax(axis=1)  # first max: lowest index wins ties
             cell += offsets
             wb = bids.take(cell)
-            x.put(cell, wb > 0.0)
+            x.put(cell, np.sign(wb))
             if first:  # a row without a winner bids +0.0, so it pays +0.0
                 z.put(cell, wb)
             elif n == 2:  # the lower bid; of equal ones the first, as np.partition
@@ -201,14 +204,18 @@ def _kernel(mechanism: Mechanism, rows: int, n: int):
         cells = np.negative(bids).argsort(axis=1, kind="stable")  # lowest index first on ties
         cells += offsets
         sorted_bids = bids.take(cells)
-        xs = np.multiply(rates, sorted_bids > 0.0)
+        xs = np.sign(sorted_bids)
+        xs *= rates
         x.put(cells, xs)
         # xs becomes the payments in sorted order: rate times the agent's own
-        # bid (first price) or the next bid (nothing below the last slot).
+        # bid (first price) or the next bid (nothing below the last slot), a
+        # product of the flat arrays shifted by one whose last column, which
+        # read the next row's top bid, is then overwritten.
         if first:
-            np.multiply(xs, sorted_bids, out=xs)
+            xs *= sorted_bids
         else:
-            np.multiply(xs[:, :-1], sorted_bids[:, 1:], out=xs[:, :-1])
+            head = xs.ravel()[:-1]
+            head *= sorted_bids.ravel()[1:]
             xs[:, -1] = 0.0
         z.put(cells, xs)
 
@@ -220,11 +227,13 @@ def outcomes(mechanism: Mechanism, bids: np.ndarray) -> tuple[np.ndarray, np.nda
     a (rows, n) bid matrix, one auction per row.
 
     Same rule, tie-breaking and bits as `allocate`, the scalar oracle it
-    is tested against.  Bids must be finite and non-negative and carry no
-    -0.0 (every source of values and bids turns it into 0.0), so the two
-    agree on the sign of every zero.  The mechanism's cached kernel
+    is tested against.  Bids must be finite and non-negative; a -0.0 bid
+    is read as 0.0, as `allocate` reads it, since the kernel's sign of a
+    bid is bid > 0 only without -0.0 (the engines call the kernel directly
+    on bids that never carry one).  The mechanism's cached kernel
     (`_kernel`) fills zeroed arrays; the single slot has a faster one.
     """
+    bids = bids + 0.0  # -0.0 becomes 0.0
     x, z = np.zeros_like(bids), np.zeros_like(bids)
     _kernel(mechanism, *bids.shape)(bids, x, z)
     return x, z

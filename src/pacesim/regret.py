@@ -324,6 +324,8 @@ def perfect_multiplier(env: EnvironmentStep, rho: float, mu_cap: float) -> float
     """
     if not rho > 0:
         raise PreconditionError("target rate must be positive")
+    if not math.isfinite(mu_cap):
+        raise PreconditionError(f"mu_cap must be finite, got {mu_cap}")
     if mu_cap < env.value_cap / rho:
         raise PreconditionError("need mu_cap >= value_cap / rho")
     z0 = float(env.spend(np.array([0.0]))[0])

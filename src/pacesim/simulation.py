@@ -467,18 +467,22 @@ class _Lockstep:
         of out takes array[..., t0:t1] = plane[:t1 - t0, rows].T, plane
         the block's mus, x or z at column `column`.  For column None, block
         and arrays are viewed with each (rows, n) row as one raw n * 8-byte
-        item, so that a copy moves t1 - t0 items however few the agents."""
+        item, so that a copy moves t1 - t0 items however few the agents.
+        The (array, source) pairs, source a full block's plane[:B, rows].T,
+        are built once; a partial last block copies its first t1 - t0."""
         raw = np.dtype((np.void, 8 * self.mus.shape[-1]))
         planes = [a[..., column] if column is not None else a.view(raw)[..., 0]
                   for a in (self.mus, self.x, self.z)]
         if column is None:
             out = [(rows, [a.view(raw)[..., 0] for a in arrays]) for rows, arrays in out]
+        B = len(self.b)
+        pairs = [(array, plane[:B, rows].T)
+                 for rows, arrays in out for array, plane in zip(arrays, planes)]
         for t0 in range(0, self.horizon, _RECORD_ROUNDS):
             t1 = min(t0 + _RECORD_ROUNDS, self.horizon)
             self.play(*fill(t0, t1))
-            for rows, arrays in out:
-                for array, plane in zip(arrays, planes):
-                    array[..., t0:t1] = plane[: t1 - t0, rows].T
+            for array, source in pairs:
+                array[..., t0:t1] = source if t1 - t0 == B else source[..., : t1 - t0]
 
     def play(self, values, bids) -> None:
         """The next nb rounds, one record block, for values, (nb, rows, n)

@@ -219,8 +219,23 @@ def test_outcomes_match_scalar_allocate_bit_for_bit():
             bids[0] = 0.0
             x, z = outcomes(mech, bids)
             ref = [allocate(mech, row) for row in bids]
-            assert np.array_equal(x, np.array([o.allocations for o in ref]))
-            assert np.array_equal(z, np.array([o.payments for o in ref]))
+            assert x.tobytes() == np.array([o.allocations for o in ref]).tobytes()
+            assert z.tobytes() == np.array([o.payments for o in ref]).tobytes()
+
+
+@pytest.mark.parametrize("rates", [(1.0, 0.6, 0.4, 0.2, 0.1), (0.9, 0.5, 0.3, 0.2, 0.1, 0.05)])
+def test_engine_shaped_gsp_matches_scalar_allocate_bit_for_bit(rates):
+    # 64 rows of five agents, with a click rate for every agent: the flat
+    # next-bid product's last-column term reads the next row's top bid,
+    # and must be overwritten with +0.0.
+    rng = np.random.default_rng(12)
+    bids = np.round(rng.uniform(0, 2, (64, 5)), 1)
+    bids[rng.random(bids.shape) < 0.2] = 0.0
+    bids[::7] = 1.0  # forced ties
+    x, z = outcomes(gsp(rates), bids)
+    ref = [allocate(gsp(rates), row) for row in bids]
+    assert x.tobytes() == np.array([o.allocations for o in ref]).tobytes()
+    assert z.tobytes() == np.array([o.payments for o in ref]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -317,6 +332,22 @@ def test_allocate_reads_negative_zero_bids_as_zero(mech):
             plain = allocate(mech, [b + 0.0 for b in profile])
             assert np.array(signed.allocations).tobytes() == np.array(plain.allocations).tobytes()
             assert np.array(signed.payments).tobytes() == np.array(plain.payments).tobytes()
+
+
+@pytest.mark.parametrize(
+    "mech", _KERNEL_MECHANISMS,
+    ids=["first-price", "first-price-polymatroid", "second-price", "gsp-two", "gsp-four"],
+)
+def test_outcomes_read_negative_zero_bids_as_zero(mech):
+    # The vectorized path must give allocate's bits on -0.0 bids too: a
+    # -0.0 winner's bid or next bid would otherwise carry its sign.
+    for n in range(1, 4):
+        profiles = np.array(list(itertools.product([-0.0, 0.0, 0.5, 1.0], repeat=n)))
+        x, z = outcomes(mech, profiles)
+        ref = [allocate(mech, row) for row in profiles]
+        assert x.tobytes() == np.array([o.allocations for o in ref]).tobytes(), n
+        assert z.tobytes() == np.array([o.payments for o in ref]).tobytes(), n
+        assert np.signbit(profiles).any()  # the -0.0 bids reached outcomes, which kept them
 
 
 @pytest.mark.parametrize(

@@ -587,6 +587,38 @@ def test_the_gate_clamps_only_blocks_near_a_stop_or_a_clamp(monkeypatch):
         assert np.all(game.rems[game.closed, :, 0] == budget - 0.25 * T)
 
 
+def test_the_gates_rounding_factor_covers_a_budget_far_above_its_values():
+    # A paced cell with a budget of 1e19 opens its block a few ulps (u =
+    # 2**-29 at its threshold of about 1e7) above thresh + nb * top, bidding
+    # and paying 0.75 - 2**-30 = (k + 1/2) u a round, k odd: each rem - z is
+    # a tie that rounds to the even rem - (k + 1) u, a loss of 0.75, beyond
+    # top = 0.75 - 2**-32.  After nb rounds the block has lost 192 and the
+    # cell stops in its last round, which the gate sees only through its
+    # rounding factor.  The reference plays the same cell beside a second
+    # row that opens on its threshold, so that its block always binds.
+    nb, u, value = _RECORD_ROUNDS, 2.0**-29, 0.75 - 2.0**-30
+    budget = np.array([1e19])
+    params = np.array([0.01]), np.array([0.0]), np.array([0.0])  # mu held at 0
+
+    def played(rows):
+        game = simulation._Lockstep(rows, 2 * nb, first_price(), np.array([True]), budget, *params)
+        thresh = game.thresh[0, 0]
+        rem = thresh + 192.0 - 16 * u
+        rem -= u * (rem / u % 2)  # an even multiple of u
+        game.rems[0] = thresh
+        game.rems[0, 0] = rem
+        game.play(np.full((nb, rows, 1), value), None)
+        return game, rem - thresh
+
+    game, opening = played(1)
+    reference, _ = played(2)
+    top = value * (1 + 2**-30)
+    assert nb * top <= opening < 192.0  # the gate without its factor skips the block
+    assert game.stop_round[0, 0] == reference.stop_round[0, 0] == nb + 1
+    for name in ("mus", "rems", "b", "x", "z"):
+        assert _same_bits(getattr(game, name)[:, 0], getattr(reference, name)[:, 0]), name
+
+
 @st.composite
 def _gated_markets(draw):
     """_random_markets over two or three record blocks with every budget

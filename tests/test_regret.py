@@ -149,6 +149,13 @@ class TestPerfectMultiplier:
         with pytest.raises(PreconditionError):
             perfect_multiplier(uniform_opponent_env(), 0.25, 1.0)
 
+    @pytest.mark.parametrize("mu_cap", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_mu_cap_must_be_finite(self, mu_cap):
+        # Both used to pass the mu_cap >= value_cap / rho check, and the
+        # bisection's first spend call refused the multiplier instead.
+        with pytest.raises(PreconditionError, match="mu_cap must be finite"):
+            perfect_multiplier(uniform_opponent_env(), 0.25, mu_cap)
+
     @pytest.mark.parametrize("rho", [0.0, -0.25, math.nan])
     def test_target_rate_must_be_positive(self, rho):
         # A NaN rate used to pass the check and end its bisection in a
@@ -307,6 +314,13 @@ class TestDynamicRegret:
         runs = simulate_pacing(env, budget=50.0, learning_rate=0.05, mu_cap=8.0, horizon=200)
         with pytest.raises(PreconditionError):
             dynamic_regret_batch(runs, env, **{field: bad})
+
+    @pytest.mark.parametrize("mu_cap", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_cap_is_refused_by_name(self, mu_cap):
+        env = uniform_opponent_env()
+        runs = simulate_pacing(env, budget=50.0, learning_rate=0.05, mu_cap=8.0, horizon=200)
+        with pytest.raises(PreconditionError, match="mu_cap must be finite"):
+            dynamic_regret_batch(runs, env, mu_cap=mu_cap)
 
     def test_switching_environment_path_length(self):
         quiet = uniform_opponent_env(low=0.0, width=0.5)
