@@ -56,6 +56,7 @@ from .welfare import (
     verify_welfare_bound,
 )
 from .regret import (
+    EnvironmentSequence,
     EnvironmentStep,
     PacingRun,
     PerfectPacingSequence,

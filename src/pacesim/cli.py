@@ -41,7 +41,7 @@ from .errors import (
 )
 from .regret import (
     _curve_points,
-    _distinct,
+    _sequence,
     _throttle,
     dynamic_regret_batch,
     fit_growth_exponent,
@@ -293,7 +293,7 @@ def _dump_curves(path: str, envs, params) -> None:
     grid = np.linspace(0.0, params["mu_cap"], 201)
     rho = params["target_rate"]
     segments = []
-    for i, (env, _rounds) in enumerate(_distinct(envs)):
+    for i, env in enumerate(_sequence(envs).steps):
         z, v, h = _curve_points(env, rho, grid)
         segments.append(np.column_stack([np.full(len(grid), i), grid, z, v, h, _throttle(z, v, rho)]))
     _write_csv(path, ("segment", "mu", "Z", "V", "H", "W"), np.concatenate(segments), 1)

@@ -280,34 +280,82 @@ def uniform_opponent_env(
     )
 
 
-def _distinct(envs: Sequence[EnvironmentStep]) -> list[tuple[EnvironmentStep, np.ndarray]]:
-    """Each distinct environment object of the sequence, in order of first
-    appearance, with the (ascending) rounds it covers."""
-    ids = np.fromiter(map(id, envs), dtype=np.uintp, count=len(envs))
-    _ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rounds = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return [(envs[first[g]], rounds[g]) for g in np.argsort(first)]
+@dataclass(frozen=True, eq=False)
+class EnvironmentSequence:
+    """The environments of T rounds as a table: steps, the distinct
+    environments in order of first appearance, and index, the read-only
+    (T,) integer array of each round's step.  len, indexing and iteration
+    give one environment per round."""
+
+    steps: tuple
+    index: np.ndarray
+
+    def __post_init__(self):
+        index = np.array(self.index)
+        if not self.steps or not index.size:
+            raise ConfigurationError("empty environment sequence: it needs at least one round")
+        # In order of first appearance, every step: the running maximum of
+        # the index takes each number 0 to len(steps) - 1.
+        top = np.maximum.accumulate(index) if index.ndim == 1 and index.dtype.kind in "iu" else []
+        if not np.array_equal(np.unique(top), range(len(self.steps))) or index.min() < 0:
+            raise ConfigurationError("index must number the steps 0, 1, ... as they first appear")
+        index.flags.writeable = False
+        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "index", index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, t) -> EnvironmentStep:
+        return self.steps[self.index[t]]
+
+    def rounds(self) -> list[np.ndarray]:
+        """Each step's rounds, ascending."""
+        order = np.argsort(self.index, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.index))[:-1])
 
 
-def _draw_runs(groups, T: int, R: int, seed: int):
-    """Every distinct environment's joint profiles in one table, each
-    atom's noise width beside it, each group's atoms offset by the atoms
-    of the groups before it, and R runs of T rounds drawn from it: (R, T)
-    indices into the table, in the smallest unsigned dtype that holds
-    them, and the raw (R, T, opponents) noise uniforms.  Run r draws on
-    substream r of seed: one uniform per round picks the atom, then one
-    per round and competing bid realizes the noise."""
-    table = np.concatenate([env._model.profiles for env, _rounds in groups])
-    widths = np.concatenate([np.full(env.n_atoms, env.eta) for env, _rounds in groups])
-    offsets = np.cumsum([0] + [env.n_atoms for env, _rounds in groups[:-1]])
+def _sequence(envs, horizon: int | None = None) -> EnvironmentSequence:
+    """envs as an EnvironmentSequence: one EnvironmentStep played for
+    horizon rounds, a sequence as it is, or a list of steps, one per round,
+    grouped by object identity.  A given horizon must be a positive integer
+    and equal the length."""
+    if horizon is not None:  # the rule replications and seed are checked by
+        _check_number(SimpleNamespace(horizon=horizon), "horizon", positive=True, integer=True)
+    if isinstance(envs, EnvironmentStep):
+        if horizon is None:
+            raise ConfigurationError("horizon required with a single environment")
+        envs = EnvironmentSequence((envs,), np.zeros(int(horizon), dtype=np.intp))
+    elif not isinstance(envs, EnvironmentSequence):
+        groups = {}  # id -> (number, step); holding each step keeps its id unique
+        index = [groups.setdefault(id(env), (len(groups), env))[0] for env in envs]
+        envs = EnvironmentSequence(tuple(env for _number, env in groups.values()), index)
+    if horizon is not None and horizon != len(envs):
+        raise ConfigurationError("environment list length must equal the horizon")
+    return envs
+
+
+def _draw_runs(envs: EnvironmentSequence, R: int, seed: int):
+    """Every step's joint profiles in one table, each atom's noise width
+    beside it, each step's atoms offset by the atoms of the steps before
+    it, and R runs of the sequence's T rounds drawn from it: (R, T) indices
+    into the table, in the smallest unsigned dtype that holds them, and the
+    raw (R, T, opponents) noise uniforms.  Run r draws on substream r of
+    seed: one uniform per round picks the atom, then one per round and
+    competing bid realizes the noise."""
+    steps, T = envs.steps, len(envs)
+    table = np.concatenate([env._model.profiles for env in steps])
+    widths = np.concatenate([np.full(env.n_atoms, env.eta) for env in steps])
+    offsets = np.cumsum([0] + [env.n_atoms for env in steps[:-1]])
+    rounds = envs.rounds()
     atoms = np.empty((R, T), dtype=np.min_scalar_type(len(table) - 1))
-    noise = np.empty((R, T, groups[0][0].n_opponents))
+    noise = np.empty((R, T, steps[0].n_opponents))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
         rng = np.random.Generator(np.random.Philox(child))
         uniforms = rng.random(T)
         noise[r] = rng.random(noise.shape[1:])
-        for (env, rounds), offset in zip(groups, offsets):
-            atoms[r, rounds] = atom_indices(env.probs, uniforms[rounds]) + offset
+        for env, at, offset in zip(steps, rounds, offsets):
+            atoms[r, at] = atom_indices(env.probs, uniforms[at]) + offset
     return table, widths, atoms, noise
 
 
@@ -361,17 +409,16 @@ class PerfectPacingSequence:
         return float(np.abs(np.diff(self.multipliers)).sum())
 
 
-def perfect_sequence(
-    envs: Sequence[EnvironmentStep], rho: float, mu_cap: float
-) -> PerfectPacingSequence:
-    """Perfect multiplier per round; repeated env objects are solved (and
-    their residual evaluated) once."""
-    mus = np.empty(len(envs))
-    res = np.empty(len(envs))
-    for env, rounds in _distinct(envs):
+def perfect_sequence(envs, rho: float, mu_cap: float) -> PerfectPacingSequence:
+    """Perfect multiplier per round of envs (an EnvironmentSequence, or a
+    list of steps, one per round); each step is solved, and its residual
+    evaluated, once."""
+    envs = _sequence(envs)
+    per_step = []
+    for env in envs.steps:
         mu = perfect_multiplier(env, rho, mu_cap)
-        mus[rounds] = mu
-        res[rounds] = abs(float(env.spend(np.array([mu]))[0]) - rho)
+        per_step.append((mu, abs(float(env.spend(np.array([mu]))[0]) - rho)))
+    mus, res = (np.array(col)[envs.index] for col in zip(*per_step))
     return PerfectPacingSequence(mus, res)
 
 
@@ -441,13 +488,14 @@ class SmoothingSpec:
 
 
 def measure_smoothing(env_or_envs, mu_cap: float) -> SmoothingSpec:
-    envs = [env_or_envs] if isinstance(env_or_envs, EnvironmentStep) else list(env_or_envs)
+    single = isinstance(env_or_envs, EnvironmentStep)  # needs no horizon here
+    steps = _sequence([env_or_envs] if single else env_or_envs).steps
     lam = 0.0
     floor_abs = math.inf
     floor_rel = math.inf
     eta = 0.0
     mus = np.linspace(0.0, mu_cap, 2001)
-    for env, _rounds in _distinct(envs):
+    for env in steps:
         z, v = env.spend_value(mus)
         slopes = np.abs(np.diff(z)) / np.diff(mus)
         rel = z[0] * env.value_cap / v[0] if v[0] > 0 else math.inf
@@ -506,20 +554,6 @@ def _run_bids(run: PacingRun) -> np.ndarray:
     return _played_bids(run.values, run.multipliers, opening, [run.stop_round], [True])
 
 
-def _as_env_list(envs, horizon: int | None) -> list[EnvironmentStep]:
-    if isinstance(envs, EnvironmentStep):
-        if horizon is None:
-            raise ConfigurationError("horizon required with a single environment")
-        envs = [envs] * horizon
-    else:
-        envs = list(envs)
-        if horizon is not None and horizon != len(envs):
-            raise ConfigurationError("environment list length must equal the horizon")
-    if not envs:
-        raise ConfigurationError(f"no rounds: the horizon must be positive, got {horizon}")
-    return envs
-
-
 def _focal_outcome(env: EnvironmentStep, profiles: np.ndarray, bids: np.ndarray):
     """The focal agent's allocation and payment when it bids `bids` (any
     shape) in the joint profiles (that shape, or one broadcasting to it,
@@ -541,8 +575,8 @@ def simulate_pacing(
     seed: int = 0,
     replications: int = 1,
 ) -> list[PacingRun]:
-    """Run the pacing agent against the environment sequence, whose
-    environments must share one mechanism, agent_index and opponent count.
+    """Run the pacing agent against envs (as _sequence takes them), whose
+    steps must share one mechanism, agent_index and opponent count.
 
     Replications advance in lockstep on spawned substreams through the
     market engine's round (simulation._Lockstep), the agent a paced column
@@ -556,19 +590,18 @@ def simulate_pacing(
     counts = SimpleNamespace(replications=replications, seed=seed)
     _check_number(counts, "replications", integer=True)
     _check_number(counts, "seed", integer=True)
-    env_list = _as_env_list(envs, horizon)
-    groups = _distinct(env_list)
-    first = env_list[0]
+    envs = _sequence(envs, horizon)
+    first = envs.steps[0]
     k, n_opp = first.agent_index, first.n_opponents
     shape = (first.mechanism, k, n_opp)
-    if any((e.mechanism, e.agent_index, e.n_opponents) != shape for e, _rounds in groups):
+    if any((e.mechanism, e.agent_index, e.n_opponents) != shape for e in envs.steps):
         raise ConfigurationError("environments must share mechanism, agent_index and n_opponents")
-    T, R = len(env_list), counts.replications
+    T, R = len(envs), counts.replications
     spec = PacedAgent(budget, learning_rate, mu_cap)
-    value_cap = max(env.value_cap for env, _rounds in groups)
+    value_cap = max(env.value_cap for env in envs.steps)
     cfg = AgentConfig(spec.budget, T, spec.learning_rate, spec.mu_cap, value_cap)
 
-    table, widths, atoms, noise = _draw_runs(groups, T, R, counts.seed)
+    table, widths, atoms, noise = _draw_runs(envs, R, counts.seed)
 
     # Per column: paced, budget, learning rate, target rate, mu_cap.
     params = np.full((5, n_opp + 1), [[0.0], [np.inf], [np.nan], [np.nan], [np.nan]])
@@ -680,24 +713,23 @@ def dynamic_regret_batch(
     T = runs[0].horizon
     if any(r.horizon != T for r in runs):
         raise ConfigurationError("all runs must share one horizon")
-    env_list = _as_env_list(envs, T)
+    envs = _sequence(envs, T)
     rho = runs[0].target_rate if rho is None else rho
     mu_cap = runs[0].mu_cap if mu_cap is None else mu_cap
 
-    groups = _distinct(env_list)
-    distinct = [env for env, _rounds in groups]
-    perfect = perfect_sequence(env_list, rho, mu_cap)
-    smoothing = measure_smoothing(distinct, mu_cap)
-
-    v_star = np.empty(T)
-    h_star = np.empty(T)
-    for env, rounds_arr in groups:
-        mu_star = perfect.multipliers[rounds_arr[:1]]
-        v_star[rounds_arr] = env.spend_value(mu_star)[1]
-        h_star[rounds_arr] = objective_values(env, rho, mu_star)
+    rounds = envs.rounds()
+    perfect = perfect_sequence(envs, rho, mu_cap)
+    smoothing = measure_smoothing(envs, mu_cap)
+    # Each step's expected value and surrogate objective at its perfect
+    # multiplier, spread over its rounds.
+    per_step = []
+    for env, at in zip(envs.steps, rounds):
+        mu_star = perfect.multipliers[at[:1]]
+        per_step.append((env.spend_value(mu_star)[1][0], objective_values(env, rho, mu_star)[0]))
+    v_star, h_star = (np.array(col)[envs.index] for col in zip(*per_step))
 
     sgd_bound, value_bound = regret_bounds(
-        perfect.path_length, mu_cap, rho, max(env.value_cap for env in distinct), T, smoothing
+        perfect.path_length, mu_cap, rho, max(env.value_cap for env in envs.steps), T, smoothing
     )
     # One run at a time: its expected value and surrogate objective at the
     # multipliers it played, written over its live rounds of two buffers
@@ -707,8 +739,8 @@ def dynamic_regret_batch(
     reports = []
     for run in runs:
         live = ~np.isnan(run.multipliers)
-        for env, rounds_arr in groups:
-            played = rounds_arr[live[rounds_arr]]
+        for env, at in zip(envs.steps, rounds):
+            played = at[live[at]]
             if len(played) == 0:
                 continue
             _z, v_run[played], h_run[played] = _curve_points(env, rho, run.multipliers[played])
@@ -776,7 +808,7 @@ def stochastic_value(
     T, R = spec.horizon, spec.replications
     if budget == 0 or T == 0:
         return 0.0, 0.0
-    table, widths, atoms, noise = _draw_runs([(env, np.arange(T))], T, R, spec.seed)
+    table, widths, atoms, noise = _draw_runs(_sequence(env, T), R, spec.seed)
     profiles = _noised_profiles(table, widths, env._others, atoms, noise)
     vals = profiles[..., env.agent_index]
     x, z = _focal_outcome(env, profiles, vals / (1.0 + mu))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Scenario, parse_scenario, validate_scenario
 from .errors import ConfigurationError, EnvironmentError_
-from .regret import EnvironmentStep
+from .regret import EnvironmentSequence, EnvironmentStep
 from .simulation import PacedAgent, ScriptedAgent
 
 WELFARE_SUITE = (
@@ -62,15 +62,14 @@ def _at_horizon(scenario: Scenario, T: int, text: str = "", **fields) -> Scenari
     return validate_scenario(doc, text)
 
 
-def regret_environment(scenario: Scenario) -> tuple[int, list[EnvironmentStep], dict]:
+def regret_environment(scenario: Scenario) -> tuple[int, EnvironmentSequence, dict]:
     """Reconstruct the focal agent's per-round environments from a scenario.
 
     Requires exactly one paced agent; all opponents must be scripted, since
     only scripted bid processes are reconstructible as per-round
-    distributions.  Returns (agent index, one environment per round, agent
-    parameters).  Environments are shared objects within each script
-    segment, so downstream caches collapse piecewise-constant stretches.
-    The perfect multiplier's search needs the agent's mu_cap >= value_cap / rho.
+    distributions.  Returns (agent index, an EnvironmentSequence with one
+    step per distinct row of the opponents' bids, agent parameters).  The
+    perfect multiplier's search needs the agent's mu_cap >= value_cap / rho.
     """
     config = scenario.config
     paced = [k for k, a in enumerate(config.agents) if isinstance(a, PacedAgent)]
@@ -92,25 +91,18 @@ def regret_environment(scenario: Scenario) -> tuple[int, list[EnvironmentStep], 
     eta = scenario.smoothing_eta or 0.0
     model = config.value_model
 
-    envs: list[EnvironmentStep] = []
-    cache: dict[tuple, EnvironmentStep] = {}
-    for t in range(horizon):
-        key = tuple(opp_bids[t])
-        if key not in cache:
-            comp = np.tile(opp_bids[t], (model.support_size, 1))
-            cache[key] = EnvironmentStep(
-                mechanism=config.mechanism,
-                probs=model.probs,
-                values=model.profiles[:, agent],
-                competing_bids=comp,
-                eta=eta,
-                agent_index=agent,
-            )
-        envs.append(cache[key])
+    # np.unique sorts the distinct rows; the steps go in order of first appearance.
+    _rows, first, inverse = np.unique(opp_bids, axis=0, return_index=True, return_inverse=True)
+    steps = tuple(
+        EnvironmentStep(config.mechanism, model.probs, model.profiles[:, agent],
+                        np.tile(opp_bids[t], (model.support_size, 1)), eta, agent)
+        for t in np.sort(first)
+    )
+    envs = EnvironmentSequence(steps, np.argsort(np.argsort(first))[inverse])
 
     spec = config.agents[agent]
     cfg = config.agent_config(agent)
-    floor = envs[0].value_cap / cfg.target_rate
+    floor = steps[0].value_cap / cfg.target_rate
     if cfg.mu_cap < floor:
         raise ConfigurationError(
             f"regret needs mu_cap >= value_cap / rho = {floor}, got {cfg.mu_cap}",

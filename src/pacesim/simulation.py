@@ -120,14 +120,14 @@ class ValueModel:
 def _check_number(spec, name: str, positive=False, integer=False, path=None) -> None:
     """Refuse a number field of spec (None passes unless integer: a count
     or seed, stored as an int) that is not finite, is negative, is 0 if
-    positive or is fractional if integer.  The path is path, else (name,)."""
+    positive or is fractional or a bool if integer; the path is path, else (name,)."""
     value, path = getattr(spec, name), path or (name,)
     if value is None and not integer:
         return
     what = ".".join(path)
     if value is None or not math.isfinite(value):
         raise ConfigurationError(f"{what} must be finite, got {value}", path)
-    if integer and int(value) != value:
+    if integer and (isinstance(value, bool) or int(value) != value):
         raise ConfigurationError(f"{what} must be an integer, got {value}", path)
     if value < 0 or (positive and value == 0):
         rule = "positive" if positive else "non-negative"

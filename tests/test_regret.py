@@ -2,6 +2,7 @@
 and dynamic regret of simulated pacing runs."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacesim import (
+    EnvironmentSequence,
     EnvironmentStep,
     Mechanism,
     Polymatroid,
@@ -41,7 +43,8 @@ from pacesim import regret
 from pacesim.auctions import SingleSlot
 from pacesim.cli import main
 from pacesim.regret import PacingRun, objective_values
-from pacesim.scenarios import load_scenario, regret_environment
+from pacesim.config import parse_scenario
+from pacesim.scenarios import load_scenario, regret_environment, scenario_text
 
 
 def two_atom_env():
@@ -391,7 +394,7 @@ class TestStochasticValue:
         ("mu", -0.5), ("mu", math.nan), ("mu", math.inf), ("budget", math.nan),
         ("budget", math.inf), ("budget", -1.0), ("horizon", -3), ("horizon", 2.5),
         ("replications", -1), ("replications", 0), ("seed", -1), ("seed", 2.5),
-        ("replications", None), ("seed", None),
+        ("replications", None), ("seed", None), ("horizon", True), ("replications", True),
     ])
     def test_rejects_bad_inputs(self, name, value):
         args = {"mu": 0.5, "budget": 3.0, "horizon": 10, "replications": 4, "seed": 0,
@@ -734,10 +737,16 @@ def test_simulate_pacing_rejects_mixed_environments(other):
         {"horizon": 0},
         {"seed": None},
         {"replications": None},
+        # A bare TypeError, and one round played for True, before.
+        {"horizon": 2.5},
+        {"horizon": math.nan},
+        {"horizon": True},
+        {"seed": True},
     ],
     ids=["negative-budget", "nan-learning-rate", "inf-mu-cap", "negative-replications",
          "fractional-replications", "nan-replications", "negative-seed", "fractional-seed",
-         "nan-seed", "zero-horizon", "none-seed", "none-replications"],
+         "nan-seed", "zero-horizon", "none-seed", "none-replications", "fractional-horizon",
+         "nan-horizon", "bool-horizon", "bool-seed"],
 )
 def test_simulate_pacing_refuses_what_the_market_engine_refuses(change):
     # The agent goes through PacedAgent and AgentConfig, the market engine's
@@ -929,12 +938,109 @@ def test_regret_batch_matches_the_per_group_formula(case):
 def test_distinct_groups_interleaved_environments_by_object():
     a, b, c = (uniform_opponent_env(low=low) for low in (0.0, 0.1, 0.0))  # c equals a
     envs = [a, b, a, c, b]
-    got = regret._distinct(envs)
+    seq = regret._sequence(envs)
+    got = list(zip(seq.steps, seq.rounds()))
     want = _groups_by_dict(envs)
     assert len(got) == len(want) == 3
     for (env, rounds), (want_env, want_rounds) in zip(got, want):
         assert env is want_env
         assert rounds.dtype == np.int64 and rounds.tolist() == want_rounds.tolist()
+
+
+def _revisiting_scenario(schedule, horizon):
+    """regret_switching with the opponent's schedule and horizon replaced."""
+    doc = json.loads(scenario_text("regret_switching"))
+    doc["agents"][1]["script"]["schedule"] = schedule
+    doc["agents"][0]["budget"] = 0.3 * horizon
+    doc["horizon"] = horizon
+    return parse_scenario(json.dumps(doc))
+
+
+# A bid level that comes back: np.unique's sorted order (0.1, 0.3, 0.45)
+# is not the order of first appearance (0.45, 0.1, 0.3).
+_REVISIT = [[500, 0.45], [1000, 0.1], [1500, 0.45], [2000, 0.3]]
+
+
+def test_regret_environment_numbers_steps_in_order_of_first_appearance():
+    _agent, envs, _params = regret_environment(_revisiting_scenario(_REVISIT, 2000))
+    assert isinstance(envs, EnvironmentSequence) and len(envs) == 2000
+    assert [step.competing_bids[0, 0] for step in envs.steps] == [0.45, 0.1, 0.3]
+    assert envs.index.tolist() == [0] * 500 + [1] * 500 + [0] * 500 + [2] * 500
+    assert envs[0] is envs[1000] is envs.steps[0] and envs[-1] is envs.steps[2]
+    assert [env for env in envs] == [envs.steps[g] for g in envs.index]
+
+
+def test_a_sequence_and_its_list_give_the_same_bits():
+    _agent, envs, params = regret_environment(_revisiting_scenario(_REVISIT, 2000))
+    rho, mu_cap = params["target_rate"], params["mu_cap"]
+    results = []
+    for given in (envs, list(envs)):
+        runs = simulate_pacing(given, params["budget"], params["learning_rate"], mu_cap,
+                               seed=4, replications=3)
+        reports = dynamic_regret_batch(runs, given, rho, mu_cap)
+        results.append((runs, reports))
+    (runs, reports), (list_runs, list_reports) = results
+    assert reports[0].path_length > 0
+    for run, other in zip(runs, list_runs):
+        for field in ("multipliers", "values", "bids", "allocations", "payments"):
+            assert getattr(run, field).tobytes() == getattr(other, field).tobytes(), field
+        assert run.stop_round == other.stop_round
+    for report, other in zip(reports, list_reports):
+        assert report.as_dict() == other.as_dict()
+        assert report.perfect.multipliers.tobytes() == other.perfect.multipliers.tobytes()
+        assert report.perfect.residuals.tobytes() == other.perfect.residuals.tobytes()
+
+
+def test_a_long_two_level_schedule_builds_two_environments(monkeypatch):
+    scenario = _revisiting_scenario([[50_000, 0.45], [100_000, 0.1]], 100_000)
+    built = []
+    post_init = EnvironmentStep.__post_init__
+    monkeypatch.setattr(
+        EnvironmentStep, "__post_init__", lambda env: built.append(env) or post_init(env)
+    )
+    _agent, envs, _params = regret_environment(scenario)
+    assert len(built) == 2 and envs.steps == tuple(built) and len(envs) == 100_000
+
+
+@pytest.mark.parametrize("call", [
+    lambda env: perfect_sequence(env, 0.25, 4.0),
+    lambda env: simulate_pacing(env, 10.0, 0.1, 4.0),
+], ids=["perfect-sequence", "simulate-pacing"])
+def test_a_single_environment_needs_a_horizon(call):
+    # perfect_sequence used to fail with a bare TypeError (no len()).
+    with pytest.raises(ConfigurationError, match="horizon required"):
+        call(uniform_opponent_env())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: perfect_sequence([], 0.25, 4.0),
+    lambda: measure_smoothing([], 4.0),
+    lambda: simulate_pacing([], 10.0, 0.1, 4.0),
+    lambda: EnvironmentSequence((), []),
+], ids=["perfect-sequence", "measure-smoothing", "simulate-pacing", "constructor"])
+def test_an_empty_sequence_is_refused(call):
+    # perfect_sequence returned an empty sequence and measure_smoothing
+    # lambda 0 with infinite floors; simulate_pacing's message ended "got None".
+    with pytest.raises(ConfigurationError, match="empty environment sequence"):
+        call()
+
+
+@pytest.mark.parametrize("index, steps", [
+    ([1, 0], 2), ([0, 0], 2), ([0, 2, 1], 3), ([0, 1, -1], 2), ([0.0, 1.0], 2), ([[0, 1]], 2),
+    ([0, 1, 2], 2),
+], ids=["second-first", "unused-step", "out-of-order", "negative", "float", "2-d",
+        "out-of-range"])
+def test_sequence_index_must_number_steps_as_they_first_appear(index, steps):
+    envs = tuple(uniform_opponent_env(low=0.1 * g) for g in range(steps))
+    with pytest.raises(ConfigurationError, match="first appear"):
+        EnvironmentSequence(envs, index)
+
+
+def test_sequence_index_is_a_read_only_copy():
+    index = np.array([0, 1, 0])
+    envs = EnvironmentSequence((uniform_opponent_env(low=0.0), uniform_opponent_env(low=0.1)), index)
+    index[0] = 1
+    assert envs.index.tolist() == [0, 1, 0] and not envs.index.flags.writeable
 
 
 def test_second_price_regret_command_is_pinned(tmp_path, capsys):
