@@ -50,15 +50,14 @@ print()
 print("== epochs: maximal stretches starting from an unshaded round ==")
 for k in range(2):
     bound = verify_epoch_value_bound(trace, k)
-    epochs = bound.epochs
-    lengths = [e.length for e in epochs]
+    lengths = bound.ends - bound.starts
     print(
-        f"agent {k}: {len(epochs)} epochs, longest {max(lengths)}, "
-        f"trivial (length-1) {sum(1 for n in lengths if n == 1)}"
+        f"agent {k}: {len(lengths)} epochs, longest {lengths.max()}, "
+        f"trivial (length-1) {(lengths == 1).sum()}"
     )
     print(
         f"   per-epoch value floor: {bound.n_checked} checked, "
-        f"{len(bound.violations)} violations, min slack {bound.min_slack:.3e}, "
+        f"{bound.n_violations} violations, min slack {bound.min_slack:.3e}, "
         f"{bound.n_skipped} final epoch(s) skipped"
     )
 

@@ -32,7 +32,6 @@ from .pacing import (
     update,
 )
 from .simulation import (
-    Epoch,
     PacedAgent,
     ScriptedAgent,
     SimulationConfig,

@@ -173,10 +173,9 @@ def cmd_welfare(args) -> int:
     )
 
     payload = report.as_dict()
-    payload["mean_total_spend"] = float(spends.mean())
-    payload["spend_at_most_welfare"] = bool(
-        spends.mean() - Z99 * spends.std(ddof=1) / math.sqrt(reps) <= report.mean
-    )
+    spend, spend_stderr = _mean_stderr(spends)
+    payload["mean_total_spend"] = spend
+    payload["spend_at_most_welfare"] = bool(spend - Z99 * spend_stderr <= report.mean)
     payload["optimum_rule"] = rule.allocations.tolist()
     if args.rule_csv:
         rule_to_csv(rule.allocations, args.rule_csv)

@@ -41,19 +41,20 @@ class AgentConfig:
     value_cap: float = 1.0
 
     def __post_init__(self):
-        if int(self.horizon) != self.horizon or self.horizon < 1:
+        h = self.horizon
+        if isinstance(h, bool) or not (1 <= h < math.inf and int(h) == h):
             raise ConfigurationError("horizon must be a positive integer")
         if not self.target_rate > 0:  # a subnormal budget underflows per round
             raise ConfigurationError("budget per round must be positive", ("budget",))
-        if self.value_cap < 1:
+        if not self.value_cap >= 1:
             raise ConfigurationError("value_cap must be at least 1 (rescale values)")
         if self.learning_rate is None:
             object.__setattr__(self, "learning_rate", 1.0 / math.sqrt(self.horizon))
         if self.mu_cap is None:
             object.__setattr__(self, "mu_cap", self.value_cap / self.target_rate)
-        if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be positive", ("learning_rate",))
-        if self.mu_cap < 0:
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigurationError("learning_rate must be finite and positive", ("learning_rate",))
+        if not self.mu_cap >= 0:
             raise ConfigurationError("mu_cap must be non-negative", ("mu_cap",))
 
     @property

@@ -370,8 +370,8 @@ def perfect_multiplier(env: EnvironmentStep, rho: float, mu_cap: float) -> float
     discontinuity at the root cannot meet the residual tolerance, in which
     case the caller is told to smooth the environment.
     """
-    if not rho > 0:
-        raise PreconditionError("target rate must be positive")
+    if not 0 < rho < math.inf:
+        raise PreconditionError(f"target rate must be positive and finite, got {rho}")
     if not math.isfinite(mu_cap):
         raise PreconditionError(f"mu_cap must be finite, got {mu_cap}")
     if mu_cap < env.value_cap / rho:
@@ -488,6 +488,8 @@ class SmoothingSpec:
 
 
 def measure_smoothing(env_or_envs, mu_cap: float) -> SmoothingSpec:
+    if not 0 < mu_cap < math.inf:
+        raise PreconditionError(f"mu_cap must be finite and positive, got {mu_cap}")
     single = isinstance(env_or_envs, EnvironmentStep)  # needs no horizon here
     steps = _sequence([env_or_envs] if single else env_or_envs).steps
     lam = 0.0
@@ -770,8 +772,8 @@ def fit_growth_exponent(horizons: Sequence[int], regrets: Sequence[float]) -> fl
         raise PreconditionError("a growth exponent needs at least two distinct horizons")
     if not np.all((h > 0) & (h < np.inf)):
         raise PreconditionError("horizons must be finite and positive for a log-log fit")
-    if np.any(r <= 0):
-        raise PreconditionError("regrets must be positive for a log-log fit")
+    if not np.all((r > 0) & (r < np.inf)):
+        raise PreconditionError("regrets must be finite and positive for a log-log fit")
     slope = np.polyfit(np.log(h), np.log(r), 1)[0]
     return float(slope)
 

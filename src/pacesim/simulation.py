@@ -630,114 +630,86 @@ def _mean_stderr(samples) -> tuple[float, float]:
 # Epochs
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """Half-open round interval [start, end): multiplier zero at start,
-    strictly positive strictly inside, end maximal."""
-
-    start: int
-    end: int
-    agent: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-def _live_rounds(trace: Trace, agent: int) -> int:
-    return min(int(trace.stop_rounds[agent]) - 1, trace.horizon)
-
-
-@dataclass(frozen=True)
-class EpochBoundReport:
-    agent: int
-    epochs: tuple[Epoch, ...]
-    checked: tuple[bool, ...]
-    slacks: tuple[float, ...]
-
-    @property
-    def n_checked(self) -> int:
-        return sum(self.checked)
-
-    @property
-    def n_skipped(self) -> int:
-        return len(self.epochs) - self.n_checked
-
-    @property
-    def min_slack(self) -> float:
-        vals = [s for s, c in zip(self.slacks, self.checked) if c]
-        return min(vals) if vals else math.inf
-
-    @property
-    def violations(self) -> list[Epoch]:
-        return [
-            e
-            for e, s, c in zip(self.epochs, self.slacks, self.checked)
-            if c and s < -SURE_TOL
-        ]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def _epoch_zeros(trace: Trace, agent: int):
-    """The agent's live rounds, and the 1-based rounds among them whose
-    multiplier is 0: each opens an epoch, which ends where the next one
-    opens, or after the last live round."""
+def _epoch_table(trace: Trace, agent: int):
+    """The agent's live-round count, the 1-based rounds that open its epochs
+    (each live round whose multiplier is 0; an epoch ends where the next one
+    opens, or after the last live round) and the slack of every epoch but
+    the last: the value collected less the value the bound needs, with
+    prefix sums only through the last epoch's start."""
     if trace.agent_kinds[agent] != "paced":
         raise ConfigurationError(f"agent {agent} is scripted and has no multipliers")
-    live = _live_rounds(trace, agent)
-    zeros = np.flatnonzero(trace.multipliers[:live, agent] == 0.0) + 1
-    if live and (len(zeros) == 0 or zeros[0] != 1):
+    live = min(int(trace.stop_rounds[agent]) - 1, trace.horizon)
+    starts = np.flatnonzero(trace.multipliers[:live, agent] == 0.0) + 1
+    if live and (len(starts) == 0 or starts[0] != 1):
         raise ConfigurationError("pacing multipliers must start at 0")
-    return live, zeros
-
-
-def _epoch_slacks(trace: Trace, agent: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Each epoch's value collected less the value the bound needs, with
-    prefix sums only through the last epoch's end."""
-    last = int(ends[-1]) - 1 if len(ends) else 0
+    if len(starts) < 2:
+        return live, starts, np.empty(0)
+    a, b = starts[:-1], starts[1:]
+    last = int(b[-1]) - 1
     xv = trace.allocations[:last, agent] * trace.values[:last, agent]
     cum = np.zeros(last + 1)
     np.cumsum(xv, out=cum[1:])
-    totals = cum[ends - 1] - cum[starts - 1]
     rho = float(trace.target_rates[agent])
-    needs = xv[starts - 1] - trace.payments[starts - 1, agent] + rho * (ends - starts - 1)
-    return totals - needs
+    needs = xv[a - 1] - trace.payments[a - 1, agent] + rho * (b - a - 1)
+    return live, starts, cum[b - 1] - cum[a - 1] - needs
+
+
+@dataclass(frozen=True, eq=False)
+class EpochBoundReport:
+    """One agent's epochs [starts, ends) in 1-based rounds and their slacks.
+    The bound is a sure statement only while the agent is live at an
+    epoch's right endpoint, so the last epoch, which ends on a stopped round
+    or after the horizon, is not checked and its slack is NaN."""
+
+    agent: int
+    starts: np.ndarray
+    ends: np.ndarray
+    slacks: np.ndarray
+
+    @property
+    def checked(self) -> np.ndarray:
+        return np.arange(len(self.slacks)) < len(self.slacks) - 1
+
+    @property
+    def n_checked(self) -> int:
+        return max(len(self.slacks) - 1, 0)
+
+    @property
+    def n_skipped(self) -> int:
+        return len(self.slacks) - self.n_checked
+
+    @property
+    def n_violations(self) -> int:
+        return int((self.slacks[:-1] < -SURE_TOL).sum())
+
+    @property
+    def min_slack(self) -> float:
+        return float(self.slacks[:-1].min()) if self.n_checked else math.inf
+
+    @property
+    def passed(self) -> bool:
+        return not self.n_violations
 
 
 def epoch_bound_stats(trace: Trace, agent: int):
-    """(epochs checked, violations, min slack) without materializing epoch
-    objects; the fast path for sweeping thousands of replications.  Every
-    epoch but the last ends on a live round and is checked, so the sums run
-    only through the last zero multiplier."""
-    _live, zeros = _epoch_zeros(trace, agent)
-    if len(zeros) < 2:
+    """verify_epoch_value_bound's (n_checked, n_violations, min_slack),
+    without building the report."""
+    slacks = _epoch_table(trace, agent)[2]
+    if not len(slacks):
         return 0, 0, math.inf
-    slacks = _epoch_slacks(trace, agent, zeros[:-1], zeros[1:])
     return len(slacks), int((slacks < -SURE_TOL).sum()), float(slacks.min())
 
 
 def verify_epoch_value_bound(trace: Trace, agent: int) -> EpochBoundReport:
-    """Check, per epoch, that the value collected is at least the first
-    round's value net of its spend plus the target rate for every later
-    round of the epoch.
-
-    Epochs whose end falls on a stopped round (including the horizon's end)
-    are skipped and reported as such; the inequality is a sure statement
-    only while the agent is live at the epoch's right endpoint.
-    """
-    live, zeros = _epoch_zeros(trace, agent)
-    bounds = np.append(zeros, live + 1)
-    starts, ends = bounds[:-1], bounds[1:]
-    slacks = _epoch_slacks(trace, agent, starts, ends)
-    epochs = tuple(
-        Epoch(int(a), int(b), agent) for a, b in zip(starts, ends)
-    )
-    return EpochBoundReport(
-        agent, epochs, tuple(bool(e <= live) for e in ends), tuple(float(s) for s in slacks)
-    )
+    """Check, per epoch but the last, that the value collected is at least
+    the first round's value net of its spend plus the target rate for every
+    later round of the epoch."""
+    live, starts, slacks = _epoch_table(trace, agent)
+    n = len(starts)
+    arrays = starts, np.append(starts[1:], live + 1)[:n], np.append(slacks, np.nan)[:n]
+    for a in arrays:
+        a.flags.writeable = False
+    return EpochBoundReport(agent, *arrays)
 
 
 # ---------------------------------------------------------------------------

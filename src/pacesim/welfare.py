@@ -120,10 +120,10 @@ def solve_ex_ante_optimum(
     b = np.asarray(budgets, dtype=np.float64)
     if b.shape != (n,):
         raise ConfigurationError("one budget per agent required")
-    if np.any(b < 0):
-        raise ConfigurationError("budgets must be non-negative")
-    if horizon < 0:
-        raise ConfigurationError("horizon must be non-negative")
+    if not np.all((b >= 0) & (b < np.inf)):
+        raise ConfigurationError("budgets must be finite and non-negative")
+    if not 0 <= horizon < math.inf:
+        raise ConfigurationError("horizon must be finite and non-negative")
     alpha = np.array([a for a in feasible.rates(n) if a > 0])
     m = len(alpha)
     shares = S * n * m

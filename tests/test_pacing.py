@@ -1,6 +1,8 @@
 """Pacing state machine: bid rule, projected update, stopping bound, and
 the generalized-pacing conformance checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,21 @@ class TestInitAndBid:
             AgentConfig(budget=0, horizon=10)
         with pytest.raises(ConfigurationError):
             AgentConfig(budget=5, horizon=0)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"mu_cap": math.nan}, "mu_cap"),
+        ({"value_cap": math.nan}, "value_cap"),
+        ({"learning_rate": math.nan}, "learning_rate"),
+        ({"learning_rate": math.inf}, "learning_rate"),
+        ({"horizon": True}, "horizon"),
+        ({"horizon": math.nan}, "horizon"),
+    ], ids=["nan-mu-cap", "nan-value-cap", "nan-rate", "inf-rate", "bool-horizon",
+            "nan-horizon"])
+    def test_the_oracle_config_refuses_what_paced_agent_refuses(self, kwargs, field):
+        # A NaN mu_cap was accepted and update ran uncapped (min(x, nan) is
+        # x); a horizon of True ran as horizon 1.
+        with pytest.raises(ConfigurationError, match=field):
+            AgentConfig(**{"budget": 10.0, "horizon": 10, **kwargs})
 
     def test_defaults(self):
         cfg = AgentConfig(budget=25, horizon=100, value_cap=2.0)

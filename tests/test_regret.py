@@ -159,10 +159,11 @@ class TestPerfectMultiplier:
         with pytest.raises(PreconditionError, match="mu_cap must be finite"):
             perfect_multiplier(uniform_opponent_env(), 0.25, mu_cap)
 
-    @pytest.mark.parametrize("rho", [0.0, -0.25, math.nan])
+    @pytest.mark.parametrize("rho", [0.0, -0.25, math.nan, math.inf])
     def test_target_rate_must_be_positive(self, rho):
         # A NaN rate used to pass the check and end its bisection in a
-        # SmoothingRequiredError with residual +nan.
+        # SmoothingRequiredError with residual +nan; an infinite one
+        # returned a multiplier of 0.
         with pytest.raises(PreconditionError, match="target rate must be positive"):
             perfect_multiplier(uniform_opponent_env(), rho, 10.0)
 
@@ -254,6 +255,13 @@ class TestArtificialObjective:
         h_star = surrogate_objective(env, rho, mu_star)
         gaps = np.sqrt(np.maximum(2.0 * lam * (h - h_star), 0.0))
         assert np.all(np.abs(z - z_star) <= gaps + 1e-6)
+
+    @pytest.mark.parametrize("mu_cap", [0.0, -1.0, math.inf, math.nan])
+    def test_smoothing_refuses_a_cap_that_is_not_finite_and_positive(self, mu_cap):
+        # 0.0 returned lambda = 0 from a one-point grid behind a RuntimeWarning,
+        # and inf raised a RuntimeWarning from an infinite grid.
+        with pytest.raises(PreconditionError, match="mu_cap must be finite and positive"):
+            measure_smoothing(uniform_opponent_env(), mu_cap)
 
 
 class TestWCurve:
@@ -496,6 +504,9 @@ def test_fit_growth_exponent():
     for horizons in ([0, 10], [-10, 10], [10, math.inf], [10, math.nan]):  # no logarithm
         with pytest.raises(PreconditionError, match="horizons must be finite and positive"):
             fit_growth_exponent(horizons, [1.0, 2.0])
+    for regret in (math.nan, math.inf):  # a NaN slope, not an error, before
+        with pytest.raises(PreconditionError, match="regrets must be finite and positive"):
+            fit_growth_exponent([10, 100], [1.0, regret])
 
 
 def _replay_draws(envs, child):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from pacesim import (
-    Epoch,
     PacedAgent,
     Polymatroid,
     ScriptedAgent,
@@ -36,6 +35,7 @@ from pacesim import (
 from pacesim import simulation
 from pacesim.verify import verification_traces
 from pacesim.config import validate_scenario
+from pacesim.constants import SURE_TOL
 from pacesim.errors import ConfigurationError
 from pacesim.scenarios import BUNDLED, load_scenario
 from pacesim.simulation import TRACE_COLUMNS, check_stopping_bound, epoch_bound_stats
@@ -425,9 +425,10 @@ def _assert_stats_match_the_report(trace, k):
     # epoch_bound_stats sums only through the last checked epoch, which is
     # every epoch but the last; its figures are the report's, bit for bit.
     report = verify_epoch_value_bound(trace, k)
-    assert report.checked == (True,) * (len(report.epochs) - 1) + (False,) * bool(report.epochs)
+    n = len(report.starts)
+    assert report.checked.tolist() == [True] * (n - 1) + [False] * bool(n)
     checked, violations, min_slack = epoch_bound_stats(trace, k)
-    assert (checked, violations) == (report.n_checked, len(report.violations))
+    assert (checked, violations) == (report.n_checked, report.n_violations)
     assert type(min_slack) is float
     assert np.float64(min_slack).tobytes() == np.float64(report.min_slack).tobytes()
     return checked, violations, min_slack
@@ -456,18 +457,13 @@ class TestEpochs:
         )
 
     def test_epoch_extraction_examples(self):
-        trace = self._trace_with_multipliers([0.0, 0.0, 0.1, 0.2, 0.0])
-        assert list(verify_epoch_value_bound(trace, 0).epochs) == [
-            Epoch(1, 2, 0), Epoch(2, 5, 0), Epoch(5, 6, 0)
-        ]
+        def epochs(mus):
+            report = verify_epoch_value_bound(self._trace_with_multipliers(mus), 0)
+            return report.starts.tolist(), report.ends.tolist()
 
-        trivial = self._trace_with_multipliers([0.0, 0.0, 0.0])
-        assert list(verify_epoch_value_bound(trivial, 0).epochs) == [
-            Epoch(1, 2, 0), Epoch(2, 3, 0), Epoch(3, 4, 0)
-        ]
-
-        single = self._trace_with_multipliers([0.0, 0.3, 0.3, 0.2])
-        assert list(verify_epoch_value_bound(single, 0).epochs) == [Epoch(1, 5, 0)]
+        assert epochs([0.0, 0.0, 0.1, 0.2, 0.0]) == ([1, 2, 5], [2, 5, 6])
+        assert epochs([0.0, 0.0, 0.0]) == ([1, 2, 3], [2, 3, 4])
+        assert epochs([0.0, 0.3, 0.3, 0.2]) == ([1], [5])
 
     def test_scripted_agent_has_no_epochs(self):
         trace = run_simulation(counterexample_scenario(9.0, 20))
@@ -487,7 +483,7 @@ class TestEpochs:
             [0.0, 0.2, 0.0], rho=1.0, xv=[0.5, 2.0, 1.0], z=[0.5, 2.0, 0.0]
         )
         report = verify_epoch_value_bound(trace, 0)
-        assert report.epochs[0] == Epoch(1, 3, 0)
+        assert (report.starts[0], report.ends[0]) == (1, 3)
         assert report.checked[0]
         assert report.slacks[0] == pytest.approx(2.5 - (0.5 - 0.5 + 1.0))
         assert report.passed
@@ -498,12 +494,10 @@ class TestEpochs:
                 trace = run_simulation(_contested_config(horizon=500, seed=seed, mechanism=mech))
                 for k in range(trace.n_agents):
                     report = verify_epoch_value_bound(trace, k)
-                    assert not report.violations
-                    epochs = report.epochs
+                    assert report.n_violations == 0
                     # epochs partition the live rounds
-                    assert epochs[0].start == 1
-                    for a, b in zip(epochs, epochs[1:]):
-                        assert a.end == b.start
+                    assert report.starts[0] == 1
+                    assert np.array_equal(report.ends[:-1], report.starts[1:])
 
     def test_stopping_bound_on_simulated_traces(self):
         for seed in range(3):
@@ -539,7 +533,7 @@ class TestEpochs:
     def test_no_live_round_has_no_epoch(self):
         stopped = self._trace_with_multipliers([np.nan] * 3)
         trace = dataclasses.replace(stopped, stop_rounds=np.array([1]))
-        assert verify_epoch_value_bound(trace, 0).epochs == ()
+        assert len(verify_epoch_value_bound(trace, 0).starts) == 0
         assert _assert_stats_match_the_report(trace, 0) == (0, 0, math.inf)
 
     def test_a_first_multiplier_that_is_not_zero_is_refused(self):
@@ -557,6 +551,47 @@ class TestEpochs:
             if trace.agent_kinds[k] == "paced"
         ]
         assert sum(s[0] for s in stats) > 0 and sum(s[1] for s in stats) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_checked_slacks_match_a_loop_over_rounds(self, seed):
+        # Random multiplier paths with runs of zeros, stopped mid-run: the
+        # epochs open on the live zero rounds, and each checked epoch
+        # [s, e) collects sum x*v over its rounds against a need of
+        # v_s*x_s - z_s + rho*(e - s - 1), summed here one round at a time.
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(30, 200))
+        live = int(rng.integers(1, T + 1))
+        mus = np.where(rng.random(T) < 0.4, 0.0, rng.uniform(0.01, 3.0, T))
+        mus[0], mus[live:] = 0.0, np.nan
+        v, x, z = rng.uniform(0, 2, T), rng.uniform(0, 1, T), rng.uniform(0, 1, T)
+        rho = float(rng.uniform(0.1, 1.0))
+        trace = dataclasses.replace(
+            self._trace_with_multipliers(mus, rho=rho, z=z),
+            values=v[:, None],
+            allocations=x[:, None],
+            stop_rounds=np.array([live + 1]),
+        )
+        zeros = [t for t in range(1, live + 1) if mus[t - 1] == 0.0]
+        slacks = []
+        for s, e in zip(zeros, zeros[1:]):
+            collected = 0.0
+            for t in range(s, e):
+                collected += x[t - 1] * v[t - 1]
+            slacks.append(collected - (v[s - 1] * x[s - 1] - z[s - 1] + rho * (e - s - 1)))
+
+        report = verify_epoch_value_bound(trace, 0)
+        assert report.starts.tolist() == zeros
+        assert report.ends.tolist() == zeros[1:] + [live + 1]
+        assert math.isnan(report.slacks[-1])
+        np.testing.assert_allclose(
+            report.slacks[:-1], slacks, rtol=1e-12, atol=1e-12 * float(x @ v)
+        )
+        assert report.n_checked == len(slacks) and report.n_skipped == 1
+        assert report.n_violations == sum(s < -SURE_TOL for s in slacks)
+        for field in (report.starts, report.ends, report.slacks):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0
+        _assert_stats_match_the_report(trace, 0)
 
 
 def _scalar_reference(config):

@@ -29,7 +29,7 @@ from pacesim import (
     verify_welfare_bound,
 )
 from pacesim import simulation, welfare
-from pacesim.errors import CapacityError, StatisticsError
+from pacesim.errors import CapacityError, ConfigurationError, StatisticsError
 from pacesim.welfare import welfare_bound_slack
 
 
@@ -232,6 +232,19 @@ class TestExAnteOptimum:
         poly_model = ValueModel([1.0 / 100] * 100, np.ones((100, 40)) * 0.5)
         with pytest.raises(CapacityError):
             solve_ex_ante_optimum(poly_model, Polymatroid((1.0, 0.6, 0.3)), [1.0] * 40, 10)
+
+    @pytest.mark.parametrize("budget, horizon, field", [
+        (math.nan, 10, "budgets"),
+        (math.inf, 10, "budgets"),
+        (2.0, math.nan, "horizon"),
+        (2.0, math.inf, "horizon"),
+    ], ids=["nan-budget", "inf-budget", "nan-horizon", "inf-horizon"])
+    def test_non_finite_budgets_and_horizons_are_refused(self, budget, horizon, field):
+        # A NaN budget raised a bare ValueError from the simplex tie-break
+        # and a NaN horizon returned a value of NaN.
+        model = ValueModel([0.5, 0.5], [[1.0, 0.4], [0.2, 0.9]])
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            solve_ex_ante_optimum(model, SingleSlot(), [budget, 3.0], horizon)
 
 
 class TestWelfareBound:
