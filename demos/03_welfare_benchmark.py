@@ -43,7 +43,8 @@ print(f"optimal ex-ante welfare: {rule.value:g}")
 print(f"optimal per-scenario rule:\n{np.round(rule.allocations, 3)}")
 print(f"realized welfare over {R} replications: {report.mean:g} +- {report.stderr:.2g}")
 print(f"ratio {report.ratio:.4f}; half-of-optimum check: "
-      f"{'PASS' if report.passed else 'FAIL'} (rhs {report.rhs:.1f})")
+      f"{'PASS' if report.passed else 'FAIL'}{' VACUOUS' if report.vacuous else ''} "
+      f"(rhs {report.rhs:.1f})")
 
 print()
 print("== scripted no-regret bidding can be terrible ==")

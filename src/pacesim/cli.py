@@ -182,7 +182,8 @@ def cmd_welfare(args) -> int:
     _write_json(args.out, payload)
     print(f"expected welfare {report.mean:.6g} +- {report.stderr:.3g} over {reps} reps")
     print(f"ex-ante optimum {report.optimum:.6g}, ratio {report.ratio:.4f}")
-    print(f"bound rhs {report.rhs:.6g} -> {'PASS' if report.passed else 'FAIL'}")
+    verdict = ("PASS" if report.passed else "FAIL") + (" VACUOUS" if report.vacuous else "")
+    print(f"bound rhs {report.rhs:.6g} -> {verdict}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -118,18 +118,12 @@ class EnvironmentStep:
         curves = self._curves_noised if self.eta > 0 else self._curves_exact
         return curves(mu_arr)
 
-    def spend(self, mu):
-        return self.spend_value(mu)[0]
-
     def _curves_noised(self, mu_arr: np.ndarray):
         bids = self.values[:, None] / (1.0 + mu_arr[None, :])  # (S, M)
-        if self.n_opponents == 0:
-            win = (bids > 0).astype(np.float64)
-        else:
-            gap = bids[:, :, None] - self.competing_bids[:, None, :]
-            with np.errstate(over="ignore"):  # a gap over a tiny eta saturates the clip
-                g = np.clip(gap / self.eta, 0.0, 1.0)
-            win = g.prod(axis=2) * (bids > 0)
+        gap = bids[:, :, None] - self.competing_bids[:, None, :]
+        with np.errstate(over="ignore"):  # a gap over a tiny eta saturates the clip
+            g = np.clip(gap / self.eta, 0.0, 1.0)
+        win = g.prod(axis=2) * (bids > 0)  # the empty product of no opponents is 1
         # Atom by atom: sum(axis=0) adds pairwise over one column (M = 1).
         v = functools.reduce(np.add, self.probs[:, None] * self.values[:, None] * win)
         if self.mechanism.kind == FIRST_PRICE:
@@ -376,7 +370,7 @@ def perfect_multiplier(env: EnvironmentStep, rho: float, mu_cap: float) -> float
         raise PreconditionError(f"mu_cap must be finite, got {mu_cap}")
     if mu_cap < env.value_cap / rho:
         raise PreconditionError("need mu_cap >= value_cap / rho")
-    z0 = float(env.spend(np.array([0.0]))[0])
+    z0 = float(env.spend_value(0.0)[0][0])
     if z0 < rho:
         return 0.0
     if abs(z0 - rho) <= BISECTION_TOL:
@@ -384,7 +378,7 @@ def perfect_multiplier(env: EnvironmentStep, rho: float, mu_cap: float) -> float
     lo, hi = 0.0, float(mu_cap)
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        zm = float(env.spend(np.array([mid]))[0])
+        zm = float(env.spend_value(mid)[0][0])
         if abs(zm - rho) <= BISECTION_TOL:
             return mid
         if zm > rho:
@@ -417,7 +411,7 @@ def perfect_sequence(envs, rho: float, mu_cap: float) -> PerfectPacingSequence:
     per_step = []
     for env in envs.steps:
         mu = perfect_multiplier(env, rho, mu_cap)
-        per_step.append((mu, abs(float(env.spend(np.array([mu]))[0]) - rho)))
+        per_step.append((mu, abs(float(env.spend_value(mu)[0][0]) - rho)))
     mus, res = (np.array(col)[envs.index] for col in zip(*per_step))
     return PerfectPacingSequence(mus, res)
 
@@ -445,20 +439,16 @@ def _curve_points(env: EnvironmentStep, rho: float, mus, curves: bool = True):
     return tuple(c[at].reshape(mus.shape) for c in (*values, h))
 
 
-def surrogate_objective(env: EnvironmentStep, rho: float, mu: float) -> float:
-    """The convex surrogate rho*mu - integral of the spend curve on [0, mu].
+def surrogate_objective(env: EnvironmentStep, rho: float, mu) -> float | np.ndarray:
+    """The convex surrogate rho*mu - integral of the spend curve on [0, mu],
+    at a multiplier (a float out) or at an array of them, which share one
+    cumulative integral along the sorted grid.
 
     Its derivative is rho - Z(mu), which is exactly the expected drift of
     the pacing update, so the pacing algorithm is projected SGD on this
     objective.
     """
-    return float(objective_values(env, rho, np.array([mu], dtype=np.float64))[0])
-
-
-def objective_values(env: EnvironmentStep, rho: float, mus: np.ndarray) -> np.ndarray:
-    """Surrogate objective at many multipliers, sharing one cumulative
-    integral along the sorted grid."""
-    return _curve_points(env, rho, mus, curves=False)[0]
+    return _curve_points(env, rho, mu, curves=False)[0][()]
 
 
 def _throttle(z: np.ndarray, v: np.ndarray, rho: float) -> np.ndarray:
@@ -477,11 +467,10 @@ def throttled_value_curve(env: EnvironmentStep, rho: float, mu) -> float | np.nd
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Noise width plus the measured Lipschitz constant and spend floors of
-    the smoothed curve; the relative floor is against expected value over
-    the value cap."""
+    """The measured Lipschitz constant and spend floors of the smoothed
+    curve; the relative floor is against expected value over the value
+    cap."""
 
-    eta: float
     lipschitz: float
     floor_absolute: float
     floor_relative: float
@@ -495,7 +484,6 @@ def measure_smoothing(env_or_envs, mu_cap: float) -> SmoothingSpec:
     lam = 0.0
     floor_abs = math.inf
     floor_rel = math.inf
-    eta = 0.0
     mus = np.linspace(0.0, mu_cap, 2001)
     for env in steps:
         z, v = env.spend_value(mus)
@@ -504,8 +492,7 @@ def measure_smoothing(env_or_envs, mu_cap: float) -> SmoothingSpec:
         lam = max(lam, float(slopes.max()))
         floor_abs = min(floor_abs, float(z[0]))
         floor_rel = min(floor_rel, float(rel))
-        eta = max(eta, env.eta)
-    return SmoothingSpec(eta, lam, floor_abs, floor_rel)
+    return SmoothingSpec(lam, floor_abs, floor_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +599,9 @@ def simulate_pacing(
     # Each block's joint profiles (the agent's value in column k, the
     # opponents' noised bids) are the values play reads, bids included.
     def fill(t0, t1):
-        profiles = _noised_profiles(
+        return _noised_profiles(
             table, widths, first._others, atoms[:, t0:t1].T, noise[:, t0:t1].transpose(1, 0, 2)
         )
-        return profiles, None
 
     record = np.empty((3, R, T))
     game.run(fill, [(slice(None), record)], k)
@@ -727,7 +713,7 @@ def dynamic_regret_batch(
     per_step = []
     for env, at in zip(envs.steps, rounds):
         mu_star = perfect.multipliers[at[:1]]
-        per_step.append((env.spend_value(mu_star)[1][0], objective_values(env, rho, mu_star)[0]))
+        per_step.append((env.spend_value(mu_star)[1][0], surrogate_objective(env, rho, mu_star)[0]))
     v_star, h_star = (np.array(col)[envs.index] for col in zip(*per_step))
 
     sgd_bound, value_bound = regret_bounds(

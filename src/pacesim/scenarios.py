@@ -94,8 +94,8 @@ def regret_environment(scenario: Scenario) -> tuple[int, EnvironmentSequence, di
     # np.unique sorts the distinct rows; the steps go in order of first appearance.
     _rows, first, inverse = np.unique(opp_bids, axis=0, return_index=True, return_inverse=True)
     steps = tuple(
-        EnvironmentStep(config.mechanism, model.probs, model.profiles[:, agent],
-                        np.tile(opp_bids[t], (model.support_size, 1)), eta, agent)
+        EnvironmentStep(config.mechanism, model.probs, model.profiles[:, agent], opp_bids[t],
+                        eta, agent)
         for t in np.sort(first)
     )
     envs = EnvironmentSequence(steps, np.argsort(np.argsort(first))[inverse])

@@ -421,10 +421,10 @@ class _Lockstep:
 
     The per-agent parameters and the constants 1 and 0 are (rows, n)
     arrays built once, so no operand of a round is broadcast, and every
-    cell bids value/(1 + mu) and takes the multiplier step.  play folds
-    the unpaced cells' bids into their values, and their multipliers are
-    held at +0 (eps = rho = mu_cap = 0), so that they bid them bit for bit;
-    a stopped cell's is held at +inf (eps 0, mu_cap +inf), so that it bids
+    cell bids value/(1 + mu) and takes the multiplier step.  An unpaced
+    cell's value is its bid, and its multiplier is held at +0 (eps = rho =
+    mu_cap = 0), so that it bids it bit for bit; a stopped cell's is held
+    at +inf (eps 0, mu_cap +inf), so that it bids
     +0.0.  A block clamps bids to the budget state and tests for stops
     only if a cell opens it with rem * (1 - nb * 2**-50) - thresh < nb *
     top, thresh 0 in the unpaced cells and -inf in the stopped ones, top
@@ -452,7 +452,6 @@ class _Lockstep:
         self.horizon = horizon
         self.kernel = _kernel(mechanism, *shape)
         self.played = self.closed = 0  # rounds played; the row the last block closed on
-        self.unpaced = ~paced
         self.eps, self.rho, self.mu_cap = (
             np.tile(np.where(paced, a, 0.0), (rows, 1)) for a in (eps, rho, mu_cap))
         self.held = np.tile(np.where(paced, -np.inf, 0.0), (rows, 1))  # -inf: not held
@@ -463,7 +462,7 @@ class _Lockstep:
 
     def run(self, fill, out, column) -> None:
         """Play the horizon a record block at a time: fill(t0, t1) gives
-        rounds t0..t1's values and bids for play, then each (rows, arrays)
+        rounds t0..t1's values for play, then each (rows, arrays)
         of out takes array[..., t0:t1] = plane[:t1 - t0, rows].T, plane
         the block's mus, x or z at column `column`.  For column None, block
         and arrays are viewed with each (rows, n) row as one raw n * 8-byte
@@ -480,23 +479,19 @@ class _Lockstep:
                  for rows, arrays in out for array, plane in zip(arrays, planes)]
         for t0 in range(0, self.horizon, _RECORD_ROUNDS):
             t1 = min(t0 + _RECORD_ROUNDS, self.horizon)
-            self.play(*fill(t0, t1))
+            self.play(fill(t0, t1))
             for array, source in pairs:
                 array[..., t0:t1] = source if t1 - t0 == B else source[..., : t1 - t0]
 
-    def play(self, values, bids) -> None:
-        """The next nb rounds, one record block, for values, (nb, rows, n)
-        and writable, and bids for the unpaced columns, (nb or more, rows,
-        n) or broadcasting to it, which play copies into values, or None
-        where values hold them.  Row 0 of mus and rems is the row the last
-        block closed on."""
+    def play(self, values) -> None:
+        """The next nb rounds, one record block, for values, (nb, rows, n),
+        the unpaced columns holding those cells' bids.  Row 0 of mus and
+        rems is the row the last block closed on."""
         nb, t0, mus, rems, held = len(values), self.played, self.mus, self.rems, self.held
         np.fmax(mus[self.closed], held, out=mus[0])
         rems[0], held_at_open = rems[self.closed], held > -np.inf
         self.closed, self.played = nb, t0 + nb
         self.x[:nb] = self.z[:nb] = 0.0
-        if bids is not None:
-            values[..., self.unpaced] = bids[:nb, ..., self.unpaced]
         add, divide, subtract, multiply, fmin, minimum, maximum, less, count = (
             np.add, np.divide, np.subtract, np.multiply, np.fmin, np.minimum, np.maximum,
             np.less, np.count_nonzero)
@@ -553,9 +548,11 @@ def _simulate_chunk(config: SimulationConfig, seed_children: Sequence) -> list[T
     profiles = config.value_model.profiles
     records = [[np.empty((T, n)) for _ in _RECORDED] for _ in range(rc)]  # each replication's own
 
-    def fill(t0, t1):
+    def fill(t0, t1):  # the block's value profiles, the scripted columns holding their bids
         rounds = np.stack([i[t0:t1] for i in idx], axis=1)
-        return profiles.take(rounds, axis=0), script_bids[t0:t1, None]
+        block = profiles.take(rounds, axis=0)
+        block[..., ~paced] = script_bids[t0:t1, None, ~paced]
+        return block
 
     game.run(fill, list(enumerate(records)), None)
 

@@ -227,6 +227,11 @@ class WelfareBoundReport:
     passed: bool
     replications: int
 
+    @property
+    def vacuous(self) -> bool:
+        """rhs <= 0: the bound passes at any welfare, 0 included."""
+        return bool(self.rhs <= 0)
+
     def as_dict(self) -> dict:
         return {
             "expected_welfare": self.mean,
@@ -236,6 +241,7 @@ class WelfareBoundReport:
             "slack": self.slack,
             "rhs": self.rhs,
             "passed": self.passed,
+            "vacuous": self.vacuous,
             "replications": self.replications,
         }
 

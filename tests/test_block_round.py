@@ -325,7 +325,7 @@ def test_the_round_writes_its_own_stop_mask():
     # second of three record blocks), and one scripted column.
     T, budget, learning_rate, mu_cap = 600, 150.0, 0.01, 0.5
     values = np.random.default_rng(3).choice([1.0, 2.0], size=(T, 2, 2))
-    scripts = np.full((_RECORD_ROUNDS, 2, 2), 0.5)
+    values[..., 1] = 0.5  # the scripted column's bid
     game = simulation._Lockstep(
         2, T, second_price(), np.array([True, False]), np.array([budget, 1e6]),
         np.array([learning_rate, np.nan]), np.array([budget / T, np.nan]),
@@ -334,7 +334,7 @@ def test_the_round_writes_its_own_stop_mask():
     mus, bids = np.empty((2, T, 2, 2))
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + _RECORD_ROUNDS, T)
-        game.play(values[t0:t1], scripts)
+        game.play(values[t0:t1])
         mus[t0:t1], bids[t0:t1] = game.mus[: t1 - t0], game.b[: t1 - t0]
     cfg = AgentConfig(budget=budget, horizon=T, learning_rate=learning_rate, mu_cap=mu_cap,
                       value_cap=2.0)
@@ -356,16 +356,16 @@ def _driven_game(T, n=2):
     columns the paced one wins every round at the script's second-price
     0.5 until its budget of 150 is spent, on round 300 (in the second
     record block when T > 2 * _RECORD_ROUNDS), and alone it wins for
-    nothing.  Returned with the fill rule that gives each block's values
-    and the script."""
+    nothing.  Returned with the fill rule that gives each block's values,
+    the scripted columns holding the script."""
     values = np.random.default_rng(5).choice([1.0, 2.0], size=(T, 2, n))
-    scripts = np.full((T, 2, n), 0.5)
+    values[..., 1:] = 0.5  # the scripted columns' bids
     scripted = np.full(n - 1, np.nan)
     game = simulation._Lockstep(
         2, T, second_price(), np.arange(n) == 0, np.r_[150.0, np.full(n - 1, 1e6)],
         np.r_[0.01, scripted], np.r_[150.0 / T, scripted], np.r_[0.5, scripted],
     )
-    return game, lambda t0, t1: (values[t0:t1], scripts[t0:t1])
+    return game, lambda t0, t1: values[t0:t1]
 
 
 def _hand_driven(T, n=2):
@@ -375,7 +375,7 @@ def _hand_driven(T, n=2):
     record = np.empty((3, T, 2, n))
     for t0 in range(0, T, _RECORD_ROUNDS):
         t1 = min(t0 + _RECORD_ROUNDS, T)
-        game.play(*fill(t0, t1))
+        game.play(fill(t0, t1))
         for out, block in zip(record, (game.mus, game.x, game.z)):
             out[t0:t1] = block[: t1 - t0]
     return game, record
@@ -574,7 +574,7 @@ def test_the_gate_clamps_only_blocks_near_a_stop_or_a_clamp(monkeypatch):
     fmin = np.fmin
     monkeypatch.setattr(np, "fmin", lambda *args, **kw: calls.append(1) or fmin(*args, **kw))
     T, values = 3 * _RECORD_ROUNDS, np.ones((_RECORD_ROUNDS, 2, 2))
-    scripts = np.full((_RECORD_ROUNDS, 1, 2), 0.25)
+    values[..., 1] = 0.25  # the scripted column's bid
     for budget, clamped in ((300.0, 2 * _RECORD_ROUNDS), (1e4, 0)):
         calls.clear()
         game = simulation._Lockstep(
@@ -582,7 +582,7 @@ def test_the_gate_clamps_only_blocks_near_a_stop_or_a_clamp(monkeypatch):
             np.array([0.01, np.nan]), np.array([0.0, np.nan]), np.array([0.0, np.nan]),
         )
         for _ in range(3):
-            game.play(values.copy(), scripts)
+            game.play(values)
         assert len(calls) == clamped and np.all(game.stop_round == T + 1)
         assert np.all(game.rems[game.closed, :, 0] == budget - 0.25 * T)
 
@@ -607,7 +607,7 @@ def test_the_gates_rounding_factor_covers_a_budget_far_above_its_values():
         rem -= u * (rem / u % 2)  # an even multiple of u
         game.rems[0] = thresh
         game.rems[0, 0] = rem
-        game.play(np.full((nb, rows, 1), value), None)
+        game.play(np.full((nb, rows, 1), value))
         return game, rem - thresh
 
     game, opening = played(1)

@@ -533,7 +533,7 @@ def test_dump_curves_writes_segments_in_first_appearance_order(tmp_path):
     for segment, env in enumerate((loud, quiet)):
         block = rows[201 * segment : 201 * (segment + 1)]
         mus = np.array([float(row[1]) for row in block])
-        assert [float(row[2]) for row in block] == env.spend(mus).tolist()
+        assert [float(row[2]) for row in block] == env.spend_value(mus)[0].tolist()
 
 
 _ANNOTATED = (
@@ -895,3 +895,21 @@ def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
     capsys.readouterr()
     (entry,) = _strict_json(regret)["per_horizon"]
     assert entry["delta_relative"] is entry["value_bound"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, vacuous",
+    [(["welfare_gsp_five", "--set", "horizon=2000"], True),  # rhs -375.842
+     (["welfare_symmetric_second_price"], False)],  # rhs 611.812 at its bundled horizon
+    ids=["gsp-five-at-2000", "symmetric-second-price"],
+)
+def test_welfare_says_when_its_bound_is_vacuous(argv, vacuous, tmp_path, capsys):
+    # A right-hand side of at most 0 passes at any welfare: the verdict line
+    # says so, the JSON says so either way, and the exit code is unchanged.
+    out = tmp_path / "w.json"
+    assert main(["welfare", *argv, "-R", "2", "-o", str(out)]) == 0
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict.endswith("-> PASS VACUOUS" if vacuous else "-> PASS")
+    report = _strict_json(out)
+    assert report["vacuous"] is vacuous and report["passed"] is True
+    assert (report["rhs"] <= 0) is vacuous

@@ -138,7 +138,7 @@ COMMAND_DIGESTS = {
         ["welfare", "welfare_gsp_five", "-R", "4", "--set", "horizon=2000",
          "-o", "{out}/w.json", "--rule-csv", "{out}/w.csv"],
         {
-            "w.json": "099c77e805be21a9c689809c8781efb9aaf3e0495d3c648dce87d5bf1dd955c6",
+            "w.json": "602d2327731c761ff73cbfc5a7a479d896f5b925cdf877e2c0c423c7b8e90bff",
             "w.csv": "4897e6d6fd6d51f4f88b5ae799aa14338694db4764fdc77be03a68ca5fcd389d",
         },
     ),

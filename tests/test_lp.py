@@ -48,6 +48,22 @@ def test_iteration_limit_raises_named_error():
         solve_lp_max([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], max_iterations=1)
 
 
+def test_klee_minty_runs_past_the_switch_to_blands_rule():
+    # Klee-Minty with n = 6: max sum 10^(6-j) x_j subject to
+    # 2 sum_{j<i} 10^(i-j) x_j + x_i <= 100^(i-1), x >= 0.  Dantzig pricing
+    # visits many vertices, so the solver switches to Bland's rule after
+    # 4 (n + m) = 48 pivots; it ends at x_6 = 10^10 after 62.
+    n = 6
+    c = [10.0 ** (n - j) for j in range(1, n + 1)]
+    A = [[2 * 10.0 ** (i - j) if j < i else float(j == i) for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    b = [100.0 ** (i - 1) for i in range(1, n + 1)]
+    sol = solve_lp_max(c, A, b)
+    assert sol.iterations > 4 * (n + n)
+    assert sol.value == 1e10
+    assert sol.x.tobytes() == np.array([0.0] * 5 + [1e10]).tobytes()
+
+
 def test_negative_rhs_rejected():
     with pytest.raises(ConfigurationError):
         solve_lp_max([1.0], [[1.0]], [-1.0])

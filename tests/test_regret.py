@@ -42,7 +42,7 @@ from pacesim.pacing import update as pacing_update
 from pacesim import regret
 from pacesim.auctions import SingleSlot
 from pacesim.cli import main
-from pacesim.regret import PacingRun, objective_values
+from pacesim.regret import PacingRun
 from pacesim.config import parse_scenario
 from pacesim.scenarios import load_scenario, regret_environment, scenario_text
 
@@ -56,6 +56,8 @@ class TestExpectedCurves:
         env = two_atom_env()
         assert expected_curves(env, 0.0) == (0.5, 1.0)
         assert expected_curves(env, 0.5) == (pytest.approx(0.1), pytest.approx(0.5))
+        z, v = expected_curves(env, np.array([0.0, 0.5]))  # arrays in, arrays out
+        assert z.tolist() == [0.5, expected_curves(env, 0.5)[0]] and v.tolist() == [1.0, 0.5]
 
     def test_huge_multiplier_vanishes(self):
         env = two_atom_env()
@@ -179,9 +181,9 @@ class TestPerfectMultiplier:
         envs = [quiet] * 40 + [loud] * 40 + [quiet] * 40
         rho, mu_cap = 0.3, 1.0 / 0.3
         calls = []
-        spend = EnvironmentStep.spend
+        spend = EnvironmentStep.spend_value
         monkeypatch.setattr(
-            EnvironmentStep, "spend", lambda env, mu: calls.append(env) or spend(env, mu)
+            EnvironmentStep, "spend_value", lambda env, mu: calls.append(env) or spend(env, mu)
         )
         seq = perfect_sequence(envs, rho, mu_cap)
         once = len(calls)
@@ -189,16 +191,13 @@ class TestPerfectMultiplier:
         perfect_sequence([quiet, loud], rho, mu_cap)
         assert once == len(calls)
         for t, env in enumerate(envs):
-            expected = abs(float(spend(env, np.array([seq.multipliers[t]]))[0]) - rho)
+            expected = abs(float(spend(env, np.array([seq.multipliers[t]]))[0][0]) - rho)
             assert seq.residuals[t] == expected
 
 
 class TestArtificialObjective:
     def test_constant_spend_curve(self):
         class FlatEnv:
-            def spend(self, mu):
-                return np.full_like(np.asarray(mu, dtype=float), 0.3)
-
             def curve_breakpoints(self, mu_max):
                 return np.empty(0)
 
@@ -231,16 +230,17 @@ class TestArtificialObjective:
     def test_convex_on_grid(self):
         env = uniform_opponent_env("second_price", low=0.1, width=0.8)
         mus = np.linspace(0.0, 4.0, 101)
-        h = objective_values(env, 0.3, mus)
+        h = surrogate_objective(env, 0.3, mus)
         mids = 0.5 * (h[:-2] + h[2:])
         assert np.all(h[1:-1] <= mids + 1e-9)
 
     def test_vectorized_matches_scalar(self):
         env = uniform_opponent_env()
         mus = np.array([0.1, 0.7, 1.9, 3.3])
-        hs = objective_values(env, 0.25, mus)
+        hs = surrogate_objective(env, 0.25, mus)
         for mu, h in zip(mus, hs):
             assert h == pytest.approx(surrogate_objective(env, 0.25, mu), abs=1e-9)
+        assert isinstance(surrogate_objective(env, 0.25, 0.7), float)  # a scalar in, a float out
 
     def test_lipschitz_link_between_spend_and_objective(self):
         # |Z(mu) - Z(mu*)| <= sqrt(2 lambda (H(mu) - H(mu*)))
@@ -250,7 +250,7 @@ class TestArtificialObjective:
         lam = measure_smoothing(env, 4.0).lipschitz
         mus = np.linspace(0.0, 4.0, 81)
         z, _ = env.spend_value(mus)
-        h = objective_values(env, rho, mus)
+        h = surrogate_objective(env, rho, mus)
         z_star, _ = expected_curves(env, mu_star)
         h_star = surrogate_objective(env, rho, mu_star)
         gaps = np.sqrt(np.maximum(2.0 * lam * (h - h_star), 0.0))
@@ -647,8 +647,8 @@ def test_derived_values_and_bids_are_what_the_round_played(
     blocks = []
     real_play = regret._Lockstep.play
 
-    def spy(game, values, bids):
-        real_play(game, values, bids)
+    def spy(game, values):
+        real_play(game, values)
         blocks.append((values[:, :, k].T.copy(), game.b[: len(values), :, k].T.copy()))
 
     monkeypatch.setattr(regret._Lockstep, "play", spy)
@@ -852,7 +852,7 @@ def test_non_finite_multipliers_are_refused(bad, monkeypatch):
     monkeypatch.setattr(EnvironmentStep, "spend_integrals", no_integrals)
     env = uniform_opponent_env()
     with pytest.raises(PreconditionError, match="finite"):
-        objective_values(env, 0.25, np.array([0.5, bad]))
+        surrogate_objective(env, 0.25, np.array([0.5, bad]))
     with pytest.raises(PreconditionError, match="finite"):
         env.spend_value(np.array([0.5, bad]))
 
@@ -869,7 +869,7 @@ def _groups_by_dict(envs):
 def _reference_regrets(runs, envs, rho, mu_cap):
     """Each run's (value regret, SGD regret) with every group's curves
     evaluated on their own: V by spend_value at the multipliers played, H by
-    objective_values, and the perfect multiplier's V and H apart."""
+    surrogate_objective, and the perfect multiplier's V and H apart."""
     T = len(envs)
     groups = _groups_by_dict(envs)
     perfect = perfect_sequence(envs, rho, mu_cap)
@@ -877,7 +877,7 @@ def _reference_regrets(runs, envs, rho, mu_cap):
     for env, rounds in groups:
         mu_star = perfect.multipliers[rounds[:1]]
         v_star[rounds] = env.spend_value(mu_star)[1][0]
-        h_star[rounds] = objective_values(env, rho, mu_star)[0]
+        h_star[rounds] = surrogate_objective(env, rho, mu_star)[0]
     regrets = []
     for run in runs:
         live = ~np.isnan(run.multipliers)
@@ -886,7 +886,7 @@ def _reference_regrets(runs, envs, rho, mu_cap):
             played = rounds[live[rounds]]
             if len(played):
                 v_run[played] = env.spend_value(run.multipliers[played])[1]
-                h_run[played] = objective_values(env, rho, run.multipliers[played])
+                h_run[played] = surrogate_objective(env, rho, run.multipliers[played])
         regrets.append(
             (float(v_star.sum() - v_run[live].sum()), float((h_run[live] - h_star[live]).sum()))
         )
@@ -1146,7 +1146,10 @@ def _simpson_objective(env, rho, mus, tol=1e-13):
     grid = np.unique(np.concatenate([grid, env.curve_breakpoints(float(grid[-1]))]))
     lo, hi = grid[:-1], grid[1:]
     inward = np.minimum(8 * np.spacing(1.0 + hi), (hi - lo) / 2)
-    segs = _simpson_segments(env.spend, lo, hi, env.spend(lo + inward), env.spend(hi - inward), tol)
+    def spend(mu):
+        return env.spend_value(mu)[0]
+
+    segs = _simpson_segments(spend, lo, hi, spend(lo + inward), spend(hi - inward), tol)
     h = rho * grid - np.concatenate([[0.0], np.cumsum(segs)])
     return h[np.searchsorted(grid, mus)]
 
@@ -1185,7 +1188,7 @@ def _integral_cases(draw, kinds=tuple(INTEGRAL_KINDS)):
 @given(_integral_cases())
 def test_surrogate_integrals_match_adaptive_simpson(case):
     env, rho, mus = case
-    h = objective_values(env, rho, mus)
+    h = surrogate_objective(env, rho, mus)
     want = _simpson_objective(env, rho, mus)
     assert np.all(np.abs(h - want) <= 1e-12 * (1.0 + np.abs(want))), np.abs(h - want).max()
 
@@ -1199,7 +1202,8 @@ def test_a_segment_is_told_by_its_middle_bid():
     assert 1.0 / (1.0 + edge) < 0.45
     mus = np.array([edge, 2.0, 3.0])
     spent = math.log(1 / 0.7) + 1.0 - 1.8 * math.log(0.7 / 0.45)
-    assert objective_values(env, 0.25, mus) == pytest.approx(0.25 * mus - spent, abs=1e-15, rel=0)
+    want = 0.25 * mus - spent
+    assert surrogate_objective(env, 0.25, mus) == pytest.approx(want, abs=1e-15, rel=0)
 
 
 @pytest.mark.parametrize("mechanism", [first_price(), second_price()], ids=["first", "second"])
@@ -1209,7 +1213,7 @@ def test_clustered_bids_are_integrated_to_rounding(mechanism):
     # 1e-10, so a piece that far above 0 is centred.
     env = EnvironmentStep(mechanism, [1.0], [2.0], [[1.0] * 4], eta=0.05)
     mus = np.linspace(0.0, 8.0, 401)
-    h = objective_values(env, 0.25, mus)
+    h = surrogate_objective(env, 0.25, mus)
     np.testing.assert_allclose(h, _simpson_objective(env, 0.25, mus), rtol=0, atol=1e-14)
 
 
@@ -1249,13 +1253,13 @@ def test_noised_second_price_on_centred_pieces_is_closed_form():
     b = 2.0 / (1.0 + mus)
     y = np.clip((b - 1.0) / 0.05, 0.0, 1.0)
     want = np.where(b > 1.05, 1.04, b * y**4 - 0.01 * y**5)
-    np.testing.assert_allclose(env.spend(mus), want, rtol=0, atol=2e-16)
+    np.testing.assert_allclose(env.spend_value(mus)[0], want, rtol=0, atol=2e-16)
 
 
 def test_uniform_objective_is_exact():
     env = uniform_opponent_env()
     mus = np.linspace(0.0, 4.0, 3001)
-    h = objective_values(env, 0.25, mus)
+    h = surrogate_objective(env, 0.25, mus)
     np.testing.assert_allclose(h, 0.25 * mus - 1.0 + 1.0 / (1.0 + mus), rtol=0, atol=1e-14)
 
 
@@ -1263,4 +1267,4 @@ def test_uniform_objective_is_exact():
 def test_objective_is_zero_at_zero(name):
     env = POINTWISE_ENVS[name]()
     assert surrogate_objective(env, 0.25, 0.0) == 0.0
-    assert objective_values(env, 0.25, np.array([2.0, 0.0, 6.0]))[1] == 0.0
+    assert surrogate_objective(env, 0.25, np.array([2.0, 0.0, 6.0]))[1] == 0.0
